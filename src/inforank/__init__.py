@@ -12,18 +12,16 @@ from .clearing import (ClearingProblem, ExternalsConfig, PaymentVector,
                        build_liabilities, clear, fit_trend,
                        risk_error_experiment)
 from .entropy import (EntropyReport, approx_meanfield, approx_sparse,
-                      benchmark_entropy, conditioned_entropy, inforank,
-                      inforank_subset)
+                      benchmark_entropy, inforank, inforank_subset)
 from .errors import (GraphError, InfoRankError, InputError, ParseError,
                      SolverError, UndefinedCorrelationError,
                      UndefinedIndexError)
 from .graphs import (DegreeSeq, Graph, degree_sequence, load_edge_list,
                      make_graph, serialize_edge_list)
 from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
-                     SolverOptions, solve_benchmark, solve_conditioned,
-                     solve_conditioned_set, solve_dbcm, solve_ubcm)
-from .recon import (AccuracyReport, accuracy_report, expected_accuracy,
-                    node_accuracy, pearson)
+                     SolverOptions, solve_benchmark, solve_conditioned_set,
+                     solve_dbcm, solve_ubcm)
+from .recon import AccuracyReport, accuracy_report, expected_accuracy, pearson
 from .sampling import SampleSpec, adjacency_sample, sample_ensemble, sample_graph
 
 __version__ = "0.1.0"
@@ -37,10 +35,9 @@ __all__ = [
     "UndefinedIndexError", "accuracy_report", "adjacency_sample",
     "approx_meanfield", "approx_sparse", "benchmark_entropy",
     "build_liabilities", "clear", "closeness_centrality",
-    "conditioned_entropy", "degree_centrality", "degree_sequence",
-    "expected_accuracy", "fit_trend", "inforank", "inforank_subset",
-    "load_edge_list", "make_graph", "node_accuracy", "pagerank", "pearson",
-    "rescale", "risk_error_experiment", "sample_ensemble", "sample_graph",
-    "serialize_edge_list", "solve_benchmark", "solve_conditioned",
-    "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
+    "degree_centrality", "degree_sequence", "expected_accuracy", "fit_trend",
+    "inforank", "inforank_subset", "load_edge_list", "make_graph",
+    "pagerank", "pearson", "rescale", "risk_error_experiment",
+    "sample_ensemble", "sample_graph", "serialize_edge_list",
+    "solve_benchmark", "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
 ]

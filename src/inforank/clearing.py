@@ -8,16 +8,22 @@ receipts. External liabilities are folded into the obligation vector and the
 relative-liability denominator, with external creditors acting as a
 non-defaulting pro-rata sink. alpha = beta = 1 with no external liabilities
 recovers the classic fictitious-default clearing payments.
+
+The risk experiment is a per-node scorer (RiskExperiment) over the
+conditioned ensembles of entropy.conditioned_pass; the `risk` command runs it
+in the same pass as the ranking, so each ensemble is solved once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
-from .maxent import SolverOptions, solve_conditioned_set
+from .maxent import ProbMatrix, SolverOptions
 from .sampling import adjacency_sample
 
 
@@ -131,6 +137,14 @@ class ExternalsConfig:
     mu_l: float = 1.0
     sigma_l: float = 0.1
 
+    def __post_init__(self):
+        for name in ("mu_a", "mu_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
+        for name in ("sigma_a", "sigma_l"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be finite and non-negative")
+
 
 @dataclass
 class RiskResult:
@@ -141,6 +155,56 @@ class RiskResult:
     Le: np.ndarray
 
 
+class RiskExperiment:
+    """The fixed part of the risk experiment, called as a per-node scorer.
+
+    Externals are drawn once from `seed` and held fixed across every sample
+    so that error differences across nodes reflect topology knowledge only.
+    Calling the experiment with (node, cond) draws samples_per_node graphs
+    from node's conditioned ensemble `cond`, dresses them with uniform
+    weights preserving the observed interbank volume in expectation, clears
+    them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
+    """
+
+    def __init__(self, g: Graph, weights: np.ndarray | None = None,
+                 samples_per_node: int = 100,
+                 externals: ExternalsConfig | None = None,
+                 alpha: float = 0.9, beta: float = 0.9, seed: int = 0,
+                 tol: float = 1e-10, max_iter: int = 10_000):
+        externals = externals or ExternalsConfig()
+        if samples_per_node < 1:
+            raise InputError("samples_per_node must be >= 1")
+        self.samples = samples_per_node
+        self.alpha, self.beta, self.seed = alpha, beta, seed
+        self.tol, self.max_iter = tol, max_iter
+
+        rng = np.random.default_rng(seed)
+        self.ae = np.clip(rng.normal(externals.mu_a, externals.sigma_a, g.n), 0.0, None)
+        self.le = np.clip(rng.normal(externals.mu_l, externals.sigma_l, g.n), 0.0, None)
+
+        l_real = build_liabilities(g, weights=weights)
+        self.volume = float(l_real.sum())
+        self.p_real = self._clear(l_real)
+        self.norm = float(self.p_real @ self.p_real)
+        if self.norm == 0.0:
+            raise InputError("real payment vector is zero; error normalization undefined")
+
+    def _clear(self, liabilities: np.ndarray) -> np.ndarray:
+        return clear(ClearingProblem(L=liabilities, Ae=self.ae, Le=self.le,
+                                     alpha=self.alpha, beta=self.beta),
+                     tol=self.tol, max_iter=self.max_iter).p
+
+    def __call__(self, node: int, cond: ProbMatrix) -> float:
+        exp_links = float(cond.p.sum())
+        w = self.volume / exp_links if exp_links > 0 else 0.0
+        errors = np.empty(self.samples)
+        for t in range(self.samples):
+            a_s = adjacency_sample(cond, seed=(self.seed, node, t))
+            diff = self._clear(a_s * w) - self.p_real
+            errors[t] = float(diff @ diff) / self.norm
+        return errors.mean()
+
+
 def risk_error_experiment(g: Graph, weights: np.ndarray | None = None,
                           samples_per_node: int = 100,
                           externals: ExternalsConfig | None = None,
@@ -148,49 +212,13 @@ def risk_error_experiment(g: Graph, weights: np.ndarray | None = None,
                           seed: int = 0,
                           opts: SolverOptions | None = None,
                           tol: float = 1e-10, max_iter: int = 10_000) -> RiskResult:
-    """Per-node error in estimating the clearing payments from sampled topologies.
-
-    Externals are drawn once and held fixed across every sample so that error
-    differences across nodes reflect topology knowledge only. For each node,
-    graphs are drawn from its conditioned ensemble, dressed with uniform
-    weights preserving the observed interbank volume in expectation, cleared,
-    and scored by ||p_sample - p_real||^2 / ||p_real||^2.
-    """
-    externals = externals or ExternalsConfig()
-    opts = opts or SolverOptions()
-    if samples_per_node < 1:
-        raise InputError("samples_per_node must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    ae = np.clip(rng.normal(externals.mu_a, externals.sigma_a, g.n), 0.0, None)
-    le = np.clip(rng.normal(externals.mu_l, externals.sigma_l, g.n), 0.0, None)
-
-    l_real = build_liabilities(g, weights=weights)
-    volume = float(l_real.sum())
-    p_real = clear(ClearingProblem(L=l_real, Ae=ae, Le=le, alpha=alpha, beta=beta),
-                   tol=tol, max_iter=max_iter).p
-    norm = float(p_real @ p_real)
-    if norm == 0.0:
-        raise InputError("real payment vector is zero; error normalization undefined")
-
-    mse = np.full(g.n, np.nan)
-    for node in range(g.n):
-        try:
-            cond = solve_conditioned_set(g, [node], opts)
-        except SolverError:
-            continue
-        exp_links = float(cond.p.sum())
-        w = volume / exp_links if exp_links > 0 else 0.0
-        errors = np.empty(samples_per_node)
-        for t in range(samples_per_node):
-            a_s = adjacency_sample(cond, seed=(seed, node, t))
-            p_s = clear(ClearingProblem(L=a_s * w, Ae=ae, Le=le,
-                                        alpha=alpha, beta=beta),
-                        tol=tol, max_iter=max_iter).p
-            diff = p_s - p_real
-            errors[t] = float(diff @ diff) / norm
-        mse[node] = errors.mean()
-    return RiskResult(mse=mse, failed=np.isnan(mse), p_real=p_real, Ae=ae, Le=le)
+    """Per-node error in estimating the clearing payments from sampled
+    topologies of each node's conditioned ensemble (see RiskExperiment)."""
+    experiment = RiskExperiment(g, weights, samples_per_node, externals,
+                                alpha, beta, seed, tol, max_iter)
+    (mse,) = conditioned_pass(g, (experiment,), opts)
+    return RiskResult(mse=mse, failed=np.isnan(mse), p_real=experiment.p_real,
+                      Ae=experiment.ae, Le=experiment.le)
 
 
 def fit_trend(x, y, degree: int = 1):

@@ -23,14 +23,14 @@ import numpy as np
 
 from .centrality import (RankVector, closeness_centrality, degree_centrality,
                          pagerank, rescale)
-from .clearing import ExternalsConfig, fit_trend, risk_error_experiment
-from .entropy import inforank
+from .clearing import ExternalsConfig, RiskExperiment, fit_trend
+from .entropy import inforank, ranking_pass
 from .errors import (GraphError, InfoRankError, InputError, ParseError,
                      SolverError, UndefinedCorrelationError, UndefinedIndexError)
 from .generators import from_spec
 from .graphs import degree_sequence, load_edge_list, serialize_edge_list
 from .maxent import SolverOptions, solve_benchmark, solve_conditioned_set
-from .recon import accuracy_report, pearson
+from .recon import AccuracyReport, expected_accuracy, pearson
 from .sampling import SampleSpec, sample_ensemble
 
 EXIT_OK = 0
@@ -99,13 +99,20 @@ def _load_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
+def _cast(name: str, raw: str, cast):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise InputError(f"bad value for {name}: {raw!r}") from None
+
+
 def _resolve(args, key, cast, default):
     """Flag > config file > default (env handled separately for threads)."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if args.config_values and key in args.config_values:
-        return cast(args.config_values[key])
+        return _cast(key, args.config_values[key], cast)
     return default
 
 
@@ -132,11 +139,13 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    if args.config_values and "threads" in args.config_values:
-        return int(args.config_values["threads"])
-    return int(os.environ.get(THREADS_ENV, "1"))
+    """Flag > config file > $INFORANK_THREADS > 1; below 1 is an error."""
+    threads = _resolve(args, "threads", int, None)
+    if threads is None:
+        threads = _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), int)
+    if threads < 1:
+        raise InputError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def _inforank_vector(report) -> RankVector:
@@ -145,10 +154,9 @@ def _inforank_vector(report) -> RankVector:
                       rescaled=rescale(np.where(report.failed, 0.0, report.I)))
 
 
-def _all_rank_vectors(g, opts, alpha, threads):
-    report = inforank(g, opts, threads=threads)
-    return report, [degree_centrality(g), closeness_centrality(g),
-                    pagerank(g, alpha=alpha), _inforank_vector(report)]
+def _all_rank_vectors(g, report, alpha):
+    return [degree_centrality(g), closeness_centrality(g),
+            pagerank(g, alpha=alpha), _inforank_vector(report)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ def _all_rank_vectors(g, opts, alpha, threads):
 def cmd_rank(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
-    report = inforank(g, opts, threads=_threads(args))
+    report = inforank(g, opts, threads=args.threads)
 
     scale = 1.0 / math.log(2.0) if args.base2 else 1.0
     unit = "bits" if args.base2 else "nats"
@@ -195,9 +203,9 @@ def cmd_compare(args) -> int:
         elif args.measure == "pagerank":
             vectors = [pagerank(g, alpha=alpha)]
         else:
-            vectors = [_inforank_vector(inforank(g, opts, threads=_threads(args)))]
+            vectors = [_inforank_vector(inforank(g, opts, threads=args.threads))]
     else:
-        _, vectors = _all_rank_vectors(g, opts, alpha, _threads(args))
+        vectors = _all_rank_vectors(g, inforank(g, opts, threads=args.threads), alpha)
 
     deg = degree_sequence(g)
     k_tot = deg.total()
@@ -234,8 +242,10 @@ def cmd_accuracy(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
     alpha = args.alpha if args.alpha is not None else 0.85
-    _, vectors = _all_rank_vectors(g, opts, alpha, _threads(args))
-    rep = accuracy_report(g, vectors, opts)
+    report, bench, (acc,) = ranking_pass(
+        g, (lambda i, pm: expected_accuracy(pm, g),), opts, threads=args.threads)
+    rep = AccuracyReport.build(expected_accuracy(bench, g), acc,
+                               _all_rank_vectors(g, report, alpha))
 
     per_node = [{"node": i, "label": g.label(i),
                  "accuracy": None if rep.failed[i] else float(rep.A[i])}
@@ -267,8 +277,7 @@ def cmd_sample(args) -> int:
     else:
         pm = solve_benchmark(g, opts)
 
-    spec = SampleSpec(count=args.samples, seed=args.seed,
-                      conditioned_on=args.conditioned_on)
+    spec = SampleSpec(count=args.samples, seed=args.seed)
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -290,26 +299,25 @@ def cmd_risk(args) -> int:
     if not g.directed:
         raise InputError("the risk experiment needs a directed network")
     opts = _solver_options(args)
+    experiment = RiskExperiment(
+        g, samples_per_node=args.samples,
+        externals=ExternalsConfig(mu_a=args.mu_a, sigma_a=args.sigma_a,
+                                  mu_l=args.mu_l, sigma_l=args.sigma_l),
+        alpha=args.alpha, beta=args.beta, seed=args.seed)
+    report, _, (mse,) = ranking_pass(g, (experiment,), opts, threads=args.threads)
 
-    report = inforank(g, opts, threads=_threads(args))
-    ext = ExternalsConfig(mu_a=args.mu_a, sigma_a=args.sigma_a,
-                          mu_l=args.mu_l, sigma_l=args.sigma_l)
-    result = risk_error_experiment(
-        g, samples_per_node=args.samples, externals=ext,
-        alpha=args.alpha, beta=args.beta, seed=args.seed, opts=opts)
-
-    ok = ~(result.failed | report.failed)
+    ok = ~report.failed  # one solve per node feeds both the index and the error
     fits = {}
     for degree, name in ((1, "fit_linear"), (2, "fit_quadratic")):
         try:
-            coeffs, rss = fit_trend(report.I[ok], result.mse[ok], degree=degree)
+            coeffs, rss = fit_trend(report.I[ok], mse[ok], degree=degree)
             fits[name] = {"coefficients_highest_first": list(coeffs), "rss": rss}
         except InputError as exc:
             fits[name] = {"error": str(exc)}
 
     rows = [{"node": i, "label": g.label(i),
              "inforank": None if report.failed[i] else float(report.I[i]),
-             "mse": None if result.failed[i] else float(result.mse[i])}
+             "mse": None if report.failed[i] else float(mse[i])}
             for i in range(g.n)]
     if args.format == "json":
         _write_json({"command": "risk", "seed": args.seed, "n": g.n,
@@ -331,8 +339,7 @@ def cmd_risk(args) -> int:
             fit_path = Path(args.output).with_suffix(".fits.json")
             fit_path.write_text(json.dumps(_clean({"seed": args.seed, **fits}),
                                            indent=2) + "\n")
-    failed_any = (result.failed | report.failed).any()
-    return EXIT_SOLVER if failed_any else EXIT_OK
+    return EXIT_SOLVER if report.failed.any() else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +418,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_values = _load_config_file(args.config) if args.config else {}
+        args.threads = _threads(args)
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,13 +68,6 @@ def benchmark_entropy(pm: ProbMatrix, limit_eps: float = 0.0):
     return s0, contrib
 
 
-def conditioned_entropy(g: Graph, node: int, opts: SolverOptions | None = None,
-                        limit_eps: float = 0.0) -> float:
-    """Entropy of the ensemble conditioned on `node`'s exact link pattern."""
-    pm = solve_conditioned_set(g, [node], opts)
-    return benchmark_entropy(pm, limit_eps)[0]
-
-
 @dataclass
 class EntropyReport:
     """Full per-node ranking report."""
@@ -107,31 +100,40 @@ class EntropyReport:
             rows.append(row)
         return rows
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "directed": self.directed,
-            "S0": float(self.S0),
-            "nodes": self.to_rows(),
-            "failed_nodes": [int(i) for i in np.flatnonzero(self.failed)],
-        }
+
+def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None,
+                     threads: int = 1) -> np.ndarray:
+    """Score every node's conditioned ensemble with each of `scorers`.
+
+    Node i's ensemble is solved once and handed to every scorer(i, pm); row k
+    of the result holds scorers[k] per node, NaN where the conditioned solve
+    failed. `threads` > 1 runs the nodes in a thread pool. Each matrix is
+    dropped once scored, so at most one per worker is alive.
+    """
+    opts = opts or SolverOptions()
+
+    def score_node(i):
+        try:
+            pm = solve_conditioned_set(g, [i], opts)
+        except SolverError:
+            return [np.nan] * len(scorers)
+        return [score(i, pm) for score in scorers]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(score_node, range(g.n)))
+    else:
+        rows = [score_node(i) for i in range(g.n)]
+    return np.array(rows, dtype=float).reshape(g.n, len(scorers)).T
 
 
-def _conditioned_entropy_or_nan(g, i, opts, limit_eps):
-    try:
-        pm = solve_conditioned_set(g, [i], opts)
-    except SolverError:
-        return np.nan
-    return benchmark_entropy(pm, limit_eps)[0]
+def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
+                 limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1):
+    """Rank every node, scoring its conditioned ensemble with `scorers` too.
 
-
-def inforank(g: Graph, opts: SolverOptions | None = None,
-             limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1) -> EntropyReport:
-    """Rank every node by the fractional entropy reduction of its ego-network.
-
-    The n conditioned solves are independent; `threads` > 1 runs them in a
-    thread pool. Per-node solver failures are flagged in the report instead
-    of aborting the whole ranking.
+    One benchmark solve, then one conditioned pass shared by the entropy and
+    every scorer. Returns the EntropyReport, the benchmark ProbMatrix and one
+    row of per-node values per scorer (NaN where the solve failed).
     """
     opts = opts or SolverOptions()
     deg = degree_sequence(g)
@@ -146,25 +148,29 @@ def inforank(g: Graph, opts: SolverOptions | None = None,
         raise UndefinedIndexError(
             "benchmark entropy is zero; the ranking index is undefined")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            s_cond = np.array(list(pool.map(
-                lambda i: _conditioned_entropy_or_nan(g, i, opts, limit_eps),
-                range(g.n))))
-    else:
-        s_cond = np.array([_conditioned_entropy_or_nan(g, i, opts, limit_eps)
-                           for i in range(g.n)])
-
-    failed = np.isnan(s_cond)
-    index = 1.0 - s_cond / s0
-    return EntropyReport(
+    s_cond, *extra = conditioned_pass(
+        g, (lambda i, cond: benchmark_entropy(cond, limit_eps)[0], *scorers),
+        opts, threads)
+    report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
-        S_cond=s_cond, I=index, failed=failed,
+        S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
         labels=tuple(g.label(i) for i in range(g.n)),
         k=None if g.directed else deg.k,
         k_out=deg.k_out if g.directed else None,
         k_in=deg.k_in if g.directed else None,
     )
+    return report, pm, extra
+
+
+def inforank(g: Graph, opts: SolverOptions | None = None,
+             limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1) -> EntropyReport:
+    """Rank every node by the fractional entropy reduction of its ego-network.
+
+    The n conditioned solves are independent; `threads` > 1 runs them in a
+    thread pool. Per-node solver failures are flagged in the report instead
+    of aborting the whole ranking.
+    """
+    return ranking_pass(g, (), opts, limit_eps, threads)[0]
 
 
 def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None,

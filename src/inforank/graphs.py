@@ -9,6 +9,7 @@ binary topology.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -168,6 +169,8 @@ def load_edge_list(source, directed: bool = False) -> Graph:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"bad weight {fields[2]!r}", lineno) from None
+            if not math.isfinite(w):
+                raise ParseError(f"non-finite weight {fields[2]!r}", lineno)
             weights[key] = weights.get(key, 0.0) + w
             any_weight = True
 

@@ -16,6 +16,7 @@ conditioning on an observed link pattern.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,8 +38,8 @@ class SolverOptions:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InputError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InputError("tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise InputError("damping must be in (0, 1]")
         if self.max_iterations < 1:
@@ -56,7 +57,6 @@ class ParamVector:
     directed: bool
     x: np.ndarray
     y: np.ndarray | None
-    converged: bool
     residual: float
     iterations: int
 
@@ -74,11 +74,6 @@ class ProbMatrix:
         np.fill_diagonal(self.p, 0.0)
         if self.p.min() < 0.0 or self.p.max() > 1.0:
             raise InputError("probabilities must lie in [0, 1]")
-
-    def expected_links(self) -> float:
-        """Expected link count of the ensemble (unordered pairs if undirected)."""
-        total = float(self.p.sum())
-        return total / 2.0 if not self.directed else total
 
     def free_mask(self) -> np.ndarray:
         m = self.forced == FREE
@@ -358,7 +353,7 @@ def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
         raise InputError("undirected degree sum must be even")
 
     x, p, forced, residual, iterations = _ubcm_core(k, opts)
-    params = ParamVector(directed=False, x=x, y=None, converged=True,
+    params = ParamVector(directed=False, x=x, y=None,
                          residual=residual, iterations=iterations)
     return params, ProbMatrix(n=n, directed=False, p=p, forced=forced)
 
@@ -378,7 +373,7 @@ def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
         raise InputError("sum of out-degrees must equal sum of in-degrees")
 
     x, y, p, forced, residual, iterations = _dbcm_core(k_out, k_in, opts)
-    params = ParamVector(directed=True, x=x, y=y, converged=True,
+    params = ParamVector(directed=True, x=x, y=y,
                          residual=residual, iterations=iterations)
     return params, ProbMatrix(n=n, directed=True, p=p, forced=forced)
 
@@ -435,51 +430,3 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
     np.fill_diagonal(p, 0.0)
     return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
 
-
-def solve_conditioned(g: Graph, node: int,
-                      opts: SolverOptions | None = None) -> ProbMatrix:
-    """Ensemble conditioned on a single node's exact link pattern."""
-    return solve_conditioned_set(g, [node], opts)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def probmatrix_to_csv(pm: ProbMatrix, stream) -> None:
-    """Dense CSV dump, one matrix row per line, with a metadata header."""
-    stream.write(f"# n={pm.n} directed={int(pm.directed)}\n")
-    for row in pm.p:
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def probmatrix_to_triplets(pm: ProbMatrix, stream) -> None:
-    """Sparse `i j p` triplet dump of the nonzero entries (for large n)."""
-    stream.write(f"# n={pm.n} directed={int(pm.directed)}\n")
-    rows, cols = np.nonzero(pm.p)
-    for i, j in zip(rows, cols):
-        stream.write(f"{i} {j} {pm.p[i, j]:.17g}\n")
-
-
-def _parse_header(line: str):
-    fields = dict(part.split("=") for part in line.lstrip("# ").split())
-    return int(fields["n"]), bool(int(fields["directed"]))
-
-
-def probmatrix_from_csv(stream) -> ProbMatrix:
-    n, directed = _parse_header(stream.readline())
-    p = np.loadtxt(stream, delimiter=",").reshape(n, n)
-    return ProbMatrix(n=n, directed=directed, p=p,
-                      forced=np.zeros((n, n), dtype=np.int8))
-
-
-def probmatrix_from_triplets(stream) -> ProbMatrix:
-    n, directed = _parse_header(stream.readline())
-    p = np.zeros((n, n))
-    for line in stream:
-        if not line.strip():
-            continue
-        i, j, v = line.split()
-        p[int(i), int(j)] = float(v)
-    return ProbMatrix(n=n, directed=directed, p=p,
-                      forced=np.zeros((n, n), dtype=np.int8))

@@ -3,7 +3,9 @@
 Accuracy is the probability-weighted fraction of correctly reconstructed
 link/non-link entries over all ordered pairs, <A> = (<TP> + <TN>) / (N(N-1)).
 Undirected graphs evaluate ordered pairs symmetrically, which leaves the
-value unchanged.
+value unchanged. The per-node accuracies are scored on the conditioned
+ensembles of entropy.conditioned_pass, so a caller that also ranks (the
+`accuracy` command, via entropy.ranking_pass) solves each ensemble once.
 """
 from __future__ import annotations
 
@@ -11,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError, UndefinedCorrelationError
-from .graphs import Graph
-from .maxent import ProbMatrix, SolverOptions, solve_benchmark, solve_conditioned_set
 from .centrality import RankVector
+from .entropy import conditioned_pass
+from .errors import InputError, UndefinedCorrelationError
+from .graphs import Graph
+from .maxent import ProbMatrix, SolverOptions, solve_benchmark
 
 
 def expected_accuracy(pm: ProbMatrix, g: Graph) -> float:
@@ -27,12 +30,6 @@ def expected_accuracy(pm: ProbMatrix, g: Graph) -> float:
     terms = a * pm.p + (1.0 - a) * (1.0 - pm.p)
     np.fill_diagonal(terms, 0.0)
     return float(terms.sum() / (g.n * (g.n - 1)))
-
-
-def node_accuracy(g: Graph, node: int, opts: SolverOptions | None = None) -> float:
-    """Accuracy achieved by conditioning on `node`'s exact link pattern."""
-    pm = solve_conditioned_set(g, [node], opts)
-    return expected_accuracy(pm, g)
 
 
 def pearson(x, y) -> float:
@@ -57,35 +54,32 @@ class AccuracyReport:
     correlations: dict[str, float | None]  # None where undefined
     failed: np.ndarray                 # bool; conditioned solve failed
 
+    @classmethod
+    def build(cls, a_benchmark: float, acc: np.ndarray,
+              ranks: list[RankVector]) -> "AccuracyReport":
+        """Assemble the report from per-node accuracies (NaN where failed).
+
+        Rank vectors with zero variance get a None correlation instead of
+        aborting the report; failed nodes are excluded from the correlations.
+        """
+        failed = np.isnan(acc)
+        ok = ~failed
+        correlations: dict[str, float | None] = {}
+        for rank in ranks:
+            if len(rank.rescaled) != len(acc):
+                raise InputError(f"rank vector {rank.index_name!r} has wrong length")
+            try:
+                correlations[rank.index_name] = pearson(acc[ok], rank.rescaled[ok])
+            except UndefinedCorrelationError:
+                correlations[rank.index_name] = None
+        return cls(A_benchmark=a_benchmark, A=acc,
+                   correlations=correlations, failed=failed)
+
 
 def accuracy_report(g: Graph, ranks: list[RankVector],
                     opts: SolverOptions | None = None) -> AccuracyReport:
-    """Per-node accuracies plus Pearson r against each rescaled rank vector.
-
-    Rank vectors with zero variance get a None correlation instead of
-    aborting the report; per-node solver failures are flagged and excluded
-    from the correlations.
-    """
+    """Per-node accuracies plus Pearson r against each rescaled rank vector."""
     opts = opts or SolverOptions()
-    benchmark = solve_benchmark(g, opts)
-    a_bench = expected_accuracy(benchmark, g)
-
-    acc = np.full(g.n, np.nan)
-    for i in range(g.n):
-        try:
-            acc[i] = expected_accuracy(solve_conditioned_set(g, [i], opts), g)
-        except SolverError:
-            pass
-    failed = np.isnan(acc)
-    ok = ~failed
-
-    correlations: dict[str, float | None] = {}
-    for rank in ranks:
-        if len(rank.rescaled) != g.n:
-            raise InputError(f"rank vector {rank.index_name!r} has wrong length")
-        try:
-            correlations[rank.index_name] = pearson(acc[ok], rank.rescaled[ok])
-        except UndefinedCorrelationError:
-            correlations[rank.index_name] = None
-    return AccuracyReport(A_benchmark=a_bench, A=acc,
-                          correlations=correlations, failed=failed)
+    a_bench = expected_accuracy(solve_benchmark(g, opts), g)
+    (acc,) = conditioned_pass(g, (lambda i, pm: expected_accuracy(pm, g),), opts)
+    return AccuracyReport.build(a_bench, acc, ranks)

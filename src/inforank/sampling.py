@@ -18,11 +18,19 @@ from .maxent import ProbMatrix
 class SampleSpec:
     count: int
     seed: int
-    conditioned_on: int | None = None
 
     def __post_init__(self):
         if self.count < 1:
             raise InputError("sample count must be >= 1")
+
+
+def _draw(pm: ProbMatrix, seed) -> np.ndarray:
+    """Boolean hit matrix of one draw; upper triangle only when undirected."""
+    hit = np.random.default_rng(seed).random((pm.n, pm.n)) < pm.p
+    if pm.directed:
+        np.fill_diagonal(hit, False)
+        return hit
+    return np.triu(hit, 1)
 
 
 def sample_graph(pm: ProbMatrix, seed) -> Graph:
@@ -31,15 +39,7 @@ def sample_graph(pm: ProbMatrix, seed) -> Graph:
     Undirected matrices use a single draw per unordered pair; entries pinned
     at 0 or 1 are copied deterministically by the same comparison.
     """
-    rng = np.random.default_rng(seed)
-    r = rng.random((pm.n, pm.n))
-    if pm.directed:
-        hit = r < pm.p
-        np.fill_diagonal(hit, False)
-        edges = list(zip(*np.nonzero(hit)))
-    else:
-        hit = np.triu(r, 1) < np.triu(pm.p, 1)
-        edges = list(zip(*np.nonzero(hit)))
+    edges = zip(*np.nonzero(_draw(pm, seed)))
     return make_graph(pm.n, [(int(i), int(j)) for i, j in edges], directed=pm.directed)
 
 
@@ -50,14 +50,6 @@ def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
 
 
 def adjacency_sample(pm: ProbMatrix, seed) -> np.ndarray:
-    """Adjacency-matrix variant of sample_graph (used by the risk loop)."""
-    rng = np.random.default_rng(seed)
-    r = rng.random((pm.n, pm.n))
-    if pm.directed:
-        a = (r < pm.p).astype(float)
-    else:
-        upper = np.triu(r, 1) < np.triu(pm.p, 1)
-        a = upper.astype(float)
-        a = a + a.T
-    np.fill_diagonal(a, 0.0)
-    return a
+    """Adjacency-matrix form of sample_graph: the same draw from the same seed."""
+    a = _draw(pm, seed).astype(float)
+    return a if pm.directed else a + a.T

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
+import pytest
 
+from inforank import maxent
 from inforank.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 
 
@@ -9,6 +12,24 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.json"
     code = main(list(argv) + ["--output", str(out)])
     return code, out
+
+
+def count_solves(monkeypatch):
+    """Count benchmark and conditioned solves, wherever inforank calls them."""
+    counts = {"solve_benchmark": 0, "solve_conditioned_set": 0}
+    modules = [m for name, m in sys.modules.items()
+               if name == "inforank" or name.startswith("inforank.")]
+    for name in counts:
+        real = getattr(maxent, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 def test_rank_star_center_scores_one(tmp_path):
@@ -152,6 +173,16 @@ def test_byte_identical_reruns_and_thread_independence(tmp_path):
                      "--samples", "8", "--output", str(path)]) == EXIT_OK
     assert r1.read_bytes() == r2.read_bytes()
 
+    for argv in (["accuracy", "--generate", "er:20,0.2", "--seed", "5", "--directed"],
+                 ["risk", "--generate", "scalefree:12,2", "--seed", "3",
+                  "--samples", "8"]):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}_{threads}.json"
+            assert main(argv + ["--threads", threads, "--output", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 def test_csv_format_records_seed(tmp_path):
     out = tmp_path / "out.csv"
@@ -176,6 +207,12 @@ def test_config_file_defaults_overridden_by_flags(tmp_path):
     assert json.loads(out1.read_text())["n"] == 10
     assert json.loads(out2.read_text())["n"] == 10
 
+    for bad in ("threads = x", "threads = 0", "tolerance = abc",
+                "max_iterations = many"):
+        cfg.write_text(bad + "\n")
+        assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
+                     "--output", str(out1)]) == EXIT_CONFIG
+
 
 def test_threads_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("INFORANK_THREADS", "3")
@@ -187,6 +224,46 @@ def test_threads_env_var(tmp_path, monkeypatch):
     assert main(["rank", "--generate", "er:10,0.4", "--seed", "2",
                  "--output", str(ref)]) == EXIT_OK
     assert out.read_bytes() == ref.read_bytes()
+
+    argv = ["rank", "--generate", "er:10,0.4", "--output", str(out)]
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("INFORANK_THREADS", value)
+        assert main(argv) == EXIT_CONFIG
+    monkeypatch.delenv("INFORANK_THREADS")
+    for value in ("0", "-3"):
+        assert main(argv + ["--threads", value]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["accuracy", "--generate", "er:20,0.2", "--seed", "5", "--directed"],
+    ["risk", "--generate", "scalefree:12,2", "--seed", "3", "--samples", "4"],
+])
+def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
+    counts = count_solves(monkeypatch)
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    n = json.loads(out.read_text())["n"]
+    assert counts == {"solve_benchmark": 1, "solve_conditioned_set": n}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank", "--generate", "er:10,0.4", "--tolerance", "nan"], EXIT_CONFIG),
+    (["rank", "--generate", "er:10,0.4", "--tolerance", "inf"], EXIT_CONFIG),
+    (["rank", "--generate", "er:10,0.4", "--tolerance=-inf"], EXIT_CONFIG),
+    (["risk", "--generate", "scalefree:12,2", "--sigma-a", "-1"], EXIT_CONFIG),
+    (["risk", "--generate", "scalefree:12,2", "--sigma-l", "nan"], EXIT_CONFIG),
+    (["risk", "--generate", "scalefree:12,2", "--sigma-a", "inf"], EXIT_CONFIG),
+    (["risk", "--generate", "scalefree:12,2", "--mu-a", "inf"], EXIT_CONFIG),
+    (["risk", "--generate", "scalefree:12,2", "--mu-l", "nan"], EXIT_CONFIG),
+    (["risk", "--input", "WEIGHTS", "--directed"], EXIT_PARSE),
+])
+def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("a b 1.0\nb c nan\nc a 2.0\n")
+    counts = count_solves(monkeypatch)
+    argv = [str(weights) if arg == "WEIGHTS" else arg for arg in argv]
+    assert run(tmp_path, *argv)[0] == code
+    assert counts == {"solve_benchmark": 0, "solve_conditioned_set": 0}
 
 
 def test_twelve_significant_digit_output(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 
 from inforank import (ProbMatrix, SolverError,
                       UndefinedIndexError, approx_meanfield, approx_sparse,
-                      benchmark_entropy, conditioned_entropy, degree_sequence,
-                      inforank, inforank_subset, make_graph, solve_ubcm)
+                      benchmark_entropy, degree_sequence, inforank,
+                      inforank_subset, make_graph, solve_conditioned_set,
+                      solve_ubcm)
 from inforank.entropy import DEFAULT_LIMIT_EPS, _h
 from inforank.graphs import relabel
 from inforank.generators import erdos_renyi, ring_lattice, star
@@ -50,7 +51,7 @@ def test_decomposition_identity():
 
 
 def test_conditioned_entropy_star_center_zero():
-    assert conditioned_entropy(star(5), 0) == 0.0
+    assert benchmark_entropy(solve_conditioned_set(star(5), [0]))[0] == 0.0
 
 
 def test_conditioned_entropy_isolated_equals_benchmark():
@@ -58,12 +59,13 @@ def test_conditioned_entropy_isolated_equals_benchmark():
     from inforank import solve_benchmark
     s0 = benchmark_entropy(solve_benchmark(g))[0]
     g_iso = make_graph(26, sorted(g.edges))
-    assert abs(conditioned_entropy(g_iso, 25) - s0) < 1e-7
+    s_iso = benchmark_entropy(solve_conditioned_set(g_iso, [25]))[0]
+    assert abs(s_iso - s0) < 1e-7
 
 
 def test_conditioned_entropy_p4_end_strict_convention():
     # the reduced (1,2,1) system saturates: literal summation gives zero
-    assert conditioned_entropy(P4, 0) == 0.0
+    assert benchmark_entropy(solve_conditioned_set(P4, [0]))[0] == 0.0
 
 
 def test_inforank_star_center_maximal():
@@ -84,11 +86,11 @@ def test_inforank_isolated_node_scores_zero():
 def test_inforank_p4_matches_composition_oracle():
     # compose the oracle from the benchmark entropy and the per-node
     # conditioned entropies, using the same boundary floor as the report
-    from inforank import solve_benchmark, solve_conditioned
+    from inforank import solve_benchmark
     pm = solve_benchmark(P4)
     s0 = benchmark_entropy(pm, limit_eps=DEFAULT_LIMIT_EPS)[0]
     expected = np.array([
-        1.0 - benchmark_entropy(solve_conditioned(P4, i),
+        1.0 - benchmark_entropy(solve_conditioned_set(P4, [i]),
                                 limit_eps=DEFAULT_LIMIT_EPS)[0] / s0
         for i in range(4)])
     rep = inforank(P4)

@@ -1,16 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 
 from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, SolverError,
                       SolverOptions, degree_sequence, make_graph,
-                      solve_conditioned, solve_conditioned_set, solve_dbcm,
-                      solve_ubcm)
+                      solve_conditioned_set, solve_dbcm, solve_ubcm)
 from inforank.graphs import DegreeSeq, relabel
 from inforank.generators import erdos_renyi, star
-from inforank.maxent import probmatrix_from_csv, probmatrix_from_triplets, \
-    probmatrix_to_csv, probmatrix_to_triplets
 
 from oracles import dbcm_fixed_point, p4_bisection, reduced_131_bisection
 
@@ -161,7 +156,7 @@ def test_dbcm_residuals_and_sum_mismatch():
 
 def test_conditioned_star_center_deterministic_remainder():
     g = star(5)
-    pm = solve_conditioned(g, 0)
+    pm = solve_conditioned_set(g, [0])
     assert np.all(pm.p[0, 1:] == 1.0)
     sub = pm.p[1:, 1:]
     assert np.all(sub == 0.0)
@@ -172,7 +167,7 @@ def test_conditioned_star_center_deterministic_remainder():
 def test_conditioned_isolated_node_equals_restricted_benchmark():
     g = erdos_renyi(20, 0.3, seed=2)
     g_iso = make_graph(21, sorted(g.edges))
-    pm_cond = solve_conditioned(g_iso, 20)
+    pm_cond = solve_conditioned_set(g_iso, [20])
     _, pm_bench = solve_ubcm(degree_sequence(g))
     assert np.abs(pm_cond.p[:20, :20] - pm_bench.p).max() < 1e-8
     assert np.all(pm_cond.p[20, :] == 0.0)
@@ -181,7 +176,7 @@ def test_conditioned_isolated_node_equals_restricted_benchmark():
 def test_conditioned_p4_end_matches_reduced_oracle():
     p_em, p_ee = reduced_131_bisection()
     assert abs(p_em - 1.0) < 1e-8 and abs(p_ee - 0.0) < 1e-8
-    pm = solve_conditioned(P4, 0)
+    pm = solve_conditioned_set(P4, [0])
     # remaining system (nodes 1,2,3 with reduced degrees 1,2,1) saturates
     assert pm.p[2, 1] == 1.0 and pm.p[2, 3] == 1.0
     assert pm.p[1, 3] == 0.0
@@ -193,7 +188,7 @@ def test_conditioned_forced_entries_match_adjacency_bit_exact():
         g = erdos_renyi(15, 0.25, seed=4, directed=directed)
         a = g.adjacency()
         for node in (0, 7):
-            pm = solve_conditioned(g, node)
+            pm = solve_conditioned_set(g, [node])
             assert np.all(pm.p[node, :] == a[node, :])
             assert np.all(pm.p[:, node] == a[:, node])
 
@@ -210,22 +205,6 @@ def test_conditioned_set_validation():
 def test_conditioned_nonconvergence_names_node():
     g = erdos_renyi(30, 0.2, seed=8)
     with pytest.raises(SolverError) as exc:
-        solve_conditioned(g, 3, SolverOptions(tolerance=1e-10, max_iterations=2))
+        solve_conditioned_set(g, [3], SolverOptions(tolerance=1e-10, max_iterations=2))
     assert exc.value.node == 3
 
-
-def test_probmatrix_serialization_round_trip():
-    g = erdos_renyi(12, 0.3, seed=6)
-    _, pm = solve_ubcm(degree_sequence(g))
-    buf = io.StringIO()
-    probmatrix_to_csv(pm, buf)
-    buf.seek(0)
-    again = probmatrix_from_csv(buf)
-    assert again.n == pm.n and again.directed == pm.directed
-    assert np.abs(again.p - pm.p).max() == 0.0
-
-    buf = io.StringIO()
-    probmatrix_to_triplets(pm, buf)
-    buf.seek(0)
-    again = probmatrix_from_triplets(buf)
-    assert np.abs(again.p - pm.p).max() == 0.0
