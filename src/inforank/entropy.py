@@ -9,10 +9,10 @@ S_(i) the entropy after additionally pinning node i's exact link pattern and
 re-solving the reduced degree constraints.
 
 Boundary handling: entries pinned by *conditioning* are genuine knowledge and
-carry zero entropy. Entries pinned by *peeling* (saturated degrees, see
-maxent) sit at the boundary limit of the solution; for ranking purposes each
-such entry is scored at a small regularization `limit_eps` away from the
-boundary. This keeps the ratio well defined on graphs whose benchmark is
+carry zero entropy. Entries pinned by the *polytope boundary* (FORCED_LIM,
+see maxent) sit at the boundary limit of the solution; for ranking purposes
+each such entry is scored at a small regularization `limit_eps` away from
+the boundary. This keeps the ratio well defined on graphs whose benchmark is
 exactly deterministic apart from saturated hubs (a star graph being the
 canonical case: the center scores 1, a leaf scores 1/(n-1)). Fully pinned or
 zero-entropy benchmarks have no free structure left to explain and raise
@@ -32,7 +32,7 @@ from .maxent import (FORCED_LIM, FORCED_OBS, ProbMatrix, SolverOptions,
                      solve_benchmark, solve_conditioned_set)
 
 LOG_CLIP = 1e-15           # clamp inside logarithms only, never in residuals
-DEFAULT_LIMIT_EPS = 1e-10  # regularization distance for peeled (boundary) entries
+DEFAULT_LIMIT_EPS = 1e-10  # regularization distance for boundary-pinned entries
 
 
 def _h(p: np.ndarray) -> np.ndarray:

@@ -4,14 +4,18 @@ Link probabilities take the fitness form p_ij = x_i x_j / (1 + x_i x_j)
 (undirected) or x_i y_j / (1 + x_i y_j) (directed). Parameters are found by
 damped fixed-point iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j).
 
-Degenerate degrees are handled exactly before iterating:
-  * k_i = 0          -> x_i = 0, all incident probabilities are exactly 0;
-  * k_i = (partners) -> the exact solution runs away to x_i = +inf, so the
-    node is peeled: its links are pinned to 1 and the remaining system is
-    re-reduced. Peeling repeats until no saturated node remains.
+The finite solution exists only strictly inside the polytope of expected
+degrees. Degenerate degrees are handled exactly before iterating:
+  * k_i = 0 -> x_i = 0, all incident probabilities are exactly 0;
+  * every pair that takes the same value at all points of the polytope (a
+    boundary face, e.g. a node whose degree equals its available partners)
+    is pinned to that value. An O(n) cut test decides whether any pair can
+    be fixed; only then are they found exactly, by one maximum flow and the
+    strongly connected components of its residual graph. The rest of the
+    system is solved with the degrees left after the pairs pinned to 1.
 
 Pinned entries are tracked in a mask so downstream consumers can tell free
-probabilities from saturated (peeled) ones and from entries fixed by
+probabilities from boundary-pinned ones and from entries fixed by
 conditioning on an observed link pattern.
 """
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .graphs import DegreeSeq, Graph, degree_sequence
 # forced-mask codes
 FREE = 0          # solved by the iteration (or exactly zero via x_i = 0)
 FORCED_OBS = 1    # pinned to an observed adjacency entry by conditioning
-FORCED_LIM = 2    # pinned to 1 by peeling (boundary limit of the solution)
+FORCED_LIM = 2    # pinned to 0 or 1 on the polytope boundary (limit of the solution)
 
 
 @dataclass
@@ -50,8 +54,9 @@ class SolverOptions:
 class ParamVector:
     """Fitness parameters plus convergence diagnostics.
 
-    Peeled nodes have no finite parameter; they are reported as 0 here and
-    their probabilities live in the forced mask of the ProbMatrix instead.
+    Nodes whose links are all pinned have no finite parameter; they are
+    reported as 0 here and their probabilities live in the forced mask of
+    the ProbMatrix instead.
     """
 
     directed: bool
@@ -88,104 +93,121 @@ class ProbMatrix:
 
 
 # ---------------------------------------------------------------------------
-# undirected core
+# boundary pinning
 # ---------------------------------------------------------------------------
 #
-# The finite fixed point exists only when the degree sequence lies strictly
-# inside the polytope of expected degrees (the Erdos-Gallai polytope). On its
-# boundary some probabilities saturate to exactly 0 or 1 and the parameters
-# run away, so the saturated structure is pinned exactly before iterating:
-#   * node facets: k_i = 0 and k_i = (available partners) -> peel the node;
-#   * prefix facets: an Erdos-Gallai inequality holding with equality pins
-#     the clique on the top-s nodes, the links from higher-degree outsiders
-#     into it, and the links among low-degree outsiders (to 1/1/0).
+# The finite fixed point exists only when the degrees lie in the relative
+# interior of the polytope of expected degrees. On its boundary some pairs
+# take the same value, 0 or 1, at every point of the polytope, and the
+# parameters run away; those pairs are pinned exactly before iterating. The
+# directed polytope is the set of flows in the network
+#   source -> out_i (capacity k_out_i), out_i -> in_j (1, i != j),
+#   in_j -> sink (capacity k_in_j)
+# that saturate the source and the sink. A pair is fixed iff its arc lies on
+# no cycle of the residual graph of one such flow, i.e. its ends fall in
+# different strongly connected components (Regin, AAAI 1994). An undirected
+# sequence k is the symmetric case k_out = k_in = k: symmetrising a
+# fractional solution keeps every positive entry, so both fix the same pairs.
 
-def _node_peel(k: np.ndarray, allowed: np.ndarray, pins1: list):
-    """Peel nodes whose remaining degree saturates their available partners."""
-    while True:
-        active = k > 0
-        event = False
-        for i in np.flatnonzero(active):
-            partners = np.flatnonzero(allowed[i] & active)
-            if k[i] > len(partners):
-                raise InputError(
-                    f"infeasible degree sequence: node {i} needs {k[i]} partners, "
-                    f"only {len(partners)} available")
-            if k[i] == len(partners) and k[i] >= 1:
-                for j in partners:
-                    pins1.append((int(i), int(j)))
-                    allowed[i, j] = allowed[j, i] = False
-                    k[j] -= 1
-                k[i] = 0
-                event = True
-                break
-        if not event:
-            return
+def _tight_cut(k_out: np.ndarray, k_in: np.ndarray) -> bool:
+    """Whether some cut of the flow network is tight, i.e. may fix a pair.
 
-
-def _complete_among_active(k: np.ndarray, allowed: np.ndarray) -> bool:
-    active = np.flatnonzero(k > 0)
-    if len(active) < 2:
-        return False
-    sub = allowed[np.ix_(active, active)]
-    return bool(np.all(sub | np.eye(len(active), dtype=bool)))
-
-
-def _eg_tight_reduction(k: np.ndarray, allowed: np.ndarray,
-                        pins1: list, pins0: list) -> bool:
-    """Pin the structure of one Erdos-Gallai equality, if any.
-
-    Only applies when the top-s block is separated by a strict degree gap
-    (ties across the cut leave the tight set ambiguous). Returns True if a
-    reduction was applied; the caller should then re-run the node peel.
+    Only rows R = {k_out > 0} and columns C = {k_in > 0} matter. A row or
+    column is tight when its degree equals its available partners. A cut
+    through s rows, 1 <= s < |R|, has the largest excess
+        E(s) = sum of the s largest (k_out_i + [k_in_i >= s])
+               - sum_j min(k_in_j, s),
+    taken by the first s rows in descending (k_out, k_in) order
+    (Fulkerson-Chen-Anstee); E(s) = 0 is tight. Any excess above zero
+    means no feasible point and raises InputError. Uses O(n) memory.
     """
-    active = np.flatnonzero(k > 0)
-    if len(active) < 2:
-        return False
-    order = active[np.argsort(-k[active], kind="stable")]
-    kk = k[order]
-    m = len(order)
-    for s in range(1, m):
-        lhs = int(kk[:s].sum())
-        rhs = s * (s - 1) + int(np.minimum(kk[s:], s).sum())
-        if lhs > rhs:
-            raise InputError(
-                "infeasible degree sequence: violates the Erdos-Gallai bound "
-                f"at prefix size {s}")
-        if lhs == rhs and kk[s - 1] > kk[s]:
-            top = order[:s]
-            rest = order[s:]
-            big = rest[k[rest] > s]
-            small = rest[k[rest] <= s]
-            for a_idx, i in enumerate(top):
-                for j in top[a_idx + 1:]:
-                    if allowed[i, j]:
-                        pins1.append((int(i), int(j)))
-                        allowed[i, j] = allowed[j, i] = False
-                        k[i] -= 1
-                        k[j] -= 1
-            for i in big:
-                for j in top:
-                    if allowed[i, j]:
-                        pins1.append((int(i), int(j)))
-                        allowed[i, j] = allowed[j, i] = False
-                        k[i] -= 1
-                        k[j] -= 1
-            for i in small:
-                others = np.concatenate([big, small])
-                for j in others:
-                    if j != i and allowed[i, j]:
-                        pins0.append((int(i), int(j)))
-                        allowed[i, j] = allowed[j, i] = False
-            if np.any(k < 0):
-                raise InputError("infeasible degree sequence: boundary reduction "
-                                 "drove a degree negative")
-            return True
-    return False
+    rows, cols = k_out > 0, k_in > 0
+    n_r, n_c = int(rows.sum()), int(cols.sum())
+    slack_out = n_c - cols - k_out
+    slack_in = n_r - rows - k_in
+    if np.any(slack_out < 0) or np.any(slack_in < 0):
+        raise InputError("infeasible degree sequence: a node needs more "
+                         "partners than are available")
+    tight = bool(np.any(rows & (slack_out == 0)) or np.any(cols & (slack_in == 0)))
+    if n_r < 2:
+        return tight
+
+    order = np.lexsort((-k_in, -k_out))[:n_r]
+    top = np.cumsum(k_out[order])[:-1]
+    # the row at position p counts towards [k_in >= s] for p <= s <= k_in
+    pos = np.arange(1, n_r + 1)
+    last = np.minimum(k_in[order], n_r - 1)
+    live = last >= pos
+    own = np.cumsum(np.bincount(pos[live], minlength=n_r + 1)
+                    - np.bincount(last[live] + 1, minlength=n_r + 1))[1:n_r]
+    # sum_j min(k_in_j, s) = sum_{t <= s} #{j : k_in_j >= t}
+    at_least = np.cumsum(np.bincount(k_in, minlength=n_r + 1)[::-1])[::-1]
+    excess = top + own - np.cumsum(at_least[1:n_r])
+    if excess.max() > 0:
+        raise InputError("infeasible degree sequence: the links of the top "
+                         f"{int(np.argmax(excess)) + 1} nodes exceed every "
+                         "realisation")
+    return tight or bool(excess.max() == 0)
 
 
-def _iterate_masked(k: np.ndarray, allowed: np.ndarray, opts: SolverOptions):
-    """Damped fixed-point iteration restricted to the allowed (free) pairs."""
+def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray):
+    """Pairs fixed over the polytope, and those among them fixed at 1.
+
+    One maximum flow plus the strongly connected components of its residual
+    graph; only pairs between a row in R and a column in C take part.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, maximum_flow
+
+    n = len(k_out)
+    rows, cols = np.flatnonzero(k_out > 0), np.flatnonzero(k_in > 0)
+    arcs = np.outer(k_out > 0, k_in > 0)
+    np.fill_diagonal(arcs, False)
+    i, j = np.nonzero(arcs)
+    # nodes: source 0, out_i = 1 + i, in_j = 1 + n + j, sink 2n + 1
+    sink = 2 * n + 1
+    tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + n + cols])
+    head = np.concatenate([1 + rows, 1 + n + j, np.full(len(cols), sink)])
+    cap = np.concatenate([k_out[rows], np.ones(len(i), np.int64), k_in[cols]])
+    net = csr_matrix((cap.astype(np.int32), (tail, head)), shape=(sink + 1,) * 2)
+    flow = maximum_flow(net, 0, sink).flow
+    _, comp = connected_components((net - flow) > 0, directed=True,
+                                   connection="strong")
+    fixed = arcs & (comp[1:n + 1, None] != comp[None, n + 1:sink])
+    return fixed, fixed & (flow[1:n + 1, n + 1:sink].toarray() > 0)
+
+
+def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray):
+    """Pin the pairs the degree polytope fixes, for either solver.
+
+    Returns (k_out, k_in, free, ones, forced): the degrees left after the
+    pairs fixed at 1 are removed, the mask of pairs left to the iteration,
+    the pairs fixed at 1 and the FORCED_LIM mask. A pair fixed at 1 is
+    FORCED_LIM. A pair fixed at 0 is FORCED_LIM only while both of its ends
+    keep a positive degree; otherwise it stays FREE and comes out as an
+    exact 0 through x = 0 at its saturated end.
+    """
+    n = len(k_out)
+    free = ~np.eye(n, dtype=bool)
+    forced = np.zeros((n, n), dtype=np.int8)
+    if not _tight_cut(k_out, k_in):
+        return k_out, k_in, free, np.zeros((n, n), dtype=bool), forced
+
+    fixed, ones = _fixed_pairs(k_out, k_in)
+    k_out = k_out - ones.sum(axis=1)
+    k_in = k_in - ones.sum(axis=0)
+    lim = ones | (fixed & np.outer(k_out > 0, k_in > 0))
+    free &= ~lim
+    forced[lim] = FORCED_LIM
+    return k_out, k_in, free, ones, forced
+
+
+# ---------------------------------------------------------------------------
+# cores
+# ---------------------------------------------------------------------------
+
+def _iterate_masked(k: np.ndarray, free: np.ndarray, opts: SolverOptions):
+    """Damped fixed-point iteration restricted to the free pairs."""
     n = len(k)
     active = np.flatnonzero(k > 0)
     x_full = np.zeros(n)
@@ -193,7 +215,7 @@ def _iterate_masked(k: np.ndarray, allowed: np.ndarray, opts: SolverOptions):
         return x_full, 0.0, 0
 
     ka = k[active].astype(float)
-    mask = allowed[np.ix_(active, active)].astype(float)
+    mask = free[np.ix_(active, active)].astype(float)
     x = ka / np.sqrt(ka.sum())
     residual = np.inf
     for it in range(1, opts.max_iterations + 1):
@@ -210,82 +232,17 @@ def _iterate_masked(k: np.ndarray, allowed: np.ndarray, opts: SolverOptions):
 
 
 def _ubcm_core(k: np.ndarray, opts: SolverOptions):
-    k = np.asarray(k, dtype=np.int64).copy()
-    n = len(k)
-    allowed = ~np.eye(n, dtype=bool)
-    pins1: list[tuple[int, int]] = []
-    pins0: list[tuple[int, int]] = []
-
-    _node_peel(k, allowed, pins1)
-    # The Erdos-Gallai bound only certifies saturation while the free system
-    # is still complete among active nodes; once pairs have been pinned the
-    # plain bound no longer applies.
-    while _complete_among_active(k, allowed) and \
-            _eg_tight_reduction(k, allowed, pins1, pins0):
-        _node_peel(k, allowed, pins1)
-    x, residual, iterations = _iterate_masked(k, allowed, opts)
+    k = np.asarray(k, dtype=np.int64)
+    k, _, free, ones, forced = _pin_boundary(k, k)
+    x, residual, iterations = _iterate_masked(k, free, opts)
 
     xx = np.outer(x, x)
-    p = np.where(allowed, xx / (1.0 + xx), 0.0)
-    forced = np.zeros_like(p, dtype=np.int8)
-    for i, j in pins1:
-        p[i, j] = p[j, i] = 1.0
-        forced[i, j] = forced[j, i] = FORCED_LIM
-    for i, j in pins0:
-        p[i, j] = p[j, i] = 0.0
-        forced[i, j] = forced[j, i] = FORCED_LIM
-    np.fill_diagonal(p, 0.0)
+    p = np.where(free, xx / (1.0 + xx), ones)
     return x, p, forced, residual, iterations
 
 
-# ---------------------------------------------------------------------------
-# directed core
-# ---------------------------------------------------------------------------
-
-def _peel_directed(k_out: np.ndarray, k_in: np.ndarray):
-    k_out = k_out.astype(np.int64).copy()
-    k_in = k_in.astype(np.int64).copy()
-    n = len(k_out)
-    pinned: list[tuple[int, int]] = []
-    while True:
-        event = False
-        for i in range(n):
-            if k_out[i] == 0:
-                continue
-            partners = [j for j in range(n) if j != i and k_in[j] > 0]
-            if k_out[i] > len(partners):
-                raise InputError(
-                    f"infeasible degree sequence: node {i} needs {k_out[i]} "
-                    f"out-partners, only {len(partners)} available")
-            if k_out[i] == len(partners):
-                for j in partners:
-                    pinned.append((i, j))
-                    k_in[j] -= 1
-                k_out[i] = 0
-                event = True
-                break
-        if event:
-            continue
-        for j in range(n):
-            if k_in[j] == 0:
-                continue
-            sources = [i for i in range(n) if i != j and k_out[i] > 0]
-            if k_in[j] > len(sources):
-                raise InputError(
-                    f"infeasible degree sequence: node {j} needs {k_in[j]} "
-                    f"in-partners, only {len(sources)} available")
-            if k_in[j] == len(sources):
-                for i in sources:
-                    pinned.append((i, j))
-                    k_out[i] -= 1
-                k_in[j] = 0
-                event = True
-                break
-        if not event:
-            return k_out, k_in, pinned
-
-
-def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
+def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, free: np.ndarray,
+                      opts: SolverOptions):
     n = len(k_out)
     x = np.zeros(n)
     y = np.zeros(n)
@@ -299,9 +256,13 @@ def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
     in_idx = np.flatnonzero(ki > 0)
     x[out_idx] = ko[out_idx] / np.sqrt(l_tot)
     y[in_idx] = ki[in_idx] / np.sqrt(l_tot)
+    # the diagonal stays in t and is subtracted after the products, which
+    # keeps solves without pins bit-identical to the unmasked iteration
+    mask = free.astype(float)
+    np.fill_diagonal(mask, 1.0)
     residual = np.inf
     for it in range(1, opts.max_iterations + 1):
-        t = 1.0 / (1.0 + np.outer(x, y))
+        t = mask / (1.0 + np.outer(x, y))
         diag = np.diagonal(t)
         sx = t @ y - y * diag
         sy = t.T @ x - x * diag
@@ -319,16 +280,12 @@ def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
 
 
 def _dbcm_core(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
-    ko_red, ki_red, pinned = _peel_directed(np.asarray(k_out), np.asarray(k_in))
-    x, y, residual, iterations = _iterate_directed(ko_red, ki_red, opts)
+    k_out, k_in, free, ones, forced = _pin_boundary(
+        np.asarray(k_out, dtype=np.int64), np.asarray(k_in, dtype=np.int64))
+    x, y, residual, iterations = _iterate_directed(k_out, k_in, free, opts)
 
     xy = np.outer(x, y)
-    p = xy / (1.0 + xy)
-    forced = np.zeros_like(p, dtype=np.int8)
-    for i, j in pinned:
-        p[i, j] = 1.0
-        forced[i, j] = FORCED_LIM
-    np.fill_diagonal(p, 0.0)
+    p = np.where(free, xy / (1.0 + xy), ones)
     return x, y, p, forced, residual, iterations
 
 
@@ -408,16 +365,13 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
     keep = np.array([v for v in range(g.n) if v not in cond], dtype=np.int64)
     node_tag = cond[0] if len(cond) == 1 else None
 
+    sub = a[np.ix_(keep, keep)].astype(np.int64)
     try:
         if g.directed:
-            deg = degree_sequence(g)
-            ko_red = deg.k_out[keep] - a[np.ix_(keep, cond)].sum(axis=1).astype(np.int64)
-            ki_red = deg.k_in[keep] - a[np.ix_(cond, keep)].sum(axis=0).astype(np.int64)
-            _, _, p_sub, forced_sub, _, _ = _dbcm_core(ko_red, ki_red, opts)
+            _, _, p_sub, forced_sub, _, _ = _dbcm_core(
+                sub.sum(axis=1), sub.sum(axis=0), opts)
         else:
-            deg = degree_sequence(g)
-            k_red = deg.k[keep] - a[np.ix_(keep, cond)].sum(axis=1).astype(np.int64)
-            _, p_sub, forced_sub, _, _ = _ubcm_core(k_red, opts)
+            _, p_sub, forced_sub, _, _ = _ubcm_core(sub.sum(axis=1), opts)
     except SolverError as exc:
         raise SolverError("conditioned solve did not converge",
                           residual=exc.residual, iterations=exc.iterations,

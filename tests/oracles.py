@@ -214,3 +214,42 @@ def polyfit_normal_equations(x, y, degree):
     coeffs = np.linalg.solve(gram, design.T @ y)
     rss = float(((y - design @ coeffs) ** 2).sum())
     return coeffs, rss
+
+
+def pair_ranges(k_out, k_in=None):
+    """Least and greatest p_ij over the polytope of expected degrees, by LP.
+
+    Directed when k_in is given: one variable per ordered pair i != j in
+    [0, 1], row sums k_out and column sums k_in. Undirected otherwise: one
+    variable per unordered pair, row sums k_out. Returns two n x n arrays
+    (lo, hi), or None when the polytope is empty.
+    """
+    from scipy.optimize import linprog
+
+    k_out = np.asarray(k_out, dtype=float)
+    n = len(k_out)
+    if k_in is None:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows = np.zeros((n, len(pairs)))
+        for v, (i, j) in enumerate(pairs):
+            rows[i, v] = rows[j, v] = 1.0
+        eq, rhs = rows, k_out
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        eq = np.zeros((2 * n, len(pairs)))
+        for v, (i, j) in enumerate(pairs):
+            eq[i, v] = eq[n + j, v] = 1.0
+        rhs = np.concatenate([k_out, np.asarray(k_in, dtype=float)])
+    lo = np.zeros((n, n))
+    hi = np.zeros((n, n))
+    if linprog(np.zeros(len(pairs)), A_eq=eq, b_eq=rhs,
+               bounds=(0, 1)).status == 2:  # infeasible
+        return None
+    for v, (i, j) in enumerate(pairs):
+        c = np.zeros(len(pairs))
+        c[v] = 1.0
+        lo[i, j] = linprog(c, A_eq=eq, b_eq=rhs, bounds=(0, 1)).fun
+        hi[i, j] = -linprog(-c, A_eq=eq, b_eq=rhs, bounds=(0, 1)).fun
+        if k_in is None:
+            lo[j, i], hi[j, i] = lo[i, j], hi[i, j]
+    return lo, hi

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +275,25 @@ def test_twelve_significant_digit_output(tmp_path):
     payload = json.loads(out.read_text())
     s0 = payload["S0"]
     assert s0 == float(f"{s0:.12g}")
+
+
+SCIPY_PROBE = """
+import sys
+from inforank.cli import main
+code = main(sys.argv[1:])
+print(code, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("spec, loaded", [("er:40,0.1", False), ("star:5", True)])
+def test_scipy_loads_only_for_boundary_pins(tmp_path, spec, loaded):
+    # scipy's maximum flow runs only on a tight cut: an ER ranking has none,
+    # a star's saturated center does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, "rank", "--generate", spec,
+         "--output", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.split() == [str(EXIT_OK), str(loaded)], proc.stderr

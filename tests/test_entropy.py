@@ -12,7 +12,7 @@ from inforank.generators import erdos_renyi, ring_lattice, star
 
 from oracles import entropy_direct
 
-H_EPS = float(_h(1.0 - DEFAULT_LIMIT_EPS))  # entropy floor of one peeled entry
+H_EPS = float(_h(1.0 - DEFAULT_LIMIT_EPS))  # entropy floor of one boundary-pinned entry
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
 

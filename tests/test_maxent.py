@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, SolverError,
-                      SolverOptions, degree_sequence, make_graph,
-                      solve_conditioned_set, solve_dbcm, solve_ubcm)
+                      SolverOptions, UndefinedIndexError, degree_sequence,
+                      inforank, make_graph, solve_conditioned_set, solve_dbcm,
+                      solve_ubcm)
 from inforank.graphs import DegreeSeq, relabel
 from inforank.generators import erdos_renyi, star
 
-from oracles import dbcm_fixed_point, p4_bisection, reduced_131_bisection
+from oracles import (dbcm_fixed_point, p4_bisection, pair_ranges,
+                     reduced_131_bisection)
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -208,3 +211,104 @@ def test_conditioned_nonconvergence_names_node():
         solve_conditioned_set(g, [3], SolverOptions(tolerance=1e-10, max_iterations=2))
     assert exc.value.node == 3
 
+
+def test_ubcm_fixed_zero_at_saturated_end_stays_free():
+    # node 1 (k=3) is saturated by its links to 0, 3 and 4, all fixed at 1;
+    # its pairs with 2 and 5 are fixed at 0 but come out FREE through x_1 = 0,
+    # while the pair (2, 5) between two unsaturated ends is FORCED_LIM at 0
+    k = np.array([4, 3, 1, 4, 4, 2], dtype=np.int64)
+    _, pm = solve_ubcm(DegreeSeq(directed=False, L=int(k.sum()) // 2, k=k))
+    lim = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4), (2, 5)]
+    expect = np.zeros((6, 6), dtype=np.int8)
+    for i, j in lim:
+        expect[i, j] = expect[j, i] = FORCED_LIM
+    assert np.array_equal(pm.forced, expect)
+    for i, j in lim[:-1]:
+        assert pm.p[i, j] == 1.0
+    assert pm.p[2, 5] == pm.p[1, 2] == pm.p[1, 5] == 0.0
+    assert np.abs(pm.row_sums() - k).max() <= 1e-10
+
+
+def test_dbcm_boundary_face_pins_its_pairs():
+    # edges 0<->1, 0<->3, 1<->2: the flow polytope fixes 0<->1 at 1 and
+    # 2<->3 at 0, which no saturated single node reveals
+    g = make_graph(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1)],
+                   directed=True)
+    deg = degree_sequence(g)
+    _, pm = solve_dbcm(deg)
+    assert sorted(map(tuple, np.argwhere(pm.forced == FORCED_LIM))) == \
+        [(0, 1), (1, 0), (2, 3), (3, 2)]
+    assert pm.p[0, 1] == pm.p[1, 0] == 1.0
+    assert pm.p[2, 3] == pm.p[3, 2] == 0.0
+    assert np.abs(pm.row_sums() - deg.k_out).max() <= 1e-10
+    assert np.abs(pm.col_sums() - deg.k_in).max() <= 1e-10
+
+
+def lp_forced_lim(k_out, k_in, directed):
+    """FORCED_LIM by the labelling rule, over the pairs the LP oracle fixes."""
+    ranges = pair_ranges(k_out, k_in if directed else None)
+    if ranges is None:
+        return None
+    lo, hi = ranges
+    fixed = hi - lo < 1e-7
+    np.fill_diagonal(fixed, False)
+    ones = fixed & (lo > 0.5)
+    left_out = k_out - ones.sum(axis=1)
+    left_in = k_in - ones.sum(axis=0)
+    return ones | (fixed & np.outer(left_out > 0, left_in > 0))
+
+
+def solve_sequence(k_out, k_in, directed):
+    if directed:
+        deg = DegreeSeq(directed=True, L=int(k_out.sum()), k_out=k_out, k_in=k_in)
+        return solve_dbcm(deg)[1]
+    return solve_ubcm(DegreeSeq(directed=False, L=int(k_out.sum()) // 2, k=k_out))[1]
+
+
+@st.composite
+def graph_and_sequence(draw):
+    """A graph with n <= 6, plus a degree sequence on n nodes that may have
+    no realisation: k_out drawn in [0, n-1], k_in a permutation of it (the
+    largest degree lowered by one if an undirected sum is odd)."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and (directed or i < j)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    k_out = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    if directed:
+        k_in = k_out[draw(st.permutations(range(n)))]
+    else:
+        k_out[np.argmax(k_out)] -= k_out.sum() % 2
+        k_in = k_out
+    return make_graph(n, edges, directed=directed), k_out, k_in
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(graph_and_sequence())
+def test_boundary_pins_match_lp_oracle(case):
+    g, seq_out, seq_in = case
+    deg = degree_sequence(g)
+    k_out, k_in = (deg.k_out, deg.k_in) if g.directed else (deg.k, deg.k)
+
+    pm = solve_sequence(k_out, k_in, g.directed)
+    assert np.array_equal(pm.forced == FORCED_LIM,
+                          lp_forced_lim(k_out, k_in, g.directed))
+    assert np.abs(pm.row_sums() - k_out).max() <= 1e-9
+    assert np.abs(pm.col_sums() - k_in).max() <= 1e-9
+    try:
+        report = inforank(g)
+    except UndefinedIndexError:
+        pass
+    else:
+        assert not report.failed.any()
+        assert np.all(report.S_cond <= report.S0 * (1.0 + 1e-12))
+        assert np.all((report.I >= 0.0) & (report.I <= 1.0))
+
+    expect = lp_forced_lim(seq_out, seq_in, g.directed)
+    if expect is None:
+        with pytest.raises(InputError):
+            solve_sequence(seq_out, seq_in, g.directed)
+    else:
+        pm = solve_sequence(seq_out, seq_in, g.directed)
+        assert np.array_equal(pm.forced == FORCED_LIM, expect)
