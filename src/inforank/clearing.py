@@ -65,10 +65,12 @@ class ClearingProblem:
 
     def relative_liabilities(self) -> np.ndarray:
         """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
-        pbar = self.obligations()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pi = np.where(pbar[:, None] > 0, self.L / np.where(pbar[:, None] > 0, pbar[:, None], 1.0), 0.0)
-        return pi
+        return _relative_liabilities(self.L, self.obligations())
+
+
+def _relative_liabilities(L: np.ndarray, pbar: np.ndarray) -> np.ndarray:
+    # a bank with pbar_i = 0 owes nothing, so its row of L is already zero
+    return L / np.where(pbar > 0, pbar, 1.0)[:, None]
 
 
 @dataclass
@@ -81,19 +83,25 @@ class PaymentVector:
 def clear(prob: ClearingProblem, tol: float = 1e-10,
           max_iter: int = 10_000) -> PaymentVector:
     """Greatest clearing fixed point via monotone iteration from p = pbar."""
-    pbar = prob.obligations()
-    pi = prob.relative_liabilities()
+    return _clear(prob.L, prob.Ae, prob.Le, prob.alpha, prob.beta, tol, max_iter)
+
+
+def _clear(L: np.ndarray, Ae: np.ndarray, Le: np.ndarray, alpha: float,
+           beta: float, tol: float, max_iter: int) -> PaymentVector:
+    """The iteration of `clear`, for inputs a ClearingProblem would accept."""
+    pbar = L.sum(axis=1) + Le
+    pi = _relative_liabilities(L, pbar)
     p = pbar.copy()
     for it in range(1, max_iter + 1):
         receipts = pi.T @ p
-        available = prob.Ae + receipts
+        available = Ae + receipts
         solvent = available >= pbar
-        p_new = np.where(solvent, pbar, prob.alpha * prob.Ae + prob.beta * receipts)
+        p_new = np.where(solvent, pbar, alpha * Ae + beta * receipts)
         change = float(np.max(np.abs(p_new - p))) if len(p) else 0.0
         p = p_new
         if change < tol:
             receipts = pi.T @ p
-            insolvent = (prob.Ae + receipts) < pbar
+            insolvent = (Ae + receipts) < pbar
             return PaymentVector(p=p, insolvent=insolvent, iterations=it)
     raise SolverError("clearing iteration did not converge (tolerance too tight?)",
                       residual=change, iterations=max_iter)
@@ -164,6 +172,11 @@ class RiskExperiment:
     from node's conditioned ensemble `cond`, dresses them with uniform
     weights preserving the observed interbank volume in expectation, clears
     them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
+
+    The fixed inputs (externals, alpha, beta, tol, max_iter) are checked
+    once, here. A sampled liability matrix is a 0/1 draw with an empty
+    diagonal times a non-negative weight, so it is valid by construction
+    and is cleared without building a ClearingProblem.
     """
 
     def __init__(self, g: Graph, weights: np.ndarray | None = None,
@@ -174,6 +187,10 @@ class RiskExperiment:
         externals = externals or ExternalsConfig()
         if samples_per_node < 1:
             raise InputError("samples_per_node must be >= 1")
+        if not 0.0 < tol < math.inf:
+            raise InputError("clearing tolerance must be positive and finite")
+        if max_iter < 1:
+            raise InputError("max_iter must be >= 1")
         self.samples = samples_per_node
         self.alpha, self.beta, self.seed = alpha, beta, seed
         self.tol, self.max_iter = tol, max_iter
@@ -184,15 +201,13 @@ class RiskExperiment:
 
         l_real = build_liabilities(g, weights=weights)
         self.volume = float(l_real.sum())
-        self.p_real = self._clear(l_real)
+        # validates alpha, beta and the externals along with l_real
+        self.p_real = clear(ClearingProblem(L=l_real, Ae=self.ae, Le=self.le,
+                                            alpha=alpha, beta=beta),
+                            tol=tol, max_iter=max_iter).p
         self.norm = float(self.p_real @ self.p_real)
         if self.norm == 0.0:
             raise InputError("real payment vector is zero; error normalization undefined")
-
-    def _clear(self, liabilities: np.ndarray) -> np.ndarray:
-        return clear(ClearingProblem(L=liabilities, Ae=self.ae, Le=self.le,
-                                     alpha=self.alpha, beta=self.beta),
-                     tol=self.tol, max_iter=self.max_iter).p
 
     def __call__(self, node: int, cond: ProbMatrix) -> float:
         exp_links = float(cond.p.sum())
@@ -200,7 +215,9 @@ class RiskExperiment:
         errors = np.empty(self.samples)
         for t in range(self.samples):
             a_s = adjacency_sample(cond, seed=(self.seed, node, t))
-            diff = self._clear(a_s * w) - self.p_real
+            p = _clear(a_s * w, self.ae, self.le, self.alpha, self.beta,
+                       self.tol, self.max_iter).p
+            diff = p - self.p_real
             errors[t] = float(diff @ diff) / self.norm
         return errors.mean()
 

@@ -1,6 +1,7 @@
 """Binary graph container, edge-list ingestion and degree bookkeeping.
 
-Graphs are immutable after construction and safe to share across workers.
+Graphs are immutable after construction and safe to share across workers;
+the dense adjacency matrix is built on first use and kept.
 Undirected edges are stored once as (min, max) pairs; adjacency queries are
 symmetric. An optional weight column in edge-list files is kept in a side
 table for the clearing module -- every entropy computation sees only the
@@ -12,6 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +59,20 @@ class Graph:
         return (i, j) in self.edges
 
     def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (symmetric when undirected)."""
+        """Dense 0/1 adjacency matrix (symmetric when undirected).
+
+        Built once per graph; every call returns a fresh copy.
+        """
+        return self._adjacency.copy()
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j in self.edges:
             a[i, j] = 1.0
             if not self.directed:
                 a[j, i] = 1.0
+        a.flags.writeable = False
         return a
 
     def weight_matrix(self, default: float = 1.0) -> np.ndarray:

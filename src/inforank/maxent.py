@@ -4,15 +4,25 @@ Link probabilities take the fitness form p_ij = x_i x_j / (1 + x_i x_j)
 (undirected) or x_i y_j / (1 + x_i y_j) (directed). Parameters are found by
 damped fixed-point iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j).
 
+Nodes with equal degrees (equal (k_out, k_in) when directed) share one
+fitness value and one pin for each other class, so every solve runs on the
+C distinct degrees instead of the n nodes ("degree reduction", Vallarano et
+al., Sci. Rep. 11:15227, 2021): an iteration costs O(C^2), and n x n arrays
+are built only when the class solution is expanded to a ProbMatrix. The
+class iteration makes the node-level iterates in exact arithmetic; in
+floating point its results can differ from them in the 12th significant
+digit.
+
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
   * k_i = 0 -> x_i = 0, all incident probabilities are exactly 0;
   * every pair that takes the same value at all points of the polytope (a
     boundary face, e.g. a node whose degree equals its available partners)
     is pinned to that value. An O(n) cut test decides whether any pair can
-    be fixed; only then are they found exactly, by one maximum flow and the
-    strongly connected components of its residual graph. The rest of the
-    system is solved with the degrees left after the pairs pinned to 1.
+    be fixed; only then are they found exactly, by one maximum flow on the
+    class network and the strongly connected components of its residual
+    graph. The rest of the system is solved with the degrees left after the
+    pairs pinned to 1.
 
 Pinned entries are tracked in a mask so downstream consumers can tell free
 probabilities from boundary-pinned ones and from entries fixed by
@@ -150,52 +160,65 @@ def _tight_cut(k_out: np.ndarray, k_in: np.ndarray) -> bool:
     return tight or bool(excess.max() == 0)
 
 
-def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray):
-    """Pairs fixed over the polytope, and those among them fixed at 1.
+def _partners(m: np.ndarray) -> np.ndarray:
+    """partners[c, d]: the nodes of class d a node of class c can link to."""
+    return m - np.eye(len(m), dtype=np.int64)
 
-    One maximum flow plus the strongly connected components of its residual
-    graph; only pairs between a row in R and a column in C take part.
+
+def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
+    """Class pairs fixed over the polytope, and those among them fixed at 1.
+
+    Pins are invariant under degree-preserving permutations, so the flow
+    network aggregates to classes: source -> c (capacity m_c k_out_c),
+    c -> d (the m_c partners[c, d] pairs between them), d -> sink
+    (m_d k_in_d). A class flow spread evenly over its pairs is a node flow,
+    so a class pair is fixed iff its arc's ends fall in different strongly
+    connected components of one maximum flow's residual graph, and then its
+    flow is 0 or its capacity. Only rows with k_out > 0 and columns with
+    k_in > 0 take part.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, maximum_flow
 
-    n = len(k_out)
+    c = len(m)
     rows, cols = np.flatnonzero(k_out > 0), np.flatnonzero(k_in > 0)
-    arcs = np.outer(k_out > 0, k_in > 0)
-    np.fill_diagonal(arcs, False)
+    pairs = m[:, None] * _partners(m)
+    arcs = np.outer(k_out > 0, k_in > 0) & (pairs > 0)
     i, j = np.nonzero(arcs)
-    # nodes: source 0, out_i = 1 + i, in_j = 1 + n + j, sink 2n + 1
-    sink = 2 * n + 1
-    tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + n + cols])
-    head = np.concatenate([1 + rows, 1 + n + j, np.full(len(cols), sink)])
-    cap = np.concatenate([k_out[rows], np.ones(len(i), np.int64), k_in[cols]])
+    # nodes: source 0, out_c = 1 + c, in_d = 1 + C + d, sink 2C + 1
+    sink = 2 * c + 1
+    tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + c + cols])
+    head = np.concatenate([1 + rows, 1 + c + j, np.full(len(cols), sink)])
+    cap = np.concatenate([m[rows] * k_out[rows], pairs[i, j], m[cols] * k_in[cols]])
     net = csr_matrix((cap.astype(np.int32), (tail, head)), shape=(sink + 1,) * 2)
     flow = maximum_flow(net, 0, sink).flow
     _, comp = connected_components((net - flow) > 0, directed=True,
                                    connection="strong")
-    fixed = arcs & (comp[1:n + 1, None] != comp[None, n + 1:sink])
-    return fixed, fixed & (flow[1:n + 1, n + 1:sink].toarray() > 0)
+    fixed = arcs & (comp[1:c + 1, None] != comp[None, c + 1:sink])
+    return fixed, fixed & (flow[1:c + 1, c + 1:sink].toarray() > 0)
 
 
-def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray):
-    """Pin the pairs the degree polytope fixes, for either solver.
+def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
+    """Pin the class pairs the degree polytope fixes, for either solver.
 
-    Returns (k_out, k_in, free, ones, forced): the degrees left after the
-    pairs fixed at 1 are removed, the mask of pairs left to the iteration,
-    the pairs fixed at 1 and the FORCED_LIM mask. A pair fixed at 1 is
-    FORCED_LIM. A pair fixed at 0 is FORCED_LIM only while both of its ends
-    keep a positive degree; otherwise it stays FREE and comes out as an
-    exact 0 through x = 0 at its saturated end.
+    Takes the class degrees and class sizes m. Returns (k_out, k_in, free,
+    ones, forced), all per class: the degrees left after the pairs fixed at
+    1 are removed, the pairs left to the iteration, the pairs fixed at 1 and
+    the FORCED_LIM codes. A pair fixed at 1 is FORCED_LIM. A pair fixed at 0
+    is FORCED_LIM only while both of its ends keep a positive degree;
+    otherwise it stays FREE and comes out as an exact 0 through x = 0 at its
+    saturated end.
     """
-    n = len(k_out)
-    free = ~np.eye(n, dtype=bool)
-    forced = np.zeros((n, n), dtype=np.int8)
-    if not _tight_cut(k_out, k_in):
-        return k_out, k_in, free, np.zeros((n, n), dtype=bool), forced
+    c = len(m)
+    free = np.ones((c, c), dtype=bool)
+    forced = np.zeros((c, c), dtype=np.int8)
+    if not _tight_cut(np.repeat(k_out, m), np.repeat(k_in, m)):
+        return k_out, k_in, free, np.zeros((c, c), dtype=bool), forced
 
-    fixed, ones = _fixed_pairs(k_out, k_in)
-    k_out = k_out - ones.sum(axis=1)
-    k_in = k_in - ones.sum(axis=0)
+    fixed, ones = _fixed_pairs(k_out, k_in, m)
+    partners = _partners(m)
+    k_out = k_out - (ones * partners).sum(axis=1)
+    k_in = k_in - (ones * partners.T).sum(axis=0)
     lim = ones | (fixed & np.outer(k_out > 0, k_in > 0))
     free &= ~lim
     forced[lim] = FORCED_LIM
@@ -205,74 +228,90 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray):
 # ---------------------------------------------------------------------------
 # cores
 # ---------------------------------------------------------------------------
+#
+# Both cores pin and iterate on the classes of the degrees they are given,
+# with class sizes m. A node of class c has free[c, d] * partners[c, d]
+# free (out-)partners in class d, and free[d, c] * partners[c, d] free
+# in-partners there.
 
-def _iterate_masked(k: np.ndarray, free: np.ndarray, opts: SolverOptions):
-    """Damped fixed-point iteration restricted to the free pairs."""
-    n = len(k)
-    active = np.flatnonzero(k > 0)
-    x_full = np.zeros(n)
-    if len(active) == 0:
-        return x_full, 0.0, 0
+def _classes(k_out: np.ndarray, k_in: np.ndarray):
+    """Class of each node, class sizes, and the degrees of each class."""
+    key = k_out * (int(k_in.max(initial=0)) + 1) + k_in
+    _, first, cls, m = np.unique(key, return_index=True, return_inverse=True,
+                                 return_counts=True)
+    return cls, m, k_out[first], k_in[first]
 
-    ka = k[active].astype(float)
-    mask = free[np.ix_(active, active)].astype(float)
-    x = ka / np.sqrt(ka.sum())
+
+def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Node matrix of the class matrix a, with a zero diagonal."""
+    out = a[cls][:, cls]
+    np.fill_diagonal(out, 0)
+    return out
+
+
+def _iterate_undirected(k: np.ndarray, w: np.ndarray, m: np.ndarray,
+                        opts: SolverOptions):
+    """Damped fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d).
+
+    It starts from k / sqrt(sum of all node degrees), as the node-level
+    iteration does, and so makes the same iterates in exact arithmetic.
+    """
+    total = int(m @ k)
+    if total == 0:
+        return np.zeros(len(k)), 0.0, 0
+
+    k = k.astype(float)
+    x = k / np.sqrt(total)
     residual = np.inf
     for it in range(1, opts.max_iterations + 1):
-        t = mask / (1.0 + np.outer(x, x))
-        s = t @ x
-        residual = float(np.max(np.abs(ka - x * s)))
+        s = (w / (1.0 + x[:, None] * x)) @ x
+        residual = float(np.abs(k - x * s).max())
         if residual <= opts.tolerance:
-            x_full[active] = x
-            return x_full, residual, it
-        x_new = np.where(s > 0, ka / np.where(s > 0, s, 1.0), 0.0)
+            return x, residual, it
+        x_new = k / np.where(s > 0, s, np.inf)
         x = opts.damping * x_new + (1.0 - opts.damping) * x
     raise SolverError("degree-constrained solve did not converge",
                       residual=residual, iterations=opts.max_iterations)
 
 
 def _ubcm_core(k: np.ndarray, opts: SolverOptions):
+    """Class solution: (cls, x, p, forced, residual, iterations), all but
+    the node classes cls given per class."""
     k = np.asarray(k, dtype=np.int64)
-    k, _, free, ones, forced = _pin_boundary(k, k)
-    x, residual, iterations = _iterate_masked(k, free, opts)
+    cls, m, k, _ = _classes(k, k)
+    k, _, free, ones, forced = _pin_boundary(k, k, m)
+    w = (free * _partners(m)).astype(float)
+    x, residual, iterations = _iterate_undirected(k, w, m, opts)
 
     xx = np.outer(x, x)
     p = np.where(free, xx / (1.0 + xx), ones)
-    return x, p, forced, residual, iterations
+    return cls, x, p, forced, residual, iterations
 
 
-def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, free: np.ndarray,
-                      opts: SolverOptions):
-    n = len(k_out)
-    x = np.zeros(n)
-    y = np.zeros(n)
+def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, w_out: np.ndarray,
+                      w_in: np.ndarray, m: np.ndarray, opts: SolverOptions):
+    """Directed class fixed point; w_out[c, d] counts the free out-partners
+    in class d of a node of class c, w_in[c, d] the free in-partners in
+    class c of a node of class d."""
+    total = int(m @ k_out)
+    if total == 0:
+        return np.zeros(len(k_out)), np.zeros(len(k_out)), 0.0, 0
+
     ko = k_out.astype(float)
     ki = k_in.astype(float)
-    l_tot = ko.sum()
-    if l_tot == 0:
-        return x, y, 0.0, 0
-
-    out_idx = np.flatnonzero(ko > 0)
-    in_idx = np.flatnonzero(ki > 0)
-    x[out_idx] = ko[out_idx] / np.sqrt(l_tot)
-    y[in_idx] = ki[in_idx] / np.sqrt(l_tot)
-    # the diagonal stays in t and is subtracted after the products, which
-    # keeps solves without pins bit-identical to the unmasked iteration
-    mask = free.astype(float)
-    np.fill_diagonal(mask, 1.0)
+    x = ko / np.sqrt(total)
+    y = ki / np.sqrt(total)
     residual = np.inf
     for it in range(1, opts.max_iterations + 1):
-        t = mask / (1.0 + np.outer(x, y))
-        diag = np.diagonal(t)
-        sx = t @ y - y * diag
-        sy = t.T @ x - x * diag
-        res_out = np.max(np.abs(ko - x * sx)) if len(out_idx) else 0.0
-        res_in = np.max(np.abs(ki - y * sy)) if len(in_idx) else 0.0
-        residual = float(max(res_out, res_in))
+        d = 1.0 + x[:, None] * y
+        sx = (w_out / d) @ y
+        sy = x @ (w_in / d)
+        residual = float(max(np.abs(ko - x * sx).max(),
+                             np.abs(ki - y * sy).max()))
         if residual <= opts.tolerance:
             return x, y, residual, it
-        x_new = np.where(sx > 0, ko / np.where(sx > 0, sx, 1.0), 0.0)
-        y_new = np.where(sy > 0, ki / np.where(sy > 0, sy, 1.0), 0.0)
+        x_new = ko / np.where(sx > 0, sx, np.inf)
+        y_new = ki / np.where(sy > 0, sy, np.inf)
         x = opts.damping * x_new + (1.0 - opts.damping) * x
         y = opts.damping * y_new + (1.0 - opts.damping) * y
     raise SolverError("degree-constrained solve did not converge",
@@ -280,13 +319,18 @@ def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, free: np.ndarray,
 
 
 def _dbcm_core(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
-    k_out, k_in, free, ones, forced = _pin_boundary(
-        np.asarray(k_out, dtype=np.int64), np.asarray(k_in, dtype=np.int64))
-    x, y, residual, iterations = _iterate_directed(k_out, k_in, free, opts)
+    """Class solution: (cls, x, y, p, forced, residual, iterations)."""
+    cls, m, k_out, k_in = _classes(np.asarray(k_out, dtype=np.int64),
+                                   np.asarray(k_in, dtype=np.int64))
+    k_out, k_in, free, ones, forced = _pin_boundary(k_out, k_in, m)
+    partners = _partners(m)
+    x, y, residual, iterations = _iterate_directed(
+        k_out, k_in, (free * partners).astype(float),
+        (free * partners.T).astype(float), m, opts)
 
     xy = np.outer(x, y)
     p = np.where(free, xy / (1.0 + xy), ones)
-    return x, y, p, forced, residual, iterations
+    return cls, x, y, p, forced, residual, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +353,11 @@ def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
     if int(k.sum()) % 2 != 0:
         raise InputError("undirected degree sum must be even")
 
-    x, p, forced, residual, iterations = _ubcm_core(k, opts)
-    params = ParamVector(directed=False, x=x, y=None,
+    cls, x, p, forced, residual, iterations = _ubcm_core(k, opts)
+    params = ParamVector(directed=False, x=x[cls], y=None,
                          residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=False, p=p, forced=forced)
+    return params, ProbMatrix(n=n, directed=False, p=_expand(p, cls),
+                              forced=_expand(forced, cls))
 
 
 def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
@@ -329,10 +374,11 @@ def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
     if int(k_out.sum()) != int(k_in.sum()):
         raise InputError("sum of out-degrees must equal sum of in-degrees")
 
-    x, y, p, forced, residual, iterations = _dbcm_core(k_out, k_in, opts)
-    params = ParamVector(directed=True, x=x, y=y,
+    cls, x, y, p, forced, residual, iterations = _dbcm_core(k_out, k_in, opts)
+    params = ParamVector(directed=True, x=x[cls], y=y[cls],
                          residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=True, p=p, forced=forced)
+    return params, ProbMatrix(n=n, directed=True, p=_expand(p, cls),
+                              forced=_expand(forced, cls))
 
 
 def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
@@ -362,25 +408,31 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
         raise InputError("conditioning set must be a proper subset of the nodes")
 
     a = g.adjacency()
-    keep = np.array([v for v in range(g.n) if v not in cond], dtype=np.int64)
+    keep = np.delete(np.arange(g.n), cond)
     node_tag = cond[0] if len(cond) == 1 else None
 
-    sub = a[np.ix_(keep, keep)].astype(np.int64)
+    # the free nodes keep the links that do not end in the conditioned set
+    k_out = (a.sum(axis=1) - a[:, cond].sum(axis=1))[keep].astype(np.int64)
     try:
         if g.directed:
-            _, _, p_sub, forced_sub, _, _ = _dbcm_core(
-                sub.sum(axis=1), sub.sum(axis=0), opts)
+            k_in = (a.sum(axis=0) - a[cond].sum(axis=0))[keep].astype(np.int64)
+            cls, _, _, p_cls, forced_cls, _, _ = _dbcm_core(k_out, k_in, opts)
         else:
-            _, p_sub, forced_sub, _, _ = _ubcm_core(sub.sum(axis=1), opts)
+            cls, _, p_cls, forced_cls, _, _ = _ubcm_core(k_out, opts)
     except SolverError as exc:
         raise SolverError("conditioned solve did not converge",
                           residual=exc.residual, iterations=exc.iterations,
                           node=node_tag) from exc
 
-    p = a.copy()
-    forced = np.full((g.n, g.n), FORCED_OBS, dtype=np.int8)
-    p[np.ix_(keep, keep)] = p_sub
-    forced[np.ix_(keep, keep)] = forced_sub
-    np.fill_diagonal(p, 0.0)
+    # the conditioned nodes expand as one more class, then take their
+    # observed rows and columns
+    node_cls = np.full(g.n, len(p_cls))
+    node_cls[keep] = cls
+    p = _expand(np.pad(p_cls, (0, 1)), node_cls)
+    forced = _expand(np.pad(forced_cls, (0, 1), constant_values=FORCED_OBS),
+                     node_cls)
+    p[cond] = a[cond]
+    p[:, cond] = a[:, cond]
+    forced[cond, cond] = FORCED_OBS
     return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
 

@@ -253,3 +253,135 @@ def pair_ranges(k_out, k_in=None):
         if k_in is None:
             lo[j, i], hi[j, i] = lo[i, j], hi[i, j]
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# dense node-level maximum-entropy solves
+# ---------------------------------------------------------------------------
+#
+# The package solves on degree classes. These solve on nodes: n x n
+# fixed-point loops, with the boundary pins found on the node-level flow
+# network (no cut-test gate), so a comparison checks both the class network
+# and the class iteration.
+
+def node_fixed_pairs(k_out, k_in):
+    """Pairs fixed over the polytope, and those among them fixed at 1.
+
+    One maximum flow on source -> out_i (k_out_i), out_i -> in_j (1, i != j),
+    in_j -> sink (k_in_j), plus the strongly connected components of its
+    residual graph: a pair is fixed iff its ends lie in different components.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, maximum_flow
+
+    n = len(k_out)
+    rows, cols = np.flatnonzero(k_out > 0), np.flatnonzero(k_in > 0)
+    arcs = np.outer(k_out > 0, k_in > 0)
+    np.fill_diagonal(arcs, False)
+    i, j = np.nonzero(arcs)
+    # nodes: source 0, out_i = 1 + i, in_j = 1 + n + j, sink 2n + 1
+    sink = 2 * n + 1
+    tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + n + cols])
+    head = np.concatenate([1 + rows, 1 + n + j, np.full(len(cols), sink)])
+    cap = np.concatenate([k_out[rows], np.ones(len(i), np.int64), k_in[cols]])
+    net = csr_matrix((cap.astype(np.int32), (tail, head)), shape=(sink + 1,) * 2)
+    flow = maximum_flow(net, 0, sink).flow
+    _, comp = connected_components((net - flow) > 0, directed=True,
+                                   connection="strong")
+    fixed = arcs & (comp[1:n + 1, None] != comp[None, n + 1:sink])
+    return fixed, fixed & (flow[1:n + 1, n + 1:sink].toarray() > 0)
+
+
+def node_pins(k_out, k_in):
+    """(k_out, k_in, free, ones, lim) by the FORCED_LIM labelling rule."""
+    n = len(k_out)
+    fixed, ones = node_fixed_pairs(k_out, k_in)
+    k_out = k_out - ones.sum(axis=1)
+    k_in = k_in - ones.sum(axis=0)
+    lim = ones | (fixed & np.outer(k_out > 0, k_in > 0))
+    free = ~np.eye(n, dtype=bool) & ~lim
+    return k_out, k_in, free, ones, lim
+
+
+def _iterate_masked(k, free, opts):
+    """Damped fixed-point iteration restricted to the free pairs."""
+    from inforank import SolverError
+
+    n = len(k)
+    active = np.flatnonzero(k > 0)
+    x_full = np.zeros(n)
+    if len(active) == 0:
+        return x_full, 0.0, 0
+
+    ka = k[active].astype(float)
+    mask = free[np.ix_(active, active)].astype(float)
+    x = ka / np.sqrt(ka.sum())
+    residual = np.inf
+    for it in range(1, opts.max_iterations + 1):
+        t = mask / (1.0 + np.outer(x, x))
+        s = t @ x
+        residual = float(np.max(np.abs(ka - x * s)))
+        if residual <= opts.tolerance:
+            x_full[active] = x
+            return x_full, residual, it
+        x_new = np.where(s > 0, ka / np.where(s > 0, s, 1.0), 0.0)
+        x = opts.damping * x_new + (1.0 - opts.damping) * x
+    raise SolverError("degree-constrained solve did not converge",
+                      residual=residual, iterations=opts.max_iterations)
+
+
+def _iterate_directed(k_out, k_in, free, opts):
+    from inforank import SolverError
+
+    n = len(k_out)
+    x = np.zeros(n)
+    y = np.zeros(n)
+    ko = k_out.astype(float)
+    ki = k_in.astype(float)
+    l_tot = ko.sum()
+    if l_tot == 0:
+        return x, y, 0.0, 0
+
+    out_idx = np.flatnonzero(ko > 0)
+    in_idx = np.flatnonzero(ki > 0)
+    x[out_idx] = ko[out_idx] / np.sqrt(l_tot)
+    y[in_idx] = ki[in_idx] / np.sqrt(l_tot)
+    # the diagonal stays in t and is subtracted after the products, which
+    # keeps solves without pins bit-identical to the unmasked iteration
+    mask = free.astype(float)
+    np.fill_diagonal(mask, 1.0)
+    residual = np.inf
+    for it in range(1, opts.max_iterations + 1):
+        t = mask / (1.0 + np.outer(x, y))
+        diag = np.diagonal(t)
+        sx = t @ y - y * diag
+        sy = t.T @ x - x * diag
+        res_out = np.max(np.abs(ko - x * sx)) if len(out_idx) else 0.0
+        res_in = np.max(np.abs(ki - y * sy)) if len(in_idx) else 0.0
+        residual = float(max(res_out, res_in))
+        if residual <= opts.tolerance:
+            return x, y, residual, it
+        x_new = np.where(sx > 0, ko / np.where(sx > 0, sx, 1.0), 0.0)
+        y_new = np.where(sy > 0, ki / np.where(sy > 0, sy, 1.0), 0.0)
+        x = opts.damping * x_new + (1.0 - opts.damping) * x
+        y = opts.damping * y_new + (1.0 - opts.damping) * y
+    raise SolverError("degree-constrained solve did not converge",
+                      residual=residual, iterations=opts.max_iterations)
+
+
+def dense_ubcm(k, opts):
+    """Node-level UBCM solve: (p, FORCED_LIM mask, iterations)."""
+    k = np.asarray(k, dtype=np.int64)
+    k, _, free, ones, lim = node_pins(k, k)
+    x, _, iterations = _iterate_masked(k, free, opts)
+    xx = np.outer(x, x)
+    return np.where(free, xx / (1.0 + xx), ones), lim, iterations
+
+
+def dense_dbcm(k_out, k_in, opts):
+    """Node-level DBCM solve: (p, FORCED_LIM mask, iterations)."""
+    k_out, k_in, free, ones, lim = node_pins(
+        np.asarray(k_out, dtype=np.int64), np.asarray(k_in, dtype=np.int64))
+    x, y, _, iterations = _iterate_directed(k_out, k_in, free, opts)
+    xy = np.outer(x, y)
+    return np.where(free, xy / (1.0 + xy), ones), lim, iterations

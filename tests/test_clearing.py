@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from inforank import (ClearingProblem, ExternalsConfig, InputError,
-                      build_liabilities, clear, degree_sequence, fit_trend,
-                      make_graph, risk_error_experiment, sample_ensemble,
-                      solve_dbcm)
+                      adjacency_sample, build_liabilities, clear,
+                      degree_sequence, fit_trend, make_graph,
+                      risk_error_experiment, sample_ensemble,
+                      solve_conditioned_set, solve_dbcm)
+from inforank.clearing import RiskExperiment
 from inforank import SampleSpec
 from inforank.generators import erdos_renyi, scale_free_directed
 
@@ -173,6 +175,38 @@ def test_risk_experiment_reproducible():
     r2 = risk_error_experiment(g, samples_per_node=5, seed=9)
     assert np.array_equal(r1.mse, r2.mse)
     assert np.array_equal(r1.p_real, r2.p_real)
+
+
+
+def test_risk_scorer_matches_validated_clearing():
+    # the scorer clears its samples without building a ClearingProblem; each
+    # mse must equal clearing every sample through the validated public route
+    g = scale_free_directed(15, 2, seed=6)
+    samples, seed = 4, 2
+    res = risk_error_experiment(g, samples_per_node=samples, seed=seed)
+    exp = RiskExperiment(g, samples_per_node=samples, seed=seed)
+    for node in range(g.n):
+        cond = solve_conditioned_set(g, [node])
+        w = exp.volume / float(cond.p.sum())
+        errors = np.empty(samples)
+        for t in range(samples):
+            liab = adjacency_sample(cond, seed=(seed, node, t)) * w
+            assert np.all(liab >= 0.0) and np.all(np.diagonal(liab) == 0.0)
+            prob = ClearingProblem(L=liab, Ae=exp.ae, Le=exp.le,
+                                   alpha=exp.alpha, beta=exp.beta)
+            diff = clear(prob, tol=exp.tol, max_iter=exp.max_iter).p - exp.p_real
+            errors[t] = float(diff @ diff) / exp.norm
+        assert res.mse[node] == errors.mean()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 0}, {"alpha": 0.0}, {"beta": 1.5},
+])
+def test_risk_experiment_checks_fixed_inputs_once(kwargs):
+    g = scale_free_directed(10, 2, seed=1)
+    with pytest.raises(InputError):
+        RiskExperiment(g, samples_per_node=1, **kwargs)
 
 
 def test_fit_trend_exact_line():

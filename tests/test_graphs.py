@@ -3,9 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from inforank import (GraphError, ParseError, degree_sequence, load_edge_list,
-                      make_graph, serialize_edge_list)
-from inforank.graphs import relabel
+from inforank import (GraphError, ParseError, degree_sequence,
+                      expected_accuracy, load_edge_list, make_graph,
+                      serialize_edge_list)
+from inforank.entropy import ranking_pass
+from inforank.generators import erdos_renyi
+from inforank.graphs import Graph, relabel
 
 
 def test_load_two_edge_path():
@@ -127,3 +130,24 @@ def test_relabel_permutes_degrees():
     k2 = degree_sequence(g2).k
     for i in range(4):
         assert k1[i] == k2[perm[i]]
+
+
+def test_adjacency_built_once_per_graph(monkeypatch):
+    # the conditioned pass and its accuracy scorer ask for the adjacency of
+    # the same graph once per node; it is built on the first call only
+    builds = []
+    build = Graph._adjacency.func
+    monkeypatch.setattr(Graph._adjacency, "func",
+                        lambda g: builds.append(g) or build(g))
+    g = erdos_renyi(20, 0.2, seed=3, directed=True)
+    _, _, (acc,) = ranking_pass(g, (lambda i, pm: expected_accuracy(pm, g),))
+    assert not np.isnan(acc).any()
+    assert builds == [g]
+
+
+def test_adjacency_returns_a_fresh_copy():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    a = g.adjacency()
+    a[0, 2] = 5.0
+    assert g.adjacency()[0, 2] == 0.0
+    assert g.adjacency() is not g.adjacency()

@@ -7,10 +7,10 @@ from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, SolverError,
                       inforank, make_graph, solve_conditioned_set, solve_dbcm,
                       solve_ubcm)
 from inforank.graphs import DegreeSeq, relabel
-from inforank.generators import erdos_renyi, star
+from inforank.generators import barabasi_albert, erdos_renyi, star
 
-from oracles import (dbcm_fixed_point, p4_bisection, pair_ranges,
-                     reduced_131_bisection)
+from oracles import (dbcm_fixed_point, dense_dbcm, dense_ubcm, p4_bisection,
+                     pair_ranges, reduced_131_bisection)
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -312,3 +312,88 @@ def test_boundary_pins_match_lp_oracle(case):
     else:
         pm = solve_sequence(seq_out, seq_in, g.directed)
         assert np.array_equal(pm.forced == FORCED_LIM, expect)
+
+
+def test_star_pins_on_classes():
+    # two degree classes, so the flow network has 6 nodes instead of 4002;
+    # the center's links are fixed at 1, and they saturate the leaves, whose
+    # pairs therefore stay FREE at an exact 0
+    n = 2000
+    k = np.ones(n, dtype=np.int64)
+    k[0] = n - 1
+    params, pm = solve_ubcm(DegreeSeq(directed=False, L=n - 1, k=k))
+    expect = np.zeros((n, n), dtype=np.int8)
+    expect[0, 1:] = expect[1:, 0] = FORCED_LIM
+    assert np.array_equal(pm.forced, expect)
+    assert np.array_equal(pm.p, expect == FORCED_LIM)
+    assert params.residual <= 1e-10
+    assert np.abs(pm.row_sums() - k).max() <= 1e-10
+
+
+def assert_class_core_matches_dense(k_out, k_in, directed):
+    """The class solve against the dense node-level oracle: p, FORCED_LIM,
+    iteration counts, and SolverError at max_iterations=1."""
+    k_out = np.asarray(k_out, dtype=np.int64)
+    k_in = np.asarray(k_in, dtype=np.int64)
+    if directed:
+        deg = DegreeSeq(directed=True, L=int(k_out.sum()), k_out=k_out, k_in=k_in)
+        solve, dense = solve_dbcm, lambda opts: dense_dbcm(k_out, k_in, opts)
+    else:
+        deg = DegreeSeq(directed=False, L=int(k_out.sum()) // 2, k=k_out)
+        solve, dense = solve_ubcm, lambda opts: dense_ubcm(k_out, opts)
+
+    params, pm = solve(deg, SolverOptions())
+    p, lim, iterations = dense(SolverOptions())
+    np.fill_diagonal(p, 0.0)
+    assert np.abs(pm.p - p).max() <= 1e-12
+    assert np.array_equal(pm.forced == FORCED_LIM, lim)
+    assert np.all((pm.forced == FREE) | lim)
+    assert abs(params.iterations - iterations) <= 1
+
+    once = SolverOptions(max_iterations=1)
+    for run, needed in ((lambda: solve(deg, once), params.iterations),
+                        (lambda: dense(once), iterations)):
+        if needed > 1:
+            with pytest.raises(SolverError):
+                run()
+        else:
+            run()
+
+
+@st.composite
+def small_graph(draw):
+    """A graph with n <= 8 at low, middle or high density: zero degrees,
+    k_out = 0 or k_in = 0 and saturated nodes all occur."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 8))
+    density = draw(st.sampled_from([0.15, 0.5, 0.85]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hit = rng.random((n, n)) < density
+    edges = [(i, j) for i in range(n) for j in range(n)
+             if hit[i, j] and i != j and (directed or i < j)]
+    return make_graph(n, edges, directed=directed), draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(small_graph())
+def test_class_core_matches_dense_oracle(case):
+    # the benchmark degrees, and the degrees left when one node is
+    # conditioned on, which often lie on a boundary face
+    g, node = case
+    a = g.adjacency().astype(np.int64)
+    rest = np.delete(np.delete(a, node, axis=0), node, axis=1)
+    for sub in (a, rest):
+        assert_class_core_matches_dense(sub.sum(axis=1), sub.sum(axis=0),
+                                        g.directed)
+
+
+@pytest.mark.parametrize("g", [barabasi_albert(120, 3, seed=1),
+                               erdos_renyi(80, 0.075, seed=2, directed=True)],
+                         ids=["ba-120-3", "er-dir-80"])
+def test_class_core_matches_dense_oracle_on_benchmark_graphs(g):
+    a = g.adjacency().astype(np.int64)
+    hub = int(np.argmax(a.sum(axis=1)))
+    rest = np.delete(np.delete(a, hub, axis=0), hub, axis=1)
+    for sub in (a, rest):
+        assert_class_core_matches_dense(sub.sum(axis=1), sub.sum(axis=0),
+                                        g.directed)
