@@ -50,6 +50,8 @@ class ClearingProblem:
             raise InputError("liabilities must be non-negative")
         if self.Ae.shape != (n,) or self.Le.shape != (n,):
             raise InputError("external vectors must have one entry per bank")
+        if not all(np.isfinite(v).all() for v in (self.L, self.Ae, self.Le)):
+            raise InputError("liabilities and external items must be finite")
         if np.any(self.Ae < 0) or np.any(self.Le < 0):
             raise InputError("external assets and liabilities must be non-negative")
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
@@ -83,6 +85,10 @@ class PaymentVector:
 def clear(prob: ClearingProblem, tol: float = 1e-10,
           max_iter: int = 10_000) -> PaymentVector:
     """Greatest clearing fixed point via monotone iteration from p = pbar."""
+    if not 0.0 < tol < math.inf:
+        raise InputError("clearing tolerance must be positive and finite")
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
     return _clear(prob.L, prob.Ae, prob.Le, prob.alpha, prob.beta, tol, max_iter)
 
 
@@ -107,33 +113,14 @@ def _clear(L: np.ndarray, Ae: np.ndarray, Le: np.ndarray, alpha: float,
                       residual=change, iterations=max_iter)
 
 
-def build_liabilities(g: Graph, weights: np.ndarray | None = None,
-                      total_volume: float | None = None,
-                      expected_links: float | None = None) -> np.ndarray:
-    """Liability matrix for a directed graph.
-
-    Observed weights are passed through when given. A binary sampled topology
-    instead receives the uniform weight w = total_volume / expected_links per
-    present link, where expected_links is the expected link count of the
-    ensemble that generated the sample.
-    """
+def build_liabilities(g: Graph) -> np.ndarray:
+    """Liability matrix of a directed graph: its stored link weights, or a
+    unit weight per link when it has none."""
     if not g.directed:
         raise InputError("liability matrices need a directed graph")
-    a = g.adjacency()
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != a.shape:
-            raise InputError("weight table shape must match the graph")
-        if np.any(w < 0):
-            raise InputError("liability weights must be non-negative")
-        return w * a
     if g.weights is not None:
         return g.weight_matrix()
-    if total_volume is not None and expected_links is not None:
-        if expected_links <= 0:
-            raise InputError("expected link count must be positive")
-        return a * (float(total_volume) / float(expected_links))
-    return a  # unit weight per link
+    return g.adjacency()
 
 
 @dataclass
@@ -174,23 +161,19 @@ class RiskExperiment:
     them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
 
     The fixed inputs (externals, alpha, beta, tol, max_iter) are checked
-    once, here. A sampled liability matrix is a 0/1 draw with an empty
-    diagonal times a non-negative weight, so it is valid by construction
-    and is cleared without building a ClearingProblem.
+    once, here, by clearing the real network through `clear`. A sampled
+    liability matrix is a 0/1 draw with an empty diagonal times a
+    non-negative weight, so it is valid by construction and is cleared
+    without building a ClearingProblem.
     """
 
-    def __init__(self, g: Graph, weights: np.ndarray | None = None,
-                 samples_per_node: int = 100,
+    def __init__(self, g: Graph, samples_per_node: int = 100,
                  externals: ExternalsConfig | None = None,
                  alpha: float = 0.9, beta: float = 0.9, seed: int = 0,
                  tol: float = 1e-10, max_iter: int = 10_000):
         externals = externals or ExternalsConfig()
         if samples_per_node < 1:
             raise InputError("samples_per_node must be >= 1")
-        if not 0.0 < tol < math.inf:
-            raise InputError("clearing tolerance must be positive and finite")
-        if max_iter < 1:
-            raise InputError("max_iter must be >= 1")
         self.samples = samples_per_node
         self.alpha, self.beta, self.seed = alpha, beta, seed
         self.tol, self.max_iter = tol, max_iter
@@ -199,9 +182,9 @@ class RiskExperiment:
         self.ae = np.clip(rng.normal(externals.mu_a, externals.sigma_a, g.n), 0.0, None)
         self.le = np.clip(rng.normal(externals.mu_l, externals.sigma_l, g.n), 0.0, None)
 
-        l_real = build_liabilities(g, weights=weights)
+        l_real = build_liabilities(g)
         self.volume = float(l_real.sum())
-        # validates alpha, beta and the externals along with l_real
+        # validates alpha, beta, tol, max_iter and the externals
         self.p_real = clear(ClearingProblem(L=l_real, Ae=self.ae, Le=self.le,
                                             alpha=alpha, beta=beta),
                             tol=tol, max_iter=max_iter).p
@@ -222,8 +205,7 @@ class RiskExperiment:
         return errors.mean()
 
 
-def risk_error_experiment(g: Graph, weights: np.ndarray | None = None,
-                          samples_per_node: int = 100,
+def risk_error_experiment(g: Graph, samples_per_node: int = 100,
                           externals: ExternalsConfig | None = None,
                           alpha: float = 0.9, beta: float = 0.9,
                           seed: int = 0,
@@ -231,7 +213,7 @@ def risk_error_experiment(g: Graph, weights: np.ndarray | None = None,
                           tol: float = 1e-10, max_iter: int = 10_000) -> RiskResult:
     """Per-node error in estimating the clearing payments from sampled
     topologies of each node's conditioned ensemble (see RiskExperiment)."""
-    experiment = RiskExperiment(g, weights, samples_per_node, externals,
+    experiment = RiskExperiment(g, samples_per_node, externals,
                                 alpha, beta, seed, tol, max_iter)
     (mse,) = conditioned_pass(g, (experiment,), opts)
     return RiskResult(mse=mse, failed=np.isnan(mse), p_real=experiment.p_real,

@@ -127,6 +127,21 @@ def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None,
     return np.array(rows, dtype=float).reshape(g.n, len(scorers)).T
 
 
+def _benchmark(g: Graph, opts: SolverOptions, limit_eps: float):
+    """The benchmark ProbMatrix, S0 and its per-node contributions; raises
+    UndefinedIndexError when the benchmark leaves the index undefined."""
+    pm = solve_benchmark(g, opts)
+    s0, contrib = benchmark_entropy(pm, limit_eps)
+    if not pm.free_mask().any():
+        raise UndefinedIndexError(
+            "benchmark ensemble is fully deterministic (no free entries); "
+            "the ranking index is undefined")
+    if s0 <= 0.0:
+        raise UndefinedIndexError(
+            "benchmark entropy is zero; the ranking index is undefined")
+    return pm, s0, contrib
+
+
 def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
                  limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1):
     """Rank every node, scoring its conditioned ensemble with `scorers` too.
@@ -137,17 +152,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
     """
     opts = opts or SolverOptions()
     deg = degree_sequence(g)
-    pm = solve_benchmark(g, opts)
-    s0, contrib = benchmark_entropy(pm, limit_eps)
-
-    if not pm.free_mask().any():
-        raise UndefinedIndexError(
-            "benchmark ensemble is fully deterministic (no free entries); "
-            "the ranking index is undefined")
-    if s0 <= 0.0:
-        raise UndefinedIndexError(
-            "benchmark entropy is zero; the ranking index is undefined")
-
+    pm, s0, contrib = _benchmark(g, opts, limit_eps)
     s_cond, *extra = conditioned_pass(
         g, (lambda i, cond: benchmark_entropy(cond, limit_eps)[0], *scorers),
         opts, threads)
@@ -181,12 +186,7 @@ def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None,
     if not subset or len(subset) >= g.n:
         raise InputError("subset must be non-empty and proper")
 
-    pm = solve_benchmark(g, opts)
-    s0, _ = benchmark_entropy(pm, limit_eps)
-    if not pm.free_mask().any() or s0 <= 0.0:
-        raise UndefinedIndexError(
-            "benchmark ensemble is fully deterministic; subset index undefined")
-
+    s0 = _benchmark(g, opts, limit_eps)[1]
     cond = solve_conditioned_set(g, subset, opts)
     s_sub = benchmark_entropy(cond, limit_eps)[0]
     return float(1.0 - s_sub / s0)

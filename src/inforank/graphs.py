@@ -53,11 +53,6 @@ class Graph:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if not self.directed and i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (symmetric when undirected).
 
@@ -75,14 +70,14 @@ class Graph:
         a.flags.writeable = False
         return a
 
-    def weight_matrix(self, default: float = 1.0) -> np.ndarray:
-        """Dense weight matrix; links without a stored weight get `default`."""
+    def weight_matrix(self) -> np.ndarray:
+        """Dense weight matrix; links without a stored weight get weight 1."""
+        weights = self.weights or {}
         w = np.zeros((self.n, self.n))
         for i, j in self.edges:
-            value = default if self.weights is None else self.weights.get((i, j), default)
-            w[i, j] = value
+            w[i, j] = weights.get((i, j), 1.0)
             if not self.directed:
-                w[j, i] = value
+                w[j, i] = w[i, j]
         return w
 
 

@@ -2,13 +2,15 @@
 
 Link probabilities take the fitness form p_ij = x_i x_j / (1 + x_i x_j)
 (undirected) or x_i y_j / (1 + x_i y_j) (directed). Parameters are found by
-damped fixed-point iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j).
+fixed-point iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j).
 
 Nodes with equal degrees (equal (k_out, k_in) when directed) share one
 fitness value and one pin for each other class, so every solve runs on the
 C distinct degrees instead of the n nodes ("degree reduction", Vallarano et
 al., Sci. Rep. 11:15227, 2021): an iteration costs O(C^2), and n x n arrays
-are built only when the class solution is expanded to a ProbMatrix. The
+are built only when the class solution is expanded to a ProbMatrix. One
+class core (`_core`) serves the benchmark and conditioned solves of both
+models; only the fixed-point loop differs between them. The
 class iteration makes the node-level iterates in exact arithmetic; in
 floating point its results can differ from them in the 12th significant
 digit.
@@ -49,13 +51,10 @@ FORCED_LIM = 2    # pinned to 0 or 1 on the polytope boundary (limit of the solu
 class SolverOptions:
     tolerance: float = 1e-10
     max_iterations: int = 100_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise InputError("tolerance must be positive and finite")
-        if not 0.0 < self.damping <= 1.0:
-            raise InputError("damping must be in (0, 1]")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
 
@@ -87,7 +86,7 @@ class ProbMatrix:
 
     def __post_init__(self):
         np.fill_diagonal(self.p, 0.0)
-        if self.p.min() < 0.0 or self.p.max() > 1.0:
+        if not (self.p.min() >= 0.0 and self.p.max() <= 1.0):  # NaN fails too
             raise InputError("probabilities must lie in [0, 1]")
 
     def free_mask(self) -> np.ndarray:
@@ -226,12 +225,12 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# cores
+# class core
 # ---------------------------------------------------------------------------
 #
-# Both cores pin and iterate on the classes of the degrees they are given,
-# with class sizes m. A node of class c has free[c, d] * partners[c, d]
-# free (out-)partners in class d, and free[d, c] * partners[c, d] free
+# The core pins and iterates on the classes of the degrees it is given, with
+# class sizes m. A node of class c has free[c, d] * partners[c, d] free
+# (out-)partners in class d, and free[d, c] * partners[c, d] free
 # in-partners there.
 
 def _classes(k_out: np.ndarray, k_in: np.ndarray):
@@ -251,7 +250,7 @@ def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
 
 def _iterate_undirected(k: np.ndarray, w: np.ndarray, m: np.ndarray,
                         opts: SolverOptions):
-    """Damped fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d).
+    """Fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d).
 
     It starts from k / sqrt(sum of all node degrees), as the node-level
     iteration does, and so makes the same iterates in exact arithmetic.
@@ -268,24 +267,9 @@ def _iterate_undirected(k: np.ndarray, w: np.ndarray, m: np.ndarray,
         residual = float(np.abs(k - x * s).max())
         if residual <= opts.tolerance:
             return x, residual, it
-        x_new = k / np.where(s > 0, s, np.inf)
-        x = opts.damping * x_new + (1.0 - opts.damping) * x
+        x = k / np.where(s > 0, s, np.inf)
     raise SolverError("degree-constrained solve did not converge",
                       residual=residual, iterations=opts.max_iterations)
-
-
-def _ubcm_core(k: np.ndarray, opts: SolverOptions):
-    """Class solution: (cls, x, p, forced, residual, iterations), all but
-    the node classes cls given per class."""
-    k = np.asarray(k, dtype=np.int64)
-    cls, m, k, _ = _classes(k, k)
-    k, _, free, ones, forced = _pin_boundary(k, k, m)
-    w = (free * _partners(m)).astype(float)
-    x, residual, iterations = _iterate_undirected(k, w, m, opts)
-
-    xx = np.outer(x, x)
-    p = np.where(free, xx / (1.0 + xx), ones)
-    return cls, x, p, forced, residual, iterations
 
 
 def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, w_out: np.ndarray,
@@ -310,23 +294,27 @@ def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, w_out: np.ndarray,
                              np.abs(ki - y * sy).max()))
         if residual <= opts.tolerance:
             return x, y, residual, it
-        x_new = ko / np.where(sx > 0, sx, np.inf)
-        y_new = ki / np.where(sy > 0, sy, np.inf)
-        x = opts.damping * x_new + (1.0 - opts.damping) * x
-        y = opts.damping * y_new + (1.0 - opts.damping) * y
+        x = ko / np.where(sx > 0, sx, np.inf)
+        y = ki / np.where(sy > 0, sy, np.inf)
     raise SolverError("degree-constrained solve did not converge",
                       residual=residual, iterations=opts.max_iterations)
 
 
-def _dbcm_core(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
-    """Class solution: (cls, x, y, p, forced, residual, iterations)."""
-    cls, m, k_out, k_in = _classes(np.asarray(k_out, dtype=np.int64),
-                                   np.asarray(k_in, dtype=np.int64))
+def _core(k_out: np.ndarray, k_in: np.ndarray, directed: bool,
+          opts: SolverOptions):
+    """Class solution (cls, x, y, p, forced, residual, iterations), all but
+    the node classes cls given per class. Takes int64 degrees; undirected
+    ones come as k_out = k_in = k and return y = x."""
+    cls, m, k_out, k_in = _classes(k_out, k_in)
     k_out, k_in, free, ones, forced = _pin_boundary(k_out, k_in, m)
     partners = _partners(m)
-    x, y, residual, iterations = _iterate_directed(
-        k_out, k_in, (free * partners).astype(float),
-        (free * partners.T).astype(float), m, opts)
+    w_out = (free * partners).astype(float)
+    if directed:
+        x, y, residual, iterations = _iterate_directed(
+            k_out, k_in, w_out, (free * partners.T).astype(float), m, opts)
+    else:
+        x, residual, iterations = _iterate_undirected(k_out, w_out, m, opts)
+        y = x
 
     xy = np.outer(x, y)
     p = np.where(free, xy / (1.0 + xy), ones)
@@ -337,48 +325,44 @@ def _dbcm_core(k_out: np.ndarray, k_in: np.ndarray, opts: SolverOptions):
 # public solves
 # ---------------------------------------------------------------------------
 
+def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
+    """Check a degree sequence, solve it on classes, expand it to nodes."""
+    k_out = np.asarray(k_out, dtype=np.int64)
+    k_in = np.asarray(k_in, dtype=np.int64)
+    n = len(k_out)
+    for arr in (k_out, k_in):
+        if np.any(arr < 0) or (n > 0 and np.any(arr > n - 1)):
+            raise InputError("degrees must lie in [0, n-1]")
+    if int(k_out.sum()) != int(k_in.sum()):
+        raise InputError("sum of out-degrees must equal sum of in-degrees")
+    if not directed and int(k_out.sum()) % 2 != 0:
+        raise InputError("undirected degree sum must be even")
+
+    cls, x, y, p, forced, residual, iterations = _core(
+        k_out, k_in, directed, opts or SolverOptions())
+    params = ParamVector(directed=directed, x=x[cls],
+                         y=y[cls] if directed else None,
+                         residual=residual, iterations=iterations)
+    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, cls),
+                              forced=_expand(forced, cls))
+
+
 def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
     """Solve the undirected configuration model for a degree sequence.
 
     Returns (ParamVector, ProbMatrix) with max_i |k_i - sum_j p_ij| within
     opts.tolerance.
     """
-    opts = opts or SolverOptions()
     if deg.directed:
         raise InputError("solve_ubcm needs an undirected degree sequence")
-    k = np.asarray(deg.k, dtype=np.int64)
-    n = len(k)
-    if np.any(k < 0) or (n > 0 and np.any(k > n - 1)):
-        raise InputError("degrees must lie in [0, n-1]")
-    if int(k.sum()) % 2 != 0:
-        raise InputError("undirected degree sum must be even")
-
-    cls, x, p, forced, residual, iterations = _ubcm_core(k, opts)
-    params = ParamVector(directed=False, x=x[cls], y=None,
-                         residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=False, p=_expand(p, cls),
-                              forced=_expand(forced, cls))
+    return _solve(deg.k, deg.k, False, opts)
 
 
 def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
     """Directed analogue of solve_ubcm, constraining out- and in-degrees."""
-    opts = opts or SolverOptions()
     if not deg.directed:
         raise InputError("solve_dbcm needs a directed degree sequence")
-    k_out = np.asarray(deg.k_out, dtype=np.int64)
-    k_in = np.asarray(deg.k_in, dtype=np.int64)
-    n = len(k_out)
-    for name, arr in (("out", k_out), ("in", k_in)):
-        if np.any(arr < 0) or (n > 0 and np.any(arr > n - 1)):
-            raise InputError(f"{name}-degrees must lie in [0, n-1]")
-    if int(k_out.sum()) != int(k_in.sum()):
-        raise InputError("sum of out-degrees must equal sum of in-degrees")
-
-    cls, x, y, p, forced, residual, iterations = _dbcm_core(k_out, k_in, opts)
-    params = ParamVector(directed=True, x=x[cls], y=y[cls],
-                         residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=True, p=_expand(p, cls),
-                              forced=_expand(forced, cls))
+    return _solve(deg.k_out, deg.k_in, True, opts)
 
 
 def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
@@ -409,20 +393,17 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
 
     a = g.adjacency()
     keep = np.delete(np.arange(g.n), cond)
-    node_tag = cond[0] if len(cond) == 1 else None
 
     # the free nodes keep the links that do not end in the conditioned set
     k_out = (a.sum(axis=1) - a[:, cond].sum(axis=1))[keep].astype(np.int64)
+    k_in = ((a.sum(axis=0) - a[cond].sum(axis=0))[keep].astype(np.int64)
+            if g.directed else k_out)
     try:
-        if g.directed:
-            k_in = (a.sum(axis=0) - a[cond].sum(axis=0))[keep].astype(np.int64)
-            cls, _, _, p_cls, forced_cls, _, _ = _dbcm_core(k_out, k_in, opts)
-        else:
-            cls, _, p_cls, forced_cls, _, _ = _ubcm_core(k_out, opts)
+        cls, _, _, p_cls, forced_cls, _, _ = _core(k_out, k_in, g.directed, opts)
     except SolverError as exc:
         raise SolverError("conditioned solve did not converge",
                           residual=exc.residual, iterations=exc.iterations,
-                          node=node_tag) from exc
+                          node=cond[0] if len(cond) == 1 else None) from exc
 
     # the conditioned nodes expand as one more class, then take their
     # observed rows and columns
@@ -433,6 +414,4 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
                      node_cls)
     p[cond] = a[cond]
     p[:, cond] = a[:, cond]
-    forced[cond, cond] = FORCED_OBS
     return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
-

@@ -304,7 +304,7 @@ def node_pins(k_out, k_in):
 
 
 def _iterate_masked(k, free, opts):
-    """Damped fixed-point iteration restricted to the free pairs."""
+    """Fixed-point iteration restricted to the free pairs."""
     from inforank import SolverError
 
     n = len(k)
@@ -324,8 +324,7 @@ def _iterate_masked(k, free, opts):
         if residual <= opts.tolerance:
             x_full[active] = x
             return x_full, residual, it
-        x_new = np.where(s > 0, ka / np.where(s > 0, s, 1.0), 0.0)
-        x = opts.damping * x_new + (1.0 - opts.damping) * x
+        x = np.where(s > 0, ka / np.where(s > 0, s, 1.0), 0.0)
     raise SolverError("degree-constrained solve did not converge",
                       residual=residual, iterations=opts.max_iterations)
 
@@ -361,10 +360,8 @@ def _iterate_directed(k_out, k_in, free, opts):
         residual = float(max(res_out, res_in))
         if residual <= opts.tolerance:
             return x, y, residual, it
-        x_new = np.where(sx > 0, ko / np.where(sx > 0, sx, 1.0), 0.0)
-        y_new = np.where(sy > 0, ki / np.where(sy > 0, sy, 1.0), 0.0)
-        x = opts.damping * x_new + (1.0 - opts.damping) * x
-        y = opts.damping * y_new + (1.0 - opts.damping) * y
+        x = np.where(sx > 0, ko / np.where(sx > 0, sx, 1.0), 0.0)
+        y = np.where(sy > 0, ki / np.where(sy > 0, sy, 1.0), 0.0)
     raise SolverError("degree-constrained solve did not converge",
                       residual=residual, iterations=opts.max_iterations)
 

@@ -24,6 +24,26 @@ def test_problem_validation():
         ClearingProblem(L=-RING_L, Ae=np.zeros(3), Le=np.zeros(3))
     with pytest.raises(InputError):
         ClearingProblem(L=RING_L, Ae=np.zeros(3), Le=np.zeros(3), alpha=0.0)
+    # NaN passes every sign test, so non-finite entries need their own check
+    for bad in (np.nan, np.inf):
+        L = RING_L.copy()
+        L[0, 1] = bad
+        with pytest.raises(InputError):
+            ClearingProblem(L=L, Ae=np.zeros(3), Le=np.zeros(3))
+        with pytest.raises(InputError):
+            ClearingProblem(L=RING_L, Ae=np.array([1.0, bad, 1.0]), Le=np.zeros(3))
+        with pytest.raises(InputError):
+            ClearingProblem(L=RING_L, Ae=np.zeros(3), Le=np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 0}, {"max_iter": -1},
+])
+def test_clear_rejects_bad_tolerance_or_iteration_cap(kwargs):
+    prob = ClearingProblem(L=RING_L, Ae=np.ones(3), Le=np.ones(3))
+    with pytest.raises(InputError):
+        clear(prob, **kwargs)
 
 
 def test_no_interbank_links_pay_externals():
@@ -127,18 +147,17 @@ def test_clearing_invariant_under_relabeling():
 
 
 def test_build_liabilities_passthrough_and_uniform():
-    g = make_graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+    edges = [(0, 1), (1, 2), (2, 0)]
     w = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 4.0], [5.0, 0.0, 0.0]])
-    assert np.array_equal(build_liabilities(g, weights=w), w)
+    g = make_graph(3, edges, directed=True,
+                   weights={(i, j): w[i, j] for i, j in edges})
+    assert np.array_equal(build_liabilities(g), w)
 
-    L = build_liabilities(g, total_volume=100.0, expected_links=50.0)
-    assert np.all(L[g.adjacency() > 0] == 2.0)
+    plain = make_graph(3, edges, directed=True)
+    assert np.array_equal(build_liabilities(plain), plain.adjacency())
 
     with pytest.raises(InputError):
-        build_liabilities(g, weights=-w)
-    with pytest.raises(InputError):
-        build_liabilities(make_graph(3, [(0, 1)]), total_volume=1.0,
-                          expected_links=1.0)
+        build_liabilities(make_graph(3, [(0, 1)]))
 
 
 def test_sampled_volume_matches_target_in_expectation():
@@ -147,9 +166,9 @@ def test_sampled_volume_matches_target_in_expectation():
     volume = 100.0
     w = volume / pm.p.sum()
     totals = []
+    # the risk scorer's rule: weight volume / (expected links) per sampled link
     for s in sample_ensemble(pm, SampleSpec(count=800, seed=14)):
-        totals.append(build_liabilities(s, total_volume=volume,
-                                        expected_links=pm.p.sum()).sum())
+        totals.append((s.adjacency() * w).sum())
     mean = float(np.mean(totals))
     # binomial Monte-Carlo bound on the total volume
     sd = w * np.sqrt(float((pm.p * (1 - pm.p)).sum()) / 800)

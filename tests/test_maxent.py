@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, SolverError,
-                      SolverOptions, UndefinedIndexError, degree_sequence,
-                      inforank, make_graph, solve_conditioned_set, solve_dbcm,
-                      solve_ubcm)
+from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, ProbMatrix,
+                      SolverError, SolverOptions, UndefinedIndexError,
+                      degree_sequence, inforank, make_graph,
+                      solve_conditioned_set, solve_dbcm, solve_ubcm)
 from inforank.graphs import DegreeSeq, relabel
 from inforank.generators import barabasi_albert, erdos_renyi, star
 
@@ -111,13 +111,20 @@ def test_ubcm_monotone_reconvergence_after_adding_edge():
     deg = degree_sequence(g)
     _, pm = solve_ubcm(deg)
     missing = [(i, j) for i in range(30) for j in range(i + 1, 30)
-               if not g.has_edge(i, j)][0]
+               if (i, j) not in g.edges][0]
     g2 = make_graph(30, sorted(g.edges | {missing}))
     deg2 = degree_sequence(g2)
     _, pm2 = solve_ubcm(deg2)
     assert np.abs(pm2.row_sums() - deg2.k).max() <= 1e-10
     i = missing[0]
     assert pm2.row_sums()[i] > pm.row_sums()[i]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+def test_probmatrix_rejects_entries_outside_unit_interval(bad):
+    p = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(InputError):
+        ProbMatrix(n=2, directed=False, p=p, forced=np.zeros((2, 2), np.int8))
 
 
 def test_dbcm_all_zero():
@@ -267,9 +274,10 @@ def solve_sequence(k_out, k_in, directed):
 
 @st.composite
 def graph_and_sequence(draw):
-    """A graph with n <= 6, plus a degree sequence on n nodes that may have
-    no realisation: k_out drawn in [0, n-1], k_in a permutation of it (the
-    largest degree lowered by one if an undirected sum is odd)."""
+    """A graph with n <= 6, a permutation of its nodes, and a degree sequence
+    on n nodes that may have no realisation: k_out drawn in [0, n-1], k_in a
+    permutation of it (the largest degree lowered by one if an undirected
+    sum is odd)."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 6))
     pairs = [(i, j) for i in range(n) for j in range(n)
@@ -281,13 +289,14 @@ def graph_and_sequence(draw):
     else:
         k_out[np.argmax(k_out)] -= k_out.sum() % 2
         k_in = k_out
-    return make_graph(n, edges, directed=directed), k_out, k_in
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, edges, directed=directed), perm, k_out, k_in
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(graph_and_sequence())
 def test_boundary_pins_match_lp_oracle(case):
-    g, seq_out, seq_in = case
+    g, perm, seq_out, seq_in = case
     deg = degree_sequence(g)
     k_out, k_in = (deg.k_out, deg.k_in) if g.directed else (deg.k, deg.k)
 
@@ -304,6 +313,12 @@ def test_boundary_pins_match_lp_oracle(case):
         assert not report.failed.any()
         assert np.all(report.S_cond <= report.S0 * (1.0 + 1e-12))
         assert np.all((report.I >= 0.0) & (report.I <= 1.0))
+        # relabelling node i as perm[i] moves its results with it
+        moved = inforank(relabel(g, perm))
+        assert np.array_equal(moved.failed[perm], report.failed)
+        assert abs(moved.S0 - report.S0) <= 1e-12
+        assert np.abs(moved.S_cond[perm] - report.S_cond).max() <= 1e-12
+        assert np.abs(moved.I[perm] - report.I).max() <= 1e-12
 
     expect = lp_forced_lim(seq_out, seq_in, g.directed)
     if expect is None:

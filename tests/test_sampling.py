@@ -94,5 +94,5 @@ def test_forced_entries_copied_exactly():
     g = star(6)
     pm = solve_conditioned_set(g, [0])
     for s in sample_ensemble(pm, SampleSpec(count=20, seed=9)):
-        assert all(s.has_edge(0, i) for i in range(1, 6))
+        assert all((0, i) in s.edges for i in range(1, 6))
         assert degree_sequence(s).k.tolist() == [5, 1, 1, 1, 1, 1]
