@@ -138,14 +138,15 @@ def _solver_options(args) -> SolverOptions:
     )
 
 
-def _threads(args) -> int:
-    """Flag > config file > $INFORANK_THREADS > 1; below 1 is an error."""
+def _check_threads(args) -> None:
+    """Validate the thread count: flag > config file > $INFORANK_THREADS > 1;
+    below 1 is an error. It has no effect: the conditioned solves run as
+    stacked array operations in one thread."""
     threads = _resolve(args, "threads", int, None)
     if threads is None:
         threads = _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), int)
     if threads < 1:
         raise InputError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def _inforank_vector(report) -> RankVector:
@@ -166,7 +167,7 @@ def _all_rank_vectors(g, report, alpha):
 def cmd_rank(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
-    report = inforank(g, opts, threads=args.threads)
+    report = inforank(g, opts)
 
     scale = 1.0 / math.log(2.0) if args.base2 else 1.0
     unit = "bits" if args.base2 else "nats"
@@ -203,9 +204,9 @@ def cmd_compare(args) -> int:
         elif args.measure == "pagerank":
             vectors = [pagerank(g, alpha=alpha)]
         else:
-            vectors = [_inforank_vector(inforank(g, opts, threads=args.threads))]
+            vectors = [_inforank_vector(inforank(g, opts))]
     else:
-        vectors = _all_rank_vectors(g, inforank(g, opts, threads=args.threads), alpha)
+        vectors = _all_rank_vectors(g, inforank(g, opts), alpha)
 
     deg = degree_sequence(g)
     k_tot = deg.total()
@@ -243,7 +244,7 @@ def cmd_accuracy(args) -> int:
     opts = _solver_options(args)
     alpha = args.alpha if args.alpha is not None else 0.85
     report, bench, (acc,) = ranking_pass(
-        g, (lambda i, pm: expected_accuracy(pm, g),), opts, threads=args.threads)
+        g, (lambda i, pm: expected_accuracy(pm, g),), opts)
     rep = AccuracyReport.build(expected_accuracy(bench, g), acc,
                                _all_rank_vectors(g, report, alpha))
 
@@ -304,7 +305,7 @@ def cmd_risk(args) -> int:
         externals=ExternalsConfig(mu_a=args.mu_a, sigma_a=args.sigma_a,
                                   mu_l=args.mu_l, sigma_l=args.sigma_l),
         alpha=args.alpha, beta=args.beta, seed=args.seed)
-    report, _, (mse,) = ranking_pass(g, (experiment,), opts, threads=args.threads)
+    report, _, (mse,) = ranking_pass(g, (experiment,), opts)
 
     ok = ~report.failed  # one solve per node feeds both the index and the error
     fits = {}
@@ -357,7 +358,8 @@ def _add_common(sub):
                      help="solver degree-residual tolerance (default 1e-10)")
     sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
-                     help=f"parallel conditioned solves (default ${THREADS_ENV} or 1)")
+                     help=f"accepted and checked (>= 1; default ${THREADS_ENV} or 1) "
+                          "but has no effect")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", help="output file (default stdout)")
     sub.add_argument("--config", help="key=value config file (flags take precedence)")
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_values = _load_config_file(args.config) if args.config else {}
-        args.threads = _threads(args)
+        _check_threads(args)
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ All entropies are in nats. The index of node i is
 
 where S_0 is the entropy of the degree-constrained benchmark ensemble and
 S_(i) the entropy after additionally pinning node i's exact link pattern and
-re-solving the reduced degree constraints.
+re-solving the reduced degree constraints. The n conditioned ensembles come
+from one conditioned pass (`conditioned_pass`), which takes them from
+maxent.solve_each_conditioned and hands each to every per-node scorer.
 
 Boundary handling: entries pinned by *conditioning* are genuine knowledge and
 carry zero entropy. Entries pinned by the *polytope boundary* (FORCED_LIM,
@@ -21,15 +23,15 @@ convention (limit_eps = 0) in which boundary entries contribute nothing.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError, UndefinedIndexError
+from .errors import InputError, UndefinedIndexError
 from .graphs import DegreeSeq, Graph, degree_sequence
 from .maxent import (FORCED_LIM, FORCED_OBS, ProbMatrix, SolverOptions,
-                     solve_benchmark, solve_conditioned_set)
+                     solve_benchmark, solve_conditioned_set,
+                     solve_each_conditioned)
 
 LOG_CLIP = 1e-15           # clamp inside logarithms only, never in residuals
 DEFAULT_LIMIT_EPS = 1e-10  # regularization distance for boundary-pinned entries
@@ -101,30 +103,21 @@ class EntropyReport:
         return rows
 
 
-def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None,
-                     threads: int = 1) -> np.ndarray:
+def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None) -> np.ndarray:
     """Score every node's conditioned ensemble with each of `scorers`.
 
-    Node i's ensemble is solved once and handed to every scorer(i, pm); row k
-    of the result holds scorers[k] per node, NaN where the conditioned solve
-    failed. `threads` > 1 runs the nodes in a thread pool. Each matrix is
-    dropped once scored, so at most one per worker is alive.
+    Node i's ensemble is solved once, by maxent.solve_each_conditioned, and
+    handed to every scorer(i, pm); row k of the result holds scorers[k] per
+    node, NaN where the conditioned solve failed. The nodes arrive in the
+    order of the solver's stacks, not by index, and each matrix is dropped
+    once scored.
     """
-    opts = opts or SolverOptions()
-
-    def score_node(i):
-        try:
-            pm = solve_conditioned_set(g, [i], opts)
-        except SolverError:
-            return [np.nan] * len(scorers)
-        return [score(i, pm) for score in scorers]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(score_node, range(g.n)))
-    else:
-        rows = [score_node(i) for i in range(g.n)]
-    return np.array(rows, dtype=float).reshape(g.n, len(scorers)).T
+    values = np.full((len(scorers), g.n), np.nan)
+    for i, pm in solve_each_conditioned(g, opts):
+        if pm is not None:
+            values[:, i] = [score(i, pm) for score in scorers]
+        del pm  # before the next matrix is built
+    return values
 
 
 def _benchmark(g: Graph, opts: SolverOptions, limit_eps: float):
@@ -143,7 +136,7 @@ def _benchmark(g: Graph, opts: SolverOptions, limit_eps: float):
 
 
 def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
-                 limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1):
+                 limit_eps: float = DEFAULT_LIMIT_EPS):
     """Rank every node, scoring its conditioned ensemble with `scorers` too.
 
     One benchmark solve, then one conditioned pass shared by the entropy and
@@ -155,7 +148,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
     pm, s0, contrib = _benchmark(g, opts, limit_eps)
     s_cond, *extra = conditioned_pass(
         g, (lambda i, cond: benchmark_entropy(cond, limit_eps)[0], *scorers),
-        opts, threads)
+        opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
         S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
@@ -168,14 +161,13 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
 
 
 def inforank(g: Graph, opts: SolverOptions | None = None,
-             limit_eps: float = DEFAULT_LIMIT_EPS, threads: int = 1) -> EntropyReport:
+             limit_eps: float = DEFAULT_LIMIT_EPS) -> EntropyReport:
     """Rank every node by the fractional entropy reduction of its ego-network.
 
-    The n conditioned solves are independent; `threads` > 1 runs them in a
-    thread pool. Per-node solver failures are flagged in the report instead
-    of aborting the whole ranking.
+    Per-node solver failures are flagged in the report instead of aborting
+    the whole ranking.
     """
-    return ranking_pass(g, (), opts, limit_eps, threads)[0]
+    return ranking_pass(g, (), opts, limit_eps)[0]
 
 
 def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None,

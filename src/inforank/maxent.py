@@ -9,11 +9,17 @@ fitness value and one pin for each other class, so every solve runs on the
 C distinct degrees instead of the n nodes ("degree reduction", Vallarano et
 al., Sci. Rep. 11:15227, 2021): an iteration costs O(C^2), and n x n arrays
 are built only when the class solution is expanded to a ProbMatrix. One
-class core (`_core`) serves the benchmark and conditioned solves of both
-models; only the fixed-point loop differs between them. The
-class iteration makes the node-level iterates in exact arithmetic; in
-floating point its results can differ from them in the 12th significant
-digit.
+class core serves the benchmark and conditioned solves of both models; only
+the fixed-point loop differs between them. The class iteration makes the
+node-level iterates in exact arithmetic; in floating point its results can
+differ from them in the 12th significant digit.
+
+The loops iterate a stack of class systems with the same class count at
+once, each to its own convergence, and a single solve is a stack of one.
+`solve_each_conditioned` feeds them the n one-node conditioned systems of a
+graph in such stacks, so the per-step call overhead is paid once per stack
+instead of once per node; its results equal those of
+`solve_conditioned_set` bit for bit.
 
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -85,6 +91,8 @@ class ProbMatrix:
     forced: np.ndarray  # int8, same shape as p
 
     def __post_init__(self):
+        if self.p.size == 0:
+            raise InputError("probability matrix must have at least one node")
         np.fill_diagonal(self.p, 0.0)
         if not (self.p.min() >= 0.0 and self.p.max() <= 1.0):  # NaN fails too
             raise InputError("probabilities must lie in [0, 1]")
@@ -93,12 +101,6 @@ class ProbMatrix:
         m = self.forced == FREE
         np.fill_diagonal(m, False)
         return m
-
-    def row_sums(self) -> np.ndarray:
-        return self.p.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.p.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +162,9 @@ def _tight_cut(k_out: np.ndarray, k_in: np.ndarray) -> bool:
 
 
 def _partners(m: np.ndarray) -> np.ndarray:
-    """partners[c, d]: the nodes of class d a node of class c can link to."""
-    return m - np.eye(len(m), dtype=np.int64)
+    """partners[..., c, d]: the nodes of class d a node of class c can link
+    to, for one vector of class sizes m or a stack of them."""
+    return m[..., None, :] - np.eye(m.shape[-1], dtype=np.int64)
 
 
 def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
@@ -231,7 +234,28 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 # The core pins and iterates on the classes of the degrees it is given, with
 # class sizes m. A node of class c has free[c, d] * partners[c, d] free
 # (out-)partners in class d, and free[d, c] * partners[c, d] free
-# in-partners there.
+# in-partners there. The fixed-point loops run a stack of B systems of one
+# class count C as (B, C) and (B, C, C) arrays; a single solve is a stack of
+# one. Stacking never pads a system: a padded class changes the order of the
+# sums in the matrix products and with it the last bits of p.
+
+# Class-pair entries (B * C^2) of one stacked block of conditioned systems;
+# it bounds the memory of the block's (B, C, C) arrays.
+STACK_ELEMENTS = 1 << 16
+
+
+class _System(NamedTuple):
+    """One class system ready to iterate: the class of each node, then per
+    class the sizes m and what _pin_boundary returns."""
+
+    cls: np.ndarray
+    m: np.ndarray
+    k_out: np.ndarray
+    k_in: np.ndarray
+    free: np.ndarray
+    ones: np.ndarray
+    forced: np.ndarray
+
 
 def _classes(k_out: np.ndarray, k_in: np.ndarray):
     """Class of each node, class sizes, and the degrees of each class."""
@@ -241,6 +265,13 @@ def _classes(k_out: np.ndarray, k_in: np.ndarray):
     return cls, m, k_out[first], k_in[first]
 
 
+def _system(k_out: np.ndarray, k_in: np.ndarray) -> _System:
+    """The pinned class system of int64 node degrees; undirected degrees
+    come as k_out = k_in = k."""
+    cls, m, k_out, k_in = _classes(k_out, k_in)
+    return _System(cls, m, *_pin_boundary(k_out, k_in, m))
+
+
 def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
     """Node matrix of the class matrix a, with a zero diagonal."""
     out = a[cls][:, cls]
@@ -248,77 +279,131 @@ def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iterate_undirected(k: np.ndarray, w: np.ndarray, m: np.ndarray,
-                        opts: SolverOptions):
-    """Fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d).
+def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
+    """Iterate a stack of systems, one per leading index, to convergence.
 
-    It starts from k / sqrt(sum of all node degrees), as the node-level
-    iteration does, and so makes the same iterates in exact arithmetic.
+    step(*consts, *xs) returns each system's residual at xs and the next
+    xs. A system leaves the stack at its first iteration with residual <=
+    tolerance and keeps the xs of that iteration; systems not `live` never
+    enter and keep xs = 0 and residual 0. Returns (xs, residual,
+    iterations). A system still in the stack after max_iterations keeps
+    xs = 0 and its last residual, which is above the tolerance.
     """
-    total = int(m @ k)
-    if total == 0:
-        return np.zeros(len(k)), 0.0, 0
-
-    k = k.astype(float)
-    x = k / np.sqrt(total)
-    residual = np.inf
+    out = [np.zeros_like(x) for x in xs]
+    residual = np.zeros(len(live))
+    iterations = np.zeros(len(live), dtype=np.int64)
+    idx = np.flatnonzero(live)
+    consts = [c[idx] for c in consts]
+    xs = [x[idx] for x in xs]
+    res = residual[idx]
     for it in range(1, opts.max_iterations + 1):
-        s = (w / (1.0 + x[:, None] * x)) @ x
-        residual = float(np.abs(k - x * s).max())
-        if residual <= opts.tolerance:
-            return x, residual, it
-        x = k / np.where(s > 0, s, np.inf)
-    raise SolverError("degree-constrained solve did not converge",
-                      residual=residual, iterations=opts.max_iterations)
+        if not len(idx):
+            break
+        res, xs_next = step(*consts, *xs)
+        done = res <= opts.tolerance
+        if done.any():
+            stop = idx[done]
+            for o, x in zip(out, xs):
+                o[stop] = x[done]
+            residual[stop] = res[done]
+            iterations[stop] = it
+            left = ~done
+            idx, res = idx[left], res[left]
+            consts = [c[left] for c in consts]
+            xs_next = [x[left] for x in xs_next]
+        xs = xs_next
+    residual[idx] = res
+    iterations[idx] = opts.max_iterations
+    return out, residual, iterations
+
+
+def _start(k: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """k / sqrt(sum of all node degrees), the node-level iteration's start,
+    per system; systems with no links get 0."""
+    return k / np.sqrt(np.where(total > 0, total, 1))[:, None]
+
+
+def _iterate_undirected(k: np.ndarray, w: np.ndarray, total: np.ndarray,
+                        opts: SolverOptions):
+    """Fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack:
+    k is (B, C), w is (B, C, C) and total holds each system's degree sum.
+
+    Each system starts where the node-level iteration does, and so makes
+    the same iterates in exact arithmetic. Returns (x, residual,
+    iterations) as _run does.
+    """
+    k = k.astype(float)
+
+    def step(k, w, x):
+        s = ((w / (1.0 + x[:, :, None] * x[:, None])) @ x[:, :, None])[:, :, 0]
+        return np.abs(k - x * s).max(axis=1), (k / np.where(s > 0, s, np.inf),)
+
+    (x,), residual, iterations = _run(step, (k, w), (_start(k, total),),
+                                      total > 0, opts)
+    return x, residual, iterations
 
 
 def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, w_out: np.ndarray,
-                      w_in: np.ndarray, m: np.ndarray, opts: SolverOptions):
-    """Directed class fixed point; w_out[c, d] counts the free out-partners
-    in class d of a node of class c, w_in[c, d] the free in-partners in
-    class c of a node of class d."""
-    total = int(m @ k_out)
-    if total == 0:
-        return np.zeros(len(k_out)), np.zeros(len(k_out)), 0.0, 0
-
+                      w_in: np.ndarray, total: np.ndarray, opts: SolverOptions):
+    """Directed class fixed point on a stack; w_out[b, c, d] counts the free
+    out-partners in class d of a node of class c, w_in[b, c, d] the free
+    in-partners in class c of a node of class d."""
     ko = k_out.astype(float)
     ki = k_in.astype(float)
-    x = ko / np.sqrt(total)
-    y = ki / np.sqrt(total)
-    residual = np.inf
-    for it in range(1, opts.max_iterations + 1):
-        d = 1.0 + x[:, None] * y
-        sx = (w_out / d) @ y
-        sy = x @ (w_in / d)
-        residual = float(max(np.abs(ko - x * sx).max(),
-                             np.abs(ki - y * sy).max()))
-        if residual <= opts.tolerance:
-            return x, y, residual, it
-        x = ko / np.where(sx > 0, sx, np.inf)
-        y = ki / np.where(sy > 0, sy, np.inf)
-    raise SolverError("degree-constrained solve did not converge",
-                      residual=residual, iterations=opts.max_iterations)
+
+    def step(ko, ki, w_out, w_in, x, y):
+        d = 1.0 + x[:, :, None] * y[:, None]
+        sx = ((w_out / d) @ y[:, :, None])[:, :, 0]
+        sy = (x[:, None] @ (w_in / d))[:, 0]
+        residual = np.maximum(np.abs(ko - x * sx).max(axis=1),
+                              np.abs(ki - y * sy).max(axis=1))
+        return residual, (ko / np.where(sx > 0, sx, np.inf),
+                          ki / np.where(sy > 0, sy, np.inf))
+
+    (x, y), residual, iterations = _run(
+        step, (ko, ki, w_out, w_in), (_start(ko, total), _start(ki, total)),
+        total > 0, opts)
+    return x, y, residual, iterations
+
+
+def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
+    """Iterate class systems of one class count together.
+
+    Returns their class x, y and p as (B, C) and (B, C, C) stacks, with
+    their residuals and iterations. A system converged iff its residual is
+    <= tolerance; the p of one that did not is meaningless.
+    """
+    m = np.stack([s.m for s in systems])
+    k_out = np.stack([s.k_out for s in systems])
+    free = np.stack([s.free for s in systems])
+    partners = _partners(m)
+    total = (m * k_out).sum(axis=1)
+    w_out = (free * partners).astype(float)
+    if directed:
+        x, y, residual, iterations = _iterate_directed(
+            k_out, np.stack([s.k_in for s in systems]), w_out,
+            (free * partners.transpose(0, 2, 1)).astype(float), total, opts)
+    else:
+        x, residual, iterations = _iterate_undirected(k_out, w_out, total, opts)
+        y = x
+
+    xy = x[:, :, None] * y[:, None]
+    p = np.where(free, xy / (1.0 + xy), np.stack([s.ones for s in systems]))
+    return x, y, p, residual, iterations
 
 
 def _core(k_out: np.ndarray, k_in: np.ndarray, directed: bool,
           opts: SolverOptions):
-    """Class solution (cls, x, y, p, forced, residual, iterations), all but
-    the node classes cls given per class. Takes int64 degrees; undirected
-    ones come as k_out = k_in = k and return y = x."""
-    cls, m, k_out, k_in = _classes(k_out, k_in)
-    k_out, k_in, free, ones, forced = _pin_boundary(k_out, k_in, m)
-    partners = _partners(m)
-    w_out = (free * partners).astype(float)
-    if directed:
-        x, y, residual, iterations = _iterate_directed(
-            k_out, k_in, w_out, (free * partners.T).astype(float), m, opts)
-    else:
-        x, residual, iterations = _iterate_undirected(k_out, w_out, m, opts)
-        y = x
-
-    xy = np.outer(x, y)
-    p = np.where(free, xy / (1.0 + xy), ones)
-    return cls, x, y, p, forced, residual, iterations
+    """The class system of int64 degrees and its solution (system, x, y, p,
+    residual, iterations), x, y and p per class. Undirected degrees come as
+    k_out = k_in = k and return y = x."""
+    s = _system(k_out, k_in)
+    x, y, p, residual, iterations = _solve_systems([s], directed, opts)
+    if not residual[0] <= opts.tolerance:  # NaN fails too
+        raise SolverError("degree-constrained solve did not converge",
+                          residual=float(residual[0]),
+                          iterations=int(iterations[0]))
+    return s, x[0], y[0], p[0], float(residual[0]), int(iterations[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +423,13 @@ def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
     if not directed and int(k_out.sum()) % 2 != 0:
         raise InputError("undirected degree sum must be even")
 
-    cls, x, y, p, forced, residual, iterations = _core(
+    s, x, y, p, residual, iterations = _core(
         k_out, k_in, directed, opts or SolverOptions())
-    params = ParamVector(directed=directed, x=x[cls],
-                         y=y[cls] if directed else None,
+    params = ParamVector(directed=directed, x=x[s.cls],
+                         y=y[s.cls] if directed else None,
                          residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, cls),
-                              forced=_expand(forced, cls))
+    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, s.cls),
+                              forced=_expand(s.forced, s.cls))
 
 
 def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
@@ -373,6 +458,48 @@ def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
     return solve_ubcm(deg, opts)[1]
 
 
+def _links(g: Graph):
+    """Tails and heads of g's links; an undirected edge gives both
+    directions."""
+    e = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    if not g.directed:
+        e = np.concatenate([e, e[:, ::-1]])
+    return e[:, 0], e[:, 1]
+
+
+def _known(n: int, cond) -> np.ndarray:
+    """Mask of the conditioned nodes."""
+    known = np.zeros(n, dtype=bool)
+    known[cond] = True
+    return known
+
+
+def _conditioned_degrees(links, known: np.ndarray):
+    """Out- and in-degrees of the nodes left free by conditioning on the
+    `known` nodes: their links into the known nodes are fixed, so only the
+    links among themselves still count."""
+    tail, head = links
+    among = ~(known[tail] | known[head])
+    return (np.bincount(tail[among], minlength=len(known))[~known],
+            np.bincount(head[among], minlength=len(known))[~known])
+
+
+def _conditioned_matrix(g: Graph, links, known: np.ndarray, s: _System,
+                        p_cls: np.ndarray) -> ProbMatrix:
+    """Expand the class solution p_cls of the free nodes' system s, with the
+    known nodes as one more class whose rows and columns take their
+    observed links."""
+    node_cls = np.full(g.n, len(p_cls))
+    node_cls[~known] = s.cls
+    p = _expand(np.pad(p_cls, (0, 1)), node_cls)
+    forced = _expand(np.pad(s.forced, (0, 1), constant_values=FORCED_OBS),
+                     node_cls)
+    tail, head = links
+    seen = known[tail] | known[head]
+    p[tail[seen], head[seen]] = 1.0
+    return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
+
+
 def solve_conditioned_set(g: Graph, nodes: Iterable[int],
                           opts: SolverOptions | None = None) -> ProbMatrix:
     """Solve the ensemble conditioned on the exact link patterns of `nodes`.
@@ -391,27 +518,48 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
     if len(cond) >= g.n:
         raise InputError("conditioning set must be a proper subset of the nodes")
 
-    a = g.adjacency()
-    keep = np.delete(np.arange(g.n), cond)
-
-    # the free nodes keep the links that do not end in the conditioned set
-    k_out = (a.sum(axis=1) - a[:, cond].sum(axis=1))[keep].astype(np.int64)
-    k_in = ((a.sum(axis=0) - a[cond].sum(axis=0))[keep].astype(np.int64)
-            if g.directed else k_out)
+    links, known = _links(g), _known(g.n, cond)
     try:
-        cls, _, _, p_cls, forced_cls, _, _ = _core(k_out, k_in, g.directed, opts)
+        s, _, _, p, _, _ = _core(*_conditioned_degrees(links, known),
+                                 g.directed, opts)
     except SolverError as exc:
         raise SolverError("conditioned solve did not converge",
                           residual=exc.residual, iterations=exc.iterations,
                           node=cond[0] if len(cond) == 1 else None) from exc
+    return _conditioned_matrix(g, links, known, s, p)
 
-    # the conditioned nodes expand as one more class, then take their
-    # observed rows and columns
-    node_cls = np.full(g.n, len(p_cls))
-    node_cls[keep] = cls
-    p = _expand(np.pad(p_cls, (0, 1)), node_cls)
-    forced = _expand(np.pad(forced_cls, (0, 1), constant_values=FORCED_OBS),
-                     node_cls)
-    p[cond] = a[cond]
-    p[:, cond] = a[:, cond]
-    return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
+
+def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
+    """Yield (node, ProbMatrix | None) for every node of g: the ensemble
+    conditioned on that node alone, equal to solve_conditioned_set(g, [node])
+    bit for bit, or None where its solve did not converge.
+
+    The n systems are grouped by class count C and each group is split into
+    blocks of at most STACK_ELEMENTS class pairs (B C^2). A block is built,
+    iterated as one stack and expanded one node at a time as the caller
+    consumes it, so one block and one n x n matrix are alive at once. Nodes
+    come in block order, not in index order.
+    """
+    opts = opts or SolverOptions()
+    if g.n == 1:
+        raise InputError("conditioning set must be a proper subset of the nodes")
+    links = _links(g)
+    counts = np.array([len(_classes(*_conditioned_degrees(links, _known(g.n, i)))[1])
+                       for i in range(g.n)])
+    for c in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
+        group = np.flatnonzero(counts == c)
+        size = max(1, STACK_ELEMENTS // max(c * c, 1))
+        for start in range(0, len(group), size):
+            yield from _conditioned_block(g, links, group[start:start + size],
+                                          opts)
+
+
+def _conditioned_block(g: Graph, links, block: np.ndarray, opts: SolverOptions):
+    """solve_each_conditioned on one block of nodes whose systems have the
+    same class count."""
+    known = [_known(g.n, i) for i in block]
+    systems = [_system(*_conditioned_degrees(links, k)) for k in known]
+    _, _, p, residual, _ = _solve_systems(systems, g.directed, opts)
+    for i, k, s, p_cls, res in zip(block, known, systems, p, residual):
+        yield int(i), (_conditioned_matrix(g, links, k, s, p_cls)
+                       if res <= opts.tolerance else None)

@@ -18,20 +18,34 @@ def run(tmp_path, *argv):
 
 
 def count_solves(monkeypatch):
-    """Count benchmark and conditioned solves, wherever inforank calls them."""
-    counts = {"solve_benchmark": 0, "solve_conditioned_set": 0}
+    """Count benchmark solves wherever inforank calls them, the class
+    systems that reach the fixed-point loops (one per solve), and the nodes
+    whose conditioned ensembles the conditioned pass hands out."""
+    counts = {"solve_benchmark": 0, "systems": 0, "nodes": []}
+    real_bench, real_each = maxent.solve_benchmark, maxent.solve_each_conditioned
+    real_systems = maxent._solve_systems
+
+    def bench(*args, **kwargs):
+        counts["solve_benchmark"] += 1
+        return real_bench(*args, **kwargs)
+
+    def each(*args, **kwargs):
+        for node, pm in real_each(*args, **kwargs):
+            counts["nodes"].append(node)
+            yield node, pm
+
+    def systems(stack, *args, **kwargs):
+        counts["systems"] += len(stack)
+        return real_systems(stack, *args, **kwargs)
+
     modules = [m for name, m in sys.modules.items()
                if name == "inforank" or name.startswith("inforank.")]
-    for name in counts:
-        real = getattr(maxent, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
+    for real, fake in ((real_bench, bench), (real_each, each)):
         for mod in modules:
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, fake)
+    monkeypatch.setattr(maxent, "_solve_systems", systems)
     return counts
 
 
@@ -246,7 +260,9 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     code, out = run(tmp_path, *argv)
     assert code == EXIT_OK
     n = json.loads(out.read_text())["n"]
-    assert counts == {"solve_benchmark": 1, "solve_conditioned_set": n}
+    # the benchmark system and each of the n conditioned systems, once
+    assert counts["solve_benchmark"] == 1 and counts["systems"] == n + 1
+    assert sorted(counts["nodes"]) == list(range(n))
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -266,7 +282,7 @@ def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     counts = count_solves(monkeypatch)
     argv = [str(weights) if arg == "WEIGHTS" else arg for arg in argv]
     assert run(tmp_path, *argv)[0] == code
-    assert counts == {"solve_benchmark": 0, "solve_conditioned_set": 0}
+    assert counts == {"solve_benchmark": 0, "systems": 0, "nodes": []}
 
 
 def test_twelve_significant_digit_output(tmp_path):

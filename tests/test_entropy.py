@@ -1,15 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inforank import (ProbMatrix, SolverError,
-                      UndefinedIndexError, approx_meanfield, approx_sparse,
-                      benchmark_entropy, degree_sequence, inforank,
-                      inforank_subset, make_graph, solve_conditioned_set,
-                      solve_ubcm)
-from inforank.entropy import DEFAULT_LIMIT_EPS, _h
-from inforank.graphs import relabel
-from inforank.generators import erdos_renyi, ring_lattice, star
+from inforank import (ProbMatrix, SolverOptions, UndefinedIndexError,
+                      approx_meanfield, approx_sparse, benchmark_entropy,
+                      degree_sequence, expected_accuracy, inforank,
+                      inforank_subset, make_graph, maxent,
+                      solve_conditioned_set, solve_dbcm, solve_ubcm)
+from inforank.entropy import DEFAULT_LIMIT_EPS, _h, conditioned_pass
+from inforank.graphs import DegreeSeq, relabel
+from inforank.generators import (barabasi_albert, erdos_renyi, ring_lattice,
+                                 scale_free_directed, star)
 
+from helpers import small_graph
 from oracles import entropy_direct
 
 H_EPS = float(_h(1.0 - DEFAULT_LIMIT_EPS))  # entropy floor of one boundary-pinned entry
@@ -112,24 +117,81 @@ def test_inforank_undefined_on_complete_and_empty():
 def test_inforank_flags_per_node_failures(monkeypatch):
     g = erdos_renyi(12, 0.3, seed=7)
     import inforank.entropy as entropy_mod
-    real = entropy_mod.solve_conditioned_set
+    real = entropy_mod.solve_each_conditioned
 
-    def flaky(graph, nodes, opts=None):
-        if list(nodes) == [3]:
-            raise SolverError("synthetic failure", node=3)
-        return real(graph, nodes, opts)
+    def flaky(graph, opts=None):
+        for i, pm in real(graph, opts):
+            yield i, None if i == 3 else pm
 
-    monkeypatch.setattr(entropy_mod, "solve_conditioned_set", flaky)
+    monkeypatch.setattr(entropy_mod, "solve_each_conditioned", flaky)
     rep = inforank(g)
     assert rep.failed[3] and not rep.failed[[i for i in range(12) if i != 3]].any()
     assert np.isnan(rep.I[3])
 
 
-def test_inforank_threads_match_serial():
-    g = erdos_renyi(20, 0.2, seed=8)
-    rep1 = inforank(g, threads=1)
-    rep4 = inforank(g, threads=4)
-    assert np.array_equal(rep1.I, rep4.I)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graph(), st.sampled_from([1, 40, maxent.STACK_ELEMENTS]))
+def test_stacked_pass_matches_single_solves(case, budget):
+    # stacks of every size from one system up, split by the element budget
+    g, _ = case
+    with mock.patch.object(maxent, "STACK_ELEMENTS", budget):
+        s_cond, acc = conditioned_pass(
+            g, (lambda i, pm: benchmark_entropy(pm, DEFAULT_LIMIT_EPS)[0],
+                lambda i, pm: expected_accuracy(pm, g)))
+    for i in range(g.n):
+        pm = solve_conditioned_set(g, [i])
+        assert s_cond[i] == benchmark_entropy(pm, DEFAULT_LIMIT_EPS)[0]
+        assert acc[i] == expected_accuracy(pm, g)
+
+
+def _conditioned_iterations(g):
+    """Iterations and class count of each node's conditioned system, solved
+    on its own as the degree sequence of the other nodes."""
+    a = g.adjacency().astype(np.int64)
+    iterations, classes = [], []
+    for i in range(g.n):
+        rest = np.delete(np.delete(a, i, axis=0), i, axis=1)
+        k_out, k_in = rest.sum(axis=1), rest.sum(axis=0)
+        if g.directed:
+            deg = DegreeSeq(directed=True, L=int(k_out.sum()), k_out=k_out, k_in=k_in)
+            iterations.append(solve_dbcm(deg)[0].iterations)
+        else:
+            deg = DegreeSeq(directed=False, L=int(k_out.sum()) // 2, k=k_out)
+            iterations.append(solve_ubcm(deg)[0].iterations)
+        classes.append(len(set(zip(k_out, k_in))))
+    return np.array(iterations), np.array(classes)
+
+
+@pytest.mark.parametrize("g", [barabasi_albert(40, 3, seed=1),
+                               scale_free_directed(30, 2, seed=2)],
+                         ids=["ba-40-3", "sf-dir-30-2"])
+def test_capped_stack_fails_only_the_slow_nodes(g):
+    iterations, classes = _conditioned_iterations(g)
+    # cap at the benchmark's own count, which lies inside the nodes' range
+    cap = (solve_dbcm if g.directed else solve_ubcm)(degree_sequence(g))[0].iterations
+    slow = iterations > cap
+    assert any(0 < slow[classes == c].sum() < (classes == c).sum()
+               for c in np.unique(classes))
+
+    full = dict(maxent.solve_each_conditioned(g))
+    capped = dict(maxent.solve_each_conditioned(
+        g, SolverOptions(max_iterations=cap)))
+    for i in range(g.n):
+        # a system that converges early keeps its iterates while the rest of
+        # its stack goes on
+        assert np.array_equal(full[i].p, solve_conditioned_set(g, [i]).p)
+        if slow[i]:
+            assert capped[i] is None
+        else:
+            assert np.array_equal(capped[i].p, full[i].p)
+            assert np.array_equal(capped[i].forced, full[i].forced)
+
+    rep = inforank(g, SolverOptions(max_iterations=cap))
+    ref = inforank(g)
+    assert np.array_equal(rep.failed, slow)
+    assert np.isnan(rep.S_cond[slow]).all() and np.isnan(rep.I[slow]).all()
+    assert np.array_equal(rep.S_cond[~slow], ref.S_cond[~slow])
+    assert np.array_equal(rep.I[~slow], ref.I[~slow])
 
 
 def test_inforank_relabel_equivariance():
