@@ -81,12 +81,12 @@ def closeness_centrality(g: Graph) -> RankVector:
     return _rank_vector("closeness", scores)
 
 
-def pagerank(g: Graph, alpha: float = 0.85, tol: float = 1e-12,
-             max_iter: int = 100_000) -> RankVector:
+def pagerank(g: Graph, alpha: float = 0.85) -> RankVector:
     """Damped random-walk scores: P_i = (1-a)/N + a sum_j (a_ji/k_j^out) P_j.
 
     The affine map is an alpha-contraction, so power iteration converges for
-    alpha < 1; the result is normalized once to sum exactly 1.
+    alpha < 1; it stops once an update moves P by less than 1e-12 in L1,
+    and the result is normalized once to sum exactly 1.
     """
     if not 0.0 <= alpha < 1.0:
         raise InputError(f"damping must satisfy 0 <= alpha < 1, got {alpha}")
@@ -97,8 +97,6 @@ def pagerank(g: Graph, alpha: float = 0.85, tol: float = 1e-12,
         return _rank_vector("pagerank", np.full(n, 1.0 / n))
 
     a = g.adjacency()
-    if not g.directed:
-        a = np.maximum(a, a.T)
     k_out = a.sum(axis=1)
     # column-stochastic transition restricted to non-dangling rows
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,9 +104,10 @@ def pagerank(g: Graph, alpha: float = 0.85, tol: float = 1e-12,
 
     p = np.full(n, 1.0 / n)
     teleport = (1.0 - alpha) / n
+    max_iter = 100_000
     for _ in range(max_iter):
         p_new = teleport + alpha * (m.T @ p)
-        if np.abs(p_new - p).sum() < tol:
+        if np.abs(p_new - p).sum() < 1e-12:
             p = p_new
             break
         p = p_new

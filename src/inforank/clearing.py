@@ -65,12 +65,9 @@ class ClearingProblem:
     def obligations(self) -> np.ndarray:
         return self.L.sum(axis=1) + self.Le
 
-    def relative_liabilities(self) -> np.ndarray:
-        """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
-        return _relative_liabilities(self.L, self.obligations())
-
 
 def _relative_liabilities(L: np.ndarray, pbar: np.ndarray) -> np.ndarray:
+    """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
     # a bank with pbar_i = 0 owes nothing, so its row of L is already zero
     return L / np.where(pbar > 0, pbar, 1.0)[:, None]
 

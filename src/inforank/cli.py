@@ -155,11 +155,6 @@ def _inforank_vector(report) -> RankVector:
                       rescaled=rescale(np.where(report.failed, 0.0, report.I)))
 
 
-def _all_rank_vectors(g, report, alpha):
-    return [degree_centrality(g), closeness_centrality(g),
-            pagerank(g, alpha=alpha), _inforank_vector(report)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -196,17 +191,14 @@ def cmd_compare(args) -> int:
     opts = _solver_options(args)
     alpha = args.alpha if args.alpha is not None else 0.85
 
-    if args.measure and args.measure != "all":
-        if args.measure == "degree":
-            vectors = [degree_centrality(g)]
-        elif args.measure == "closeness":
-            vectors = [closeness_centrality(g)]
-        elif args.measure == "pagerank":
-            vectors = [pagerank(g, alpha=alpha)]
-        else:
-            vectors = [_inforank_vector(inforank(g, opts))]
-    else:
-        vectors = _all_rank_vectors(g, inforank(g, opts), alpha)
+    # the baselines come first, so a bad alpha fails before any solve
+    measures = {"degree": lambda: degree_centrality(g),
+                "closeness": lambda: closeness_centrality(g),
+                "pagerank": lambda: pagerank(g, alpha=alpha),
+                "inforank": lambda: _inforank_vector(inforank(g, opts))}
+    measure = args.measure or "all"
+    vectors = [make() for name, make in measures.items()
+               if measure in ("all", name)]
 
     deg = degree_sequence(g)
     k_tot = deg.total()
@@ -243,10 +235,13 @@ def cmd_accuracy(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
     alpha = args.alpha if args.alpha is not None else 0.85
+    # made before the pass, so a bad alpha fails before any solve
+    baselines = [degree_centrality(g), closeness_centrality(g),
+                 pagerank(g, alpha=alpha)]
     report, bench, (acc,) = ranking_pass(
         g, (lambda i, pm: expected_accuracy(pm, g),), opts)
     rep = AccuracyReport.build(expected_accuracy(bench, g), acc,
-                               _all_rank_vectors(g, report, alpha))
+                               [*baselines, _inforank_vector(report)])
 
     per_node = [{"node": i, "label": g.label(i),
                  "accuracy": None if rep.failed[i] else float(rep.A[i])}
@@ -282,13 +277,13 @@ def cmd_sample(args) -> int:
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for t, sample in enumerate(sample_ensemble(pm, spec)):
+        for t, sample in enumerate(sample_ensemble(pm, spec, g.labels)):
             path = outdir / f"sample_{t:05d}.edges"
             path.write_text(f"# seed={args.seed} sample={t}\n"
                             + (serialize_edge_list(sample) if sample.m else ""))
         sys.stdout.write(f"wrote {spec.count} samples to {outdir}\n")
     else:
-        for t, sample in enumerate(sample_ensemble(pm, spec)):
+        for t, sample in enumerate(sample_ensemble(pm, spec, g.labels)):
             sys.stdout.write(f"# seed={args.seed} sample={t}\n")
             if sample.m:
                 sys.stdout.write(serialize_edge_list(sample))
@@ -352,8 +347,9 @@ def _add_common(sub):
     sub.add_argument("--generate", metavar="SPEC",
                      help="synthetic graph: er:n,p | ba:n,m | star:n | ring:n,k | scalefree:n,m")
     sub.add_argument("--directed", action="store_const", const=True, default=None,
-                     help="treat input as directed")
-    sub.add_argument("--seed", type=int, default=0)
+                     help="treat input as directed (generators: er only; "
+                          "scalefree is always directed)")
+    sub.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
     sub.add_argument("--tolerance", type=float, default=None,
                      help="solver degree-residual tolerance (default 1e-10)")
     sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
@@ -421,6 +417,8 @@ def main(argv=None) -> int:
     try:
         args.config_values = _load_config_file(args.config) if args.config else {}
         _check_threads(args)
+        if args.seed < 0:
+            raise InputError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,13 +13,14 @@ maxent.solve_each_conditioned and hands each to every per-node scorer.
 Boundary handling: entries pinned by *conditioning* are genuine knowledge and
 carry zero entropy. Entries pinned by the *polytope boundary* (FORCED_LIM,
 see maxent) sit at the boundary limit of the solution; for ranking purposes
-each such entry is scored at a small regularization `limit_eps` away from
-the boundary. This keeps the ratio well defined on graphs whose benchmark is
-exactly deterministic apart from saturated hubs (a star graph being the
-canonical case: the center scores 1, a leaf scores 1/(n-1)). Fully pinned or
-zero-entropy benchmarks have no free structure left to explain and raise
-UndefinedIndexError. The standalone entropy functions default to the strict
-convention (limit_eps = 0) in which boundary entries contribute nothing.
+each such entry is scored at a small regularization DEFAULT_LIMIT_EPS away
+from the boundary. This keeps the ratio well defined on graphs whose
+benchmark is exactly deterministic apart from saturated hubs (a star graph
+being the canonical case: the center scores 1, a leaf scores 1/(n-1)).
+Fully pinned or zero-entropy benchmarks have no free structure left to
+explain and raise UndefinedIndexError. The standalone entropy functions
+default to the strict convention (limit_eps = 0) in which boundary entries
+contribute nothing.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UndefinedIndexError
+from .errors import UndefinedIndexError
 from .graphs import DegreeSeq, Graph, degree_sequence
 from .maxent import (FORCED_LIM, FORCED_OBS, ProbMatrix, SolverOptions,
                      solve_benchmark, solve_conditioned_set,
@@ -120,11 +121,11 @@ def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None) -> np
     return values
 
 
-def _benchmark(g: Graph, opts: SolverOptions, limit_eps: float):
+def _benchmark(g: Graph, opts: SolverOptions | None):
     """The benchmark ProbMatrix, S0 and its per-node contributions; raises
     UndefinedIndexError when the benchmark leaves the index undefined."""
     pm = solve_benchmark(g, opts)
-    s0, contrib = benchmark_entropy(pm, limit_eps)
+    s0, contrib = benchmark_entropy(pm, DEFAULT_LIMIT_EPS)
     if not pm.free_mask().any():
         raise UndefinedIndexError(
             "benchmark ensemble is fully deterministic (no free entries); "
@@ -135,20 +136,18 @@ def _benchmark(g: Graph, opts: SolverOptions, limit_eps: float):
     return pm, s0, contrib
 
 
-def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
-                 limit_eps: float = DEFAULT_LIMIT_EPS):
+def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
     """Rank every node, scoring its conditioned ensemble with `scorers` too.
 
     One benchmark solve, then one conditioned pass shared by the entropy and
     every scorer. Returns the EntropyReport, the benchmark ProbMatrix and one
     row of per-node values per scorer (NaN where the solve failed).
     """
-    opts = opts or SolverOptions()
     deg = degree_sequence(g)
-    pm, s0, contrib = _benchmark(g, opts, limit_eps)
+    pm, s0, contrib = _benchmark(g, opts)
     s_cond, *extra = conditioned_pass(
-        g, (lambda i, cond: benchmark_entropy(cond, limit_eps)[0], *scorers),
-        opts)
+        g, (lambda i, cond: benchmark_entropy(cond, DEFAULT_LIMIT_EPS)[0],
+            *scorers), opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
         S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
@@ -160,28 +159,24 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None,
     return report, pm, extra
 
 
-def inforank(g: Graph, opts: SolverOptions | None = None,
-             limit_eps: float = DEFAULT_LIMIT_EPS) -> EntropyReport:
+def inforank(g: Graph, opts: SolverOptions | None = None) -> EntropyReport:
     """Rank every node by the fractional entropy reduction of its ego-network.
 
     Per-node solver failures are flagged in the report instead of aborting
     the whole ranking.
     """
-    return ranking_pass(g, (), opts, limit_eps)[0]
+    return ranking_pass(g, (), opts)[0]
 
 
-def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None,
-                    limit_eps: float = DEFAULT_LIMIT_EPS) -> float:
-    """Joint index of a node subset: pin every link incident to the subset."""
-    opts = opts or SolverOptions()
-    subset = sorted(set(int(v) for v in nodes))
-    if not subset or len(subset) >= g.n:
-        raise InputError("subset must be non-empty and proper")
+def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None) -> float:
+    """Joint index of a node subset: pin every link incident to the subset.
 
-    s0 = _benchmark(g, opts, limit_eps)[1]
-    cond = solve_conditioned_set(g, subset, opts)
-    s_sub = benchmark_entropy(cond, limit_eps)[0]
-    return float(1.0 - s_sub / s0)
+    The subset is solved first, so an invalid one raises InputError before
+    the benchmark is solved.
+    """
+    cond = solve_conditioned_set(g, nodes, opts)
+    s0 = _benchmark(g, opts)[1]
+    return float(1.0 - benchmark_entropy(cond, DEFAULT_LIMIT_EPS)[0] / s0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +204,9 @@ def approx_sparse(deg: DegreeSeq) -> np.ndarray:
     return out
 
 
-def approx_meanfield(deg: DegreeSeq, n: int | None = None) -> np.ndarray:
+def approx_meanfield(deg: DegreeSeq) -> np.ndarray:
     """Mean-field estimate of S_0^(i): (n-1) h(k_i/(n-1)) per side."""
-    n = n if n is not None else deg.n
+    n = deg.n
     if n < 2:
         return np.zeros(deg.n)
     if deg.directed:

@@ -117,9 +117,16 @@ def scale_free_directed(n: int, m: int = 2, seed: int = 0) -> Graph:
 
 def from_spec(spec: str, seed: int = 0, directed: bool = False) -> Graph:
     """Parse generator specs like 'er:100,0.05', 'ba:100,2', 'star:9',
-    'ring:40,4', 'scalefree:50,2'."""
+    'ring:40,4', 'scalefree:50,2'.
+
+    `directed` applies to 'er' only: 'ba', 'star' and 'ring' make undirected
+    graphs and reject it, and 'scalefree' is always directed.
+    """
+    name, _, argstr = spec.partition(":")
+    if directed and name in ("ba", "star", "ring"):
+        raise InputError(f"generator {name!r} makes undirected graphs only; "
+                         "drop --directed")
     try:
-        name, _, argstr = spec.partition(":")
         args = [a for a in argstr.split(",") if a] if argstr else []
         if name == "er":
             n, p = int(args[0]), float(args[1])

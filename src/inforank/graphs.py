@@ -202,36 +202,20 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def links(g: Graph):
+    """Tails and heads of g's links as int64 arrays; an undirected edge,
+    stored once, gives both directions."""
+    e = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    if not g.directed:
+        e = np.concatenate([e, e[:, ::-1]])
+    return e[:, 0], e[:, 1]
+
+
 def degree_sequence(g: Graph) -> DegreeSeq:
     """Exact degree counts for g."""
+    tail, head = links(g)
     if g.directed:
-        k_out = np.zeros(g.n, dtype=np.int64)
-        k_in = np.zeros(g.n, dtype=np.int64)
-        for i, j in g.edges:
-            k_out[i] += 1
-            k_in[j] += 1
-        return DegreeSeq(directed=True, L=g.m, k_out=k_out, k_in=k_in)
-    k = np.zeros(g.n, dtype=np.int64)
-    for i, j in g.edges:
-        k[i] += 1
-        k[j] += 1
-    return DegreeSeq(directed=False, L=g.m, k=k)
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Return g with node i renamed to perm[i] (perm is a permutation of range(n))."""
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError("perm must be a permutation of range(n)")
-    edges = []
-    weights = {}
-    for i, j in g.edges:
-        edges.append((perm[i], perm[j]))
-        if g.weights is not None and (i, j) in g.weights:
-            weights[(perm[i], perm[j])] = g.weights[(i, j)]
-    labels = None
-    if g.labels is not None:
-        labels = [""] * g.n
-        for i in range(g.n):
-            labels[perm[i]] = g.labels[i]
-    return make_graph(g.n, edges, directed=g.directed, labels=labels,
-                      weights=weights if weights else None)
+        return DegreeSeq(directed=True, L=g.m,
+                         k_out=np.bincount(tail, minlength=g.n),
+                         k_in=np.bincount(head, minlength=g.n))
+    return DegreeSeq(directed=False, L=g.m, k=np.bincount(tail, minlength=g.n))

@@ -8,18 +8,21 @@ Nodes with equal degrees (equal (k_out, k_in) when directed) share one
 fitness value and one pin for each other class, so every solve runs on the
 C distinct degrees instead of the n nodes ("degree reduction", Vallarano et
 al., Sci. Rep. 11:15227, 2021): an iteration costs O(C^2), and n x n arrays
-are built only when the class solution is expanded to a ProbMatrix. One
-class core serves the benchmark and conditioned solves of both models; only
-the fixed-point loop differs between them. The class iteration makes the
-node-level iterates in exact arithmetic; in floating point its results can
-differ from them in the 12th significant digit.
+are built only when the class solution is expanded to a ProbMatrix. The
+class iteration makes the node-level iterates in exact arithmetic; in
+floating point its results can differ from them in the 12th significant
+digit.
 
-The loops iterate a stack of class systems with the same class count at
-once, each to its own convergence, and a single solve is a stack of one.
-`solve_each_conditioned` feeds them the n one-node conditioned systems of a
-graph in such stacks, so the per-step call overhead is paid once per stack
-instead of once per node; its results equal those of
-`solve_conditioned_set` bit for bit.
+Every ensemble of a graph is solved by one route: the ensemble conditioned
+on a node set, whose links are fixed to the observed ones. The benchmark
+(`solve_benchmark`) is the ensemble conditioned on no node,
+`solve_conditioned_set` conditions on one set, and `solve_each_conditioned`
+on each node in turn. The route iterates a stack of class systems with the
+same class count at once, each to its own convergence, so the n one-node
+systems of a ranking pay the per-step call overhead once per stack instead
+of once per node; each result is bit-identical to the one its system gives
+when solved alone. A degree sequence without a graph (`solve_ubcm`,
+`solve_dbcm`) is solved as a stack of one by the same loop.
 
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
@@ -45,7 +48,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import DegreeSeq, Graph, degree_sequence
+from .graphs import DegreeSeq, Graph, links
 
 # forced-mask codes
 FREE = 0          # solved by the iteration (or exactly zero via x_i = 0)
@@ -392,20 +395,6 @@ def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
     return x, y, p, residual, iterations
 
 
-def _core(k_out: np.ndarray, k_in: np.ndarray, directed: bool,
-          opts: SolverOptions):
-    """The class system of int64 degrees and its solution (system, x, y, p,
-    residual, iterations), x, y and p per class. Undirected degrees come as
-    k_out = k_in = k and return y = x."""
-    s = _system(k_out, k_in)
-    x, y, p, residual, iterations = _solve_systems([s], directed, opts)
-    if not residual[0] <= opts.tolerance:  # NaN fails too
-        raise SolverError("degree-constrained solve did not converge",
-                          residual=float(residual[0]),
-                          iterations=int(iterations[0]))
-    return s, x[0], y[0], p[0], float(residual[0]), int(iterations[0])
-
-
 # ---------------------------------------------------------------------------
 # public solves
 # ---------------------------------------------------------------------------
@@ -423,12 +412,17 @@ def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
     if not directed and int(k_out.sum()) % 2 != 0:
         raise InputError("undirected degree sum must be even")
 
-    s, x, y, p, residual, iterations = _core(
-        k_out, k_in, directed, opts or SolverOptions())
-    params = ParamVector(directed=directed, x=x[s.cls],
-                         y=y[s.cls] if directed else None,
+    opts = opts or SolverOptions()
+    s = _system(k_out, k_in)
+    x, y, p, residual, iterations = _solve_systems([s], directed, opts)
+    residual, iterations = float(residual[0]), int(iterations[0])
+    if not residual <= opts.tolerance:  # NaN fails too
+        raise SolverError("degree-constrained solve did not converge",
+                          residual=residual, iterations=iterations)
+    params = ParamVector(directed=directed, x=x[0][s.cls],
+                         y=y[0][s.cls] if directed else None,
                          residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, s.cls),
+    return params, ProbMatrix(n=n, directed=directed, p=_expand(p[0], s.cls),
                               forced=_expand(s.forced, s.cls))
 
 
@@ -450,22 +444,14 @@ def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
     return _solve(deg.k_out, deg.k_in, True, opts)
 
 
-def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
-    """Configuration-model probabilities for g's own degree sequence."""
-    deg = degree_sequence(g)
-    if g.directed:
-        return solve_dbcm(deg, opts)[1]
-    return solve_ubcm(deg, opts)[1]
-
-
-def _links(g: Graph):
-    """Tails and heads of g's links; an undirected edge gives both
-    directions."""
-    e = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    if not g.directed:
-        e = np.concatenate([e, e[:, ::-1]])
-    return e[:, 0], e[:, 1]
-
+# ---------------------------------------------------------------------------
+# graph solves
+# ---------------------------------------------------------------------------
+#
+# Every ensemble of a graph g is g's ensemble conditioned on a node set: the
+# links of the set's nodes are fixed to the observed ones, and the other
+# nodes form a plain configuration model on the degrees left among
+# themselves. The empty set gives the benchmark.
 
 def _known(n: int, cond) -> np.ndarray:
     """Mask of the conditioned nodes."""
@@ -500,15 +486,41 @@ def _conditioned_matrix(g: Graph, links, known: np.ndarray, s: _System,
     return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
 
 
-def solve_conditioned_set(g: Graph, nodes: Iterable[int],
-                          opts: SolverOptions | None = None) -> ProbMatrix:
-    """Solve the ensemble conditioned on the exact link patterns of `nodes`.
+def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
+    """Yield (j, ProbMatrix | None, residual, iterations) for every node set
+    sets[j]: g's ensemble conditioned on that set, or None where its solve
+    did not converge.
 
-    Every entry incident to a conditioned node is pinned to the observed
-    adjacency value; the remaining nodes are solved with degrees reduced by
-    their (now known) links into the conditioned set.
+    The systems are grouped by class count C and each group is split into
+    blocks of at most STACK_ELEMENTS class pairs (B C^2). A block is built,
+    iterated as one stack and expanded one set at a time as the caller
+    consumes it, so one block and one n x n matrix are alive at once. Sets
+    come in block order, not in list order; a result does not depend on the
+    stack it was solved in.
     """
-    opts = opts or SolverOptions()
+    tails_heads = links(g)
+    counts = np.array([len(_classes(*_conditioned_degrees(
+        tails_heads, _known(g.n, nodes)))[1]) for nodes in sets])
+    for c in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
+        group = np.flatnonzero(counts == c)
+        size = max(1, STACK_ELEMENTS // max(c * c, 1))
+        for start in range(0, len(group), size):
+            block = group[start:start + size]
+            known = [_known(g.n, sets[j]) for j in block]
+            systems = [_system(*_conditioned_degrees(tails_heads, k))
+                       for k in known]
+            _, _, p, residual, iterations = _solve_systems(systems, g.directed,
+                                                           opts)
+            for j, k, s, p_cls, res, its in zip(block, known, systems, p,
+                                                 residual, iterations):
+                pm = (_conditioned_matrix(g, tails_heads, k, s, p_cls)
+                      if res <= opts.tolerance else None)
+                yield int(j), pm, float(res), int(its)
+
+
+def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:
+    """The sorted distinct nodes of a conditioning set, which must be a
+    non-empty proper subset of g's nodes."""
     cond = sorted(set(int(v) for v in nodes))
     if not cond:
         raise InputError("conditioning set must be non-empty")
@@ -517,49 +529,43 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
             raise InputError(f"conditioned node {v} out of range")
     if len(cond) >= g.n:
         raise InputError("conditioning set must be a proper subset of the nodes")
+    return cond
 
-    links, known = _links(g), _known(g.n, cond)
-    try:
-        s, _, _, p, _, _ = _core(*_conditioned_degrees(links, known),
-                                 g.directed, opts)
-    except SolverError as exc:
-        raise SolverError("conditioned solve did not converge",
-                          residual=exc.residual, iterations=exc.iterations,
-                          node=cond[0] if len(cond) == 1 else None) from exc
-    return _conditioned_matrix(g, links, known, s, p)
+
+def _solve_set(g: Graph, cond: list[int], opts: SolverOptions | None):
+    """g's ensemble conditioned on one node set; raises SolverError, naming
+    the node of a one-node set, if the solve does not converge."""
+    ((_, pm, residual, iterations),) = _solve_graph(g, [cond],
+                                                    opts or SolverOptions())
+    if pm is None:
+        raise SolverError("degree-constrained solve did not converge",
+                          residual=residual, iterations=iterations,
+                          node=cond[0] if len(cond) == 1 else None)
+    return pm
+
+
+def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
+    """Configuration-model probabilities for g's own degree sequence: the
+    ensemble conditioned on no node."""
+    return _solve_set(g, [], opts)
+
+
+def solve_conditioned_set(g: Graph, nodes: Iterable[int],
+                          opts: SolverOptions | None = None) -> ProbMatrix:
+    """Solve the ensemble conditioned on the exact link patterns of `nodes`.
+
+    Every entry incident to a conditioned node is pinned to the observed
+    adjacency value; the remaining nodes are solved with degrees reduced by
+    their (now known) links into the conditioned set.
+    """
+    return _solve_set(g, _conditioning_set(g, nodes), opts)
 
 
 def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
     """Yield (node, ProbMatrix | None) for every node of g: the ensemble
     conditioned on that node alone, equal to solve_conditioned_set(g, [node])
-    bit for bit, or None where its solve did not converge.
-
-    The n systems are grouped by class count C and each group is split into
-    blocks of at most STACK_ELEMENTS class pairs (B C^2). A block is built,
-    iterated as one stack and expanded one node at a time as the caller
-    consumes it, so one block and one n x n matrix are alive at once. Nodes
-    come in block order, not in index order.
-    """
-    opts = opts or SolverOptions()
-    if g.n == 1:
-        raise InputError("conditioning set must be a proper subset of the nodes")
-    links = _links(g)
-    counts = np.array([len(_classes(*_conditioned_degrees(links, _known(g.n, i)))[1])
-                       for i in range(g.n)])
-    for c in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
-        group = np.flatnonzero(counts == c)
-        size = max(1, STACK_ELEMENTS // max(c * c, 1))
-        for start in range(0, len(group), size):
-            yield from _conditioned_block(g, links, group[start:start + size],
-                                          opts)
-
-
-def _conditioned_block(g: Graph, links, block: np.ndarray, opts: SolverOptions):
-    """solve_each_conditioned on one block of nodes whose systems have the
-    same class count."""
-    known = [_known(g.n, i) for i in block]
-    systems = [_system(*_conditioned_degrees(links, k)) for k in known]
-    _, _, p, residual, _ = _solve_systems(systems, g.directed, opts)
-    for i, k, s, p_cls, res in zip(block, known, systems, p, residual):
-        yield int(i), (_conditioned_matrix(g, links, k, s, p_cls)
-                       if res <= opts.tolerance else None)
+    bit for bit, or None where its solve did not converge. Nodes come in the
+    block order of the stacked solve, not in index order."""
+    sets = [_conditioning_set(g, [i]) for i in range(g.n)]
+    for i, pm, _, _ in _solve_graph(g, sets, opts or SolverOptions()):
+        yield i, pm

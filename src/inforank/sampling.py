@@ -33,20 +33,22 @@ def _draw(pm: ProbMatrix, seed) -> np.ndarray:
     return np.triu(hit, 1)
 
 
-def sample_graph(pm: ProbMatrix, seed) -> Graph:
+def sample_graph(pm: ProbMatrix, seed, labels=None) -> Graph:
     """One graph draw: each free entry is an independent Bernoulli(p_ij).
 
     Undirected matrices use a single draw per unordered pair; entries pinned
-    at 0 or 1 are copied deterministically by the same comparison.
+    at 0 or 1 are copied deterministically by the same comparison. The draw
+    carries `labels`, the node labels of the graph pm was solved for.
     """
     edges = zip(*np.nonzero(_draw(pm, seed)))
-    return make_graph(pm.n, [(int(i), int(j)) for i, j in edges], directed=pm.directed)
+    return make_graph(pm.n, [(int(i), int(j)) for i, j in edges],
+                      directed=pm.directed, labels=labels)
 
 
-def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
+def sample_ensemble(pm: ProbMatrix, spec: SampleSpec, labels=None):
     """Yield spec.count independent draws with per-sample derived seeds."""
     for t in range(spec.count):
-        yield sample_graph(pm, seed=(spec.seed, t))
+        yield sample_graph(pm, seed=(spec.seed, t), labels=labels)
 
 
 def adjacency_sample(pm: ProbMatrix, seed) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Readers of solver results and graph strategies that only the tests need."""
+"""Readers of solver results, graph transforms and graph strategies that
+only the tests need."""
 import numpy as np
 from hypothesis import strategies as st
 
-from inforank import ProbMatrix, make_graph
+from inforank import ClearingProblem, Graph, GraphError, ProbMatrix, make_graph
+from inforank.clearing import _relative_liabilities
 
 
 def row_sums(pm: ProbMatrix) -> np.ndarray:
@@ -13,6 +15,30 @@ def row_sums(pm: ProbMatrix) -> np.ndarray:
 def col_sums(pm: ProbMatrix) -> np.ndarray:
     """Expected in-degree of each node."""
     return pm.p.sum(axis=0)
+
+
+def relative_liabilities(prob: ClearingProblem) -> np.ndarray:
+    """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
+    return _relative_liabilities(prob.L, prob.obligations())
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Return g with node i renamed to perm[i] (perm is a permutation of range(n))."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError("perm must be a permutation of range(n)")
+    edges = []
+    weights = {}
+    for i, j in g.edges:
+        edges.append((perm[i], perm[j]))
+        if g.weights is not None and (i, j) in g.weights:
+            weights[(perm[i], perm[j])] = g.weights[(i, j)]
+    labels = None
+    if g.labels is not None:
+        labels = [""] * g.n
+        for i in range(g.n):
+            labels[perm[i]] = g.labels[i]
+    return make_graph(g.n, edges, directed=g.directed, labels=labels,
+                      weights=weights if weights else None)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from inforank.clearing import RiskExperiment
 from inforank import SampleSpec
 from inforank.generators import erdos_renyi, scale_free_directed
 
+from helpers import relative_liabilities
 from oracles import picard_clearing, polyfit_normal_equations
 
 RING_L = np.array([[0.0, 1.0, 0.0],
@@ -96,7 +97,7 @@ def test_picard_iterates_monotone_from_full_payment():
         prob = ClearingProblem(L=L, Ae=rng.uniform(0, 1.5, n),
                                Le=rng.uniform(0, 0.5, n), alpha=0.8, beta=0.85)
         pbar = prob.obligations()
-        pi = prob.relative_liabilities()
+        pi = relative_liabilities(prob)
         p = pbar.copy()
         for _ in range(200):
             receipts = pi.T @ p

@@ -147,6 +147,28 @@ def test_sample_writes_numbered_files(tmp_path):
     assert files == [f"sample_{t:05d}.edges" for t in range(4)]
 
 
+def test_sample_writes_input_labels(tmp_path):
+    # the same graph, once with names and once with its own indices as
+    # labels: the draws match, written with the names
+    names = ["alice", "bob", "carol", "dave", "erin", "frank"]
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 1)]
+    outs = {}
+    for key, labels in (("names", names), ("indices", list(map(str, range(6))))):
+        path = tmp_path / f"{key}.txt"
+        path.write_text("".join(f"{labels[i]} {labels[j]}\n" for i, j in pairs))
+        outdir = tmp_path / key
+        assert main(["sample", "--input", str(path), "--seed", "3",
+                     "--samples", "5", "--output-dir", str(outdir)]) == EXIT_OK
+        outs[key] = [p.read_text() for p in sorted(outdir.iterdir())]
+    rename = dict(zip(map(str, range(6)), names))
+    for named, indexed in zip(outs["names"], outs["indices"]):
+        lines = indexed.splitlines()
+        assert lines[0].startswith("# seed=3")
+        assert named.splitlines() == lines[:1] + [
+            " ".join(rename[tok] for tok in line.split()) for line in lines[1:]]
+    assert any(len(text.splitlines()) > 1 for text in outs["names"])
+
+
 def test_risk_command_records_fits(tmp_path):
     code, out = run(tmp_path, "risk", "--generate", "scalefree:15,2", "--seed", "7",
                     "--samples", "10")
@@ -275,12 +297,23 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     (["risk", "--generate", "scalefree:12,2", "--mu-a", "inf"], EXIT_CONFIG),
     (["risk", "--generate", "scalefree:12,2", "--mu-l", "nan"], EXIT_CONFIG),
     (["risk", "--input", "WEIGHTS", "--directed"], EXIT_PARSE),
+    (["sample", "--input", "EDGES", "--seed", "-1"], EXIT_CONFIG),
+    (["risk", "--input", "EDGES", "--directed", "--seed", "-1"], EXIT_CONFIG),
+    (["sample", "--generate", "er:10,0.4", "--seed", "-1"], EXIT_CONFIG),
+    (["compare", "--generate", "er:10,0.4", "--alpha", "1.5"], EXIT_CONFIG),
+    (["accuracy", "--generate", "er:10,0.4", "--alpha", "1.5"], EXIT_CONFIG),
+    (["rank", "--generate", "ba:10,2", "--directed"], EXIT_CONFIG),
+    (["rank", "--generate", "star:5", "--directed"], EXIT_CONFIG),
+    (["rank", "--generate", "ring:10,2", "--directed"], EXIT_CONFIG),
 ])
 def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     weights = tmp_path / "weights.txt"
     weights.write_text("a b 1.0\nb c nan\nc a 2.0\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\nb c\nc a\na d\nd b\n")
     counts = count_solves(monkeypatch)
-    argv = [str(weights) if arg == "WEIGHTS" else arg for arg in argv]
+    files = {"WEIGHTS": str(weights), "EDGES": str(edges)}
+    argv = [files.get(arg, arg) for arg in argv]
     assert run(tmp_path, *argv)[0] == code
     assert counts == {"solve_benchmark": 0, "systems": 0, "nodes": []}
 

@@ -10,11 +10,11 @@ from inforank import (ProbMatrix, SolverOptions, UndefinedIndexError,
                       inforank_subset, make_graph, maxent,
                       solve_conditioned_set, solve_dbcm, solve_ubcm)
 from inforank.entropy import DEFAULT_LIMIT_EPS, _h, conditioned_pass
-from inforank.graphs import DegreeSeq, relabel
+from inforank.graphs import DegreeSeq
 from inforank.generators import (barabasi_albert, erdos_renyi, ring_lattice,
                                  scale_free_directed, star)
 
-from helpers import small_graph
+from helpers import relabel, small_graph
 from oracles import entropy_direct
 
 H_EPS = float(_h(1.0 - DEFAULT_LIMIT_EPS))  # entropy floor of one boundary-pinned entry

@@ -8,7 +8,9 @@ from inforank import (GraphError, ParseError, degree_sequence,
                       serialize_edge_list)
 from inforank.entropy import ranking_pass
 from inforank.generators import erdos_renyi
-from inforank.graphs import Graph, relabel
+from inforank.graphs import Graph
+
+from helpers import relabel
 
 
 def test_load_two_edge_path():
@@ -110,11 +112,17 @@ def test_degree_sum_identities_random():
         g = make_graph(n, und)
         deg = degree_sequence(g)
         assert deg.k.sum() == 2 * deg.L
+        a = g.adjacency()
+        assert np.array_equal(deg.k, a.sum(axis=1))
+        assert np.array_equal(deg.k, a.sum(axis=0))
 
         drc = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
         gd = make_graph(n, drc, directed=True)
         degd = degree_sequence(gd)
         assert degd.k_out.sum() == degd.L == degd.k_in.sum()
+        a = gd.adjacency()
+        assert np.array_equal(degd.k_out, a.sum(axis=1))
+        assert np.array_equal(degd.k_in, a.sum(axis=0))
 
 
 def test_out_of_range_edge_rejected():

@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, ProbMatrix,
                       SolverError, SolverOptions, UndefinedIndexError,
-                      degree_sequence, inforank, make_graph,
-                      solve_conditioned_set, solve_dbcm, solve_ubcm)
-from inforank.graphs import DegreeSeq, relabel
+                      degree_sequence, inforank, inforank_subset, make_graph,
+                      maxent, solve_benchmark, solve_conditioned_set,
+                      solve_dbcm, solve_ubcm)
+from inforank.graphs import DegreeSeq
 from inforank.generators import barabasi_albert, erdos_renyi, star
 
-from helpers import col_sums, row_sums, small_graph
+from helpers import col_sums, relabel, row_sums, small_graph
 from oracles import (dbcm_fixed_point, dense_dbcm, dense_ubcm, p4_bisection,
                      pair_ranges, reduced_131_bisection)
 
@@ -212,13 +213,16 @@ def test_conditioned_forced_entries_match_adjacency_bit_exact():
             assert np.all(pm.p[:, node] == a[:, node])
 
 
-def test_conditioned_set_validation():
-    with pytest.raises(InputError):
-        solve_conditioned_set(P4, [])
-    with pytest.raises(InputError):
-        solve_conditioned_set(P4, [0, 1, 2, 3])
-    with pytest.raises(InputError):
-        solve_conditioned_set(P4, [9])
+def test_conditioned_set_validation(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a solve ran before the set was checked")
+
+    monkeypatch.setattr(maxent, "_solve_systems", solve)
+    for bad in ([], [0, 1, 2, 3], [9]):
+        with pytest.raises(InputError):
+            solve_conditioned_set(P4, bad)
+        with pytest.raises(InputError):
+            inforank_subset(P4, bad)
 
 
 def test_conditioned_nonconvergence_names_node():
@@ -407,3 +411,29 @@ def test_class_core_matches_dense_oracle_on_benchmark_graphs(g):
     for sub in (a, rest):
         assert_class_core_matches_dense(sub.sum(axis=1), sub.sum(axis=0),
                                         g.directed)
+
+
+def assert_benchmark_routes_agree(g):
+    """The graph route of solve_benchmark against the degree-sequence route
+    on g's degrees: the same p and forced mask, bit for bit."""
+    solve = solve_dbcm if g.directed else solve_ubcm
+    _, expect = solve(degree_sequence(g))
+    pm = solve_benchmark(g)
+    assert np.array_equal(pm.p, expect.p)
+    assert np.array_equal(pm.forced, expect.forced)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(small_graph())
+def test_benchmark_graph_route_matches_sequence_route(case):
+    assert_benchmark_routes_agree(case[0])
+
+
+@pytest.mark.parametrize("g", [
+    barabasi_albert(120, 3, seed=1),
+    erdos_renyi(80, 0.075, seed=2, directed=True),
+    star(8),
+    make_graph(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1)], directed=True),
+], ids=["ba-120-3", "er-dir-80", "star-8", "dir-face"])
+def test_benchmark_graph_route_matches_sequence_route_on_fixed_graphs(g):
+    assert_benchmark_routes_agree(g)

@@ -5,9 +5,9 @@ from inforank import (FORCED_OBS, InputError, ProbMatrix, RankVector,
                       UndefinedCorrelationError, accuracy_report,
                       degree_sequence, expected_accuracy, make_graph, pearson,
                       rescale, solve_conditioned_set, solve_ubcm)
-from inforank.graphs import relabel
 from inforank.generators import erdos_renyi, star
 
+from helpers import relabel
 from oracles import pearson_two_pass
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
