@@ -11,7 +11,9 @@ recovers the classic fictitious-default clearing payments.
 
 The risk experiment is a per-node scorer (RiskExperiment) over the
 conditioned ensembles of entropy.conditioned_pass; the `risk` command runs it
-in the same pass as the ranking, so each ensemble is solved once.
+in the same pass as the ranking, so each ensemble is solved once. It is the
+only scorer that expands an ensemble to its n x n ProbMatrix: it samples
+adjacency matrices from it.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
-from .maxent import ProbMatrix, SolverOptions
+from .maxent import ClassSolution, SolverOptions
 from .sampling import adjacency_sample
 
 
@@ -153,7 +155,8 @@ class RiskExperiment:
     Externals are drawn once from `seed` and held fixed across every sample
     so that error differences across nodes reflect topology knowledge only.
     Calling the experiment with (node, cond) draws samples_per_node graphs
-    from node's conditioned ensemble `cond`, dresses them with uniform
+    from node's conditioned ensemble `cond` (a ClassSolution, expanded to
+    its ProbMatrix), dresses them with uniform
     weights preserving the observed interbank volume in expectation, clears
     them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
 
@@ -189,12 +192,13 @@ class RiskExperiment:
         if self.norm == 0.0:
             raise InputError("real payment vector is zero; error normalization undefined")
 
-    def __call__(self, node: int, cond: ProbMatrix) -> float:
-        exp_links = float(cond.p.sum())
+    def __call__(self, node: int, cond: ClassSolution) -> float:
+        pm = cond.expand()
+        exp_links = float(pm.p.sum())
         w = self.volume / exp_links if exp_links > 0 else 0.0
         errors = np.empty(self.samples)
         for t in range(self.samples):
-            a_s = adjacency_sample(cond, seed=(self.seed, node, t))
+            a_s = adjacency_sample(pm, seed=(self.seed, node, t))
             p = _clear(a_s * w, self.ae, self.le, self.alpha, self.beta,
                        self.tol, self.max_iter).p
             diff = p - self.p_real

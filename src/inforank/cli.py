@@ -30,7 +30,7 @@ from .errors import (GraphError, InfoRankError, InputError, ParseError,
 from .generators import from_spec
 from .graphs import degree_sequence, load_edge_list, serialize_edge_list
 from .maxent import SolverOptions, solve_benchmark, solve_conditioned_set
-from .recon import AccuracyReport, expected_accuracy, pearson
+from .recon import AccuracyReport, class_accuracy, pearson
 from .sampling import SampleSpec, sample_ensemble
 
 EXIT_OK = 0
@@ -149,6 +149,15 @@ def _check_threads(args) -> None:
         raise InputError(f"thread count must be >= 1, got {threads}")
 
 
+def _pagerank_alpha(args) -> float:
+    """--alpha (default 0.85), checked whether or not PageRank runs, so a
+    bad value fails before any solve."""
+    alpha = args.alpha if args.alpha is not None else 0.85
+    if not 0.0 <= alpha < 1.0:
+        raise InputError(f"damping must satisfy 0 <= alpha < 1, got {alpha}")
+    return alpha
+
+
 def _inforank_vector(report) -> RankVector:
     return RankVector(index_name="inforank",
                       scores=np.where(report.failed, np.nan, report.I),
@@ -189,9 +198,7 @@ def cmd_rank(args) -> int:
 def cmd_compare(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
-    alpha = args.alpha if args.alpha is not None else 0.85
-
-    # the baselines come first, so a bad alpha fails before any solve
+    alpha = _pagerank_alpha(args)
     measures = {"degree": lambda: degree_centrality(g),
                 "closeness": lambda: closeness_centrality(g),
                 "pagerank": lambda: pagerank(g, alpha=alpha),
@@ -234,13 +241,12 @@ def cmd_compare(args) -> int:
 def cmd_accuracy(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
-    alpha = args.alpha if args.alpha is not None else 0.85
-    # made before the pass, so a bad alpha fails before any solve
+    alpha = _pagerank_alpha(args)
     baselines = [degree_centrality(g), closeness_centrality(g),
                  pagerank(g, alpha=alpha)]
     report, bench, (acc,) = ranking_pass(
-        g, (lambda i, pm: expected_accuracy(pm, g),), opts)
-    rep = AccuracyReport.build(expected_accuracy(bench, g), acc,
+        g, (lambda i, sol: class_accuracy(sol),), opts)
+    rep = AccuracyReport.build(class_accuracy(bench), acc,
                                [*baselines, _inforank_vector(report)])
 
     per_node = [{"node": i, "label": g.label(i),
@@ -268,12 +274,12 @@ def cmd_accuracy(args) -> int:
 def cmd_sample(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
+    spec = SampleSpec(count=args.samples, seed=args.seed)
     if args.conditioned_on is not None:
         pm = solve_conditioned_set(g, [args.conditioned_on], opts)
     else:
         pm = solve_benchmark(g, opts)
 
-    spec = SampleSpec(count=args.samples, seed=args.seed)
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,11 @@ re-solving the reduced degree constraints. The n conditioned ensembles come
 from one conditioned pass (`conditioned_pass`), which takes them from
 maxent.solve_each_conditioned and hands each to every per-node scorer.
 
+S is a sum of independent pair entropies, so `class_entropy` scores an
+ensemble on its degree classes (maxent.ClassSolution) as a weighted sum over
+class pairs, with no n x n array. `benchmark_entropy` scores a ProbMatrix
+with the same conventions and stays as its oracle.
+
 Boundary handling: entries pinned by *conditioning* are genuine knowledge and
 carry zero entropy. Entries pinned by the *polytope boundary* (FORCED_LIM,
 see maxent) sit at the boundary limit of the solution; for ranking purposes
@@ -30,9 +35,8 @@ import numpy as np
 
 from .errors import UndefinedIndexError
 from .graphs import DegreeSeq, Graph, degree_sequence
-from .maxent import (FORCED_LIM, FORCED_OBS, ProbMatrix, SolverOptions,
-                     solve_benchmark, solve_conditioned_set,
-                     solve_each_conditioned)
+from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ClassSolution, ProbMatrix,
+                     SolverOptions, solve_classes, solve_each_conditioned)
 
 LOG_CLIP = 1e-15           # clamp inside logarithms only, never in residuals
 DEFAULT_LIMIT_EPS = 1e-10  # regularization distance for boundary-pinned entries
@@ -45,12 +49,12 @@ def _h(p: np.ndarray) -> np.ndarray:
              + (1.0 - p) * np.log(np.clip(1.0 - p, LOG_CLIP, None)))
 
 
-def _entry_entropies(pm: ProbMatrix, limit_eps: float) -> np.ndarray:
-    """Per-entry entropy matrix honoring the forced-mask conventions."""
-    h = _h(pm.p)
-    h[pm.forced == FORCED_OBS] = 0.0
-    h[pm.forced == FORCED_LIM] = _h(1.0 - limit_eps) if limit_eps > 0.0 else 0.0
-    np.fill_diagonal(h, 0.0)
+def _entry_entropies(p: np.ndarray, forced: np.ndarray,
+                     limit_eps: float) -> np.ndarray:
+    """Per-entry entropies of p honoring the forced-mask conventions."""
+    h = _h(p)
+    h[forced == FORCED_OBS] = 0.0
+    h[forced == FORCED_LIM] = _h(1.0 - limit_eps) if limit_eps > 0.0 else 0.0
     return h
 
 
@@ -61,7 +65,8 @@ def benchmark_entropy(pm: ProbMatrix, limit_eps: float = 0.0):
     all ordered pairs. In both cases S_0 = (1/2) sum_i contrib_i exactly,
     with a directed node's contribution covering its row and column terms.
     """
-    h = _entry_entropies(pm, limit_eps)
+    h = _entry_entropies(pm.p, pm.forced, limit_eps)
+    np.fill_diagonal(h, 0.0)
     if pm.directed:
         contrib = h.sum(axis=1) + h.sum(axis=0)
         s0 = float(h.sum())
@@ -69,6 +74,24 @@ def benchmark_entropy(pm: ProbMatrix, limit_eps: float = 0.0):
         contrib = h.sum(axis=1)
         s0 = 0.5 * float(h.sum())
     return s0, contrib
+
+
+def class_entropy(sol: ClassSolution, limit_eps: float = 0.0):
+    """benchmark_entropy of sol.expand(), summed over class pairs.
+
+    A free node of class c has partners[c, d] pairs with class d, each of
+    entropy h_cd (and h_dc for its column when directed); pairs that touch
+    a known node are pinned by conditioning and score 0.
+    """
+    h = _entry_entropies(sol.p, sol.forced, limit_eps)
+    partners = sol.partners
+    row = (partners * h).sum(axis=1)
+    s = float(sol.m @ row)
+    if sol.directed:
+        row = row + (partners * h.T).sum(axis=1)
+    else:
+        s *= 0.5
+    return s, np.append(row, 0.0)[sol.node_cls]
 
 
 @dataclass
@@ -108,46 +131,46 @@ def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None) -> np
     """Score every node's conditioned ensemble with each of `scorers`.
 
     Node i's ensemble is solved once, by maxent.solve_each_conditioned, and
-    handed to every scorer(i, pm); row k of the result holds scorers[k] per
-    node, NaN where the conditioned solve failed. The nodes arrive in the
-    order of the solver's stacks, not by index, and each matrix is dropped
-    once scored.
+    handed to every scorer(i, sol) as a maxent.ClassSolution; row k of the
+    result holds scorers[k] per node, NaN where the conditioned solve
+    failed. The nodes arrive in the order of the solver's stacks, not by
+    index.
     """
     values = np.full((len(scorers), g.n), np.nan)
-    for i, pm in solve_each_conditioned(g, opts):
-        if pm is not None:
-            values[:, i] = [score(i, pm) for score in scorers]
-        del pm  # before the next matrix is built
+    for i, sol in solve_each_conditioned(g, opts):
+        if sol is not None:
+            values[:, i] = [score(i, sol) for score in scorers]
     return values
 
 
 def _benchmark(g: Graph, opts: SolverOptions | None):
-    """The benchmark ProbMatrix, S0 and its per-node contributions; raises
-    UndefinedIndexError when the benchmark leaves the index undefined."""
-    pm = solve_benchmark(g, opts)
-    s0, contrib = benchmark_entropy(pm, DEFAULT_LIMIT_EPS)
-    if not pm.free_mask().any():
+    """The benchmark ClassSolution, S0 and its per-node contributions;
+    raises UndefinedIndexError when the benchmark leaves the index
+    undefined."""
+    sol = solve_classes(g, None, opts)
+    s0, contrib = class_entropy(sol, DEFAULT_LIMIT_EPS)
+    if not ((sol.forced == FREE) & (sol.partners > 0)).any():
         raise UndefinedIndexError(
             "benchmark ensemble is fully deterministic (no free entries); "
             "the ranking index is undefined")
     if s0 <= 0.0:
         raise UndefinedIndexError(
             "benchmark entropy is zero; the ranking index is undefined")
-    return pm, s0, contrib
+    return sol, s0, contrib
 
 
 def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
     """Rank every node, scoring its conditioned ensemble with `scorers` too.
 
     One benchmark solve, then one conditioned pass shared by the entropy and
-    every scorer. Returns the EntropyReport, the benchmark ProbMatrix and one
-    row of per-node values per scorer (NaN where the solve failed).
+    every scorer. Returns the EntropyReport, the benchmark ClassSolution and
+    one row of per-node values per scorer (NaN where the solve failed).
     """
     deg = degree_sequence(g)
-    pm, s0, contrib = _benchmark(g, opts)
+    bench, s0, contrib = _benchmark(g, opts)
     s_cond, *extra = conditioned_pass(
-        g, (lambda i, cond: benchmark_entropy(cond, DEFAULT_LIMIT_EPS)[0],
-            *scorers), opts)
+        g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS)[0], *scorers),
+        opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
         S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
@@ -156,7 +179,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
         k_out=deg.k_out if g.directed else None,
         k_in=deg.k_in if g.directed else None,
     )
-    return report, pm, extra
+    return report, bench, extra
 
 
 def inforank(g: Graph, opts: SolverOptions | None = None) -> EntropyReport:
@@ -174,9 +197,9 @@ def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None) -> float
     The subset is solved first, so an invalid one raises InputError before
     the benchmark is solved.
     """
-    cond = solve_conditioned_set(g, nodes, opts)
+    cond = solve_classes(g, nodes, opts)
     s0 = _benchmark(g, opts)[1]
-    return float(1.0 - benchmark_entropy(cond, DEFAULT_LIMIT_EPS)[0] / s0)
+    return float(1.0 - class_entropy(cond, DEFAULT_LIMIT_EPS)[0] / s0)
 
 
 # ---------------------------------------------------------------------------

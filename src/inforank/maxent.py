@@ -14,15 +14,18 @@ floating point its results can differ from them in the 12th significant
 digit.
 
 Every ensemble of a graph is solved by one route: the ensemble conditioned
-on a node set, whose links are fixed to the observed ones. The benchmark
-(`solve_benchmark`) is the ensemble conditioned on no node,
-`solve_conditioned_set` conditions on one set, and `solve_each_conditioned`
-on each node in turn. The route iterates a stack of class systems with the
-same class count at once, each to its own convergence, so the n one-node
-systems of a ranking pay the per-step call overhead once per stack instead
-of once per node; each result is bit-identical to the one its system gives
-when solved alone. A degree sequence without a graph (`solve_ubcm`,
-`solve_dbcm`) is solved as a stack of one by the same loop.
+on a node set, whose links are fixed to the observed ones. The benchmark is
+the ensemble conditioned on no node, `solve_classes` solves either, and
+`solve_each_conditioned` conditions on each node in turn. The route
+iterates a stack of class systems with the same class count at once, each
+to its own convergence, so the n one-node systems of a ranking pay the
+per-step call overhead once per stack instead of once per node; each result
+is bit-identical to the one its system gives when solved alone. A degree
+sequence without a graph (`solve_ubcm`, `solve_dbcm`) is solved as a stack
+of one by the same loop.
+
+The route yields a ClassSolution, which the scorers read in O(C^2 + n + m);
+only the public ProbMatrix solves and the risk sampler expand it to n x n.
 
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
@@ -99,11 +102,6 @@ class ProbMatrix:
         np.fill_diagonal(self.p, 0.0)
         if not (self.p.min() >= 0.0 and self.p.max() <= 1.0):  # NaN fails too
             raise InputError("probabilities must lie in [0, 1]")
-
-    def free_mask(self) -> np.ndarray:
-        m = self.forced == FREE
-        np.fill_diagonal(m, False)
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +451,46 @@ def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
 # nodes form a plain configuration model on the degrees left among
 # themselves. The empty set gives the benchmark.
 
+@dataclass
+class ClassSolution:
+    """A graph's ensemble conditioned on a node set, on degree classes.
+
+    The known (conditioned) nodes keep their observed links. Every other
+    node i has class node_cls[i], and the pair (i, j) of two such nodes has
+    probability p[node_cls[i], node_cls[j]] and provenance
+    forced[node_cls[i], node_cls[j]] (FREE or FORCED_LIM). The known nodes
+    have class C, one past the last. `expand` builds the node-level
+    ProbMatrix.
+    """
+
+    n: int
+    directed: bool
+    links: tuple[np.ndarray, np.ndarray]  # the graph's tails and heads
+    known: np.ndarray     # bool per node
+    node_cls: np.ndarray  # class per node, C for the known nodes
+    m: np.ndarray         # free nodes per class
+    p: np.ndarray         # (C, C) class probabilities
+    forced: np.ndarray    # (C, C) int8 FREE / FORCED_LIM
+
+    @property
+    def partners(self) -> np.ndarray:
+        """partners[c, d]: the free nodes of class d a node of class c can
+        link to."""
+        return _partners(self.m)
+
+    def expand(self) -> ProbMatrix:
+        """The node-level ProbMatrix: the free nodes' class values, and the
+        known nodes' rows and columns set to their observed links
+        (FORCED_OBS)."""
+        p = _expand(np.pad(self.p, (0, 1)), self.node_cls)
+        forced = _expand(np.pad(self.forced, (0, 1), constant_values=FORCED_OBS),
+                         self.node_cls)
+        tail, head = self.links
+        seen = self.known[tail] | self.known[head]
+        p[tail[seen], head[seen]] = 1.0
+        return ProbMatrix(n=self.n, directed=self.directed, p=p, forced=forced)
+
+
 def _known(n: int, cond) -> np.ndarray:
     """Mask of the conditioned nodes."""
     known = np.zeros(n, dtype=bool)
@@ -470,33 +508,16 @@ def _conditioned_degrees(links, known: np.ndarray):
             np.bincount(head[among], minlength=len(known))[~known])
 
 
-def _conditioned_matrix(g: Graph, links, known: np.ndarray, s: _System,
-                        p_cls: np.ndarray) -> ProbMatrix:
-    """Expand the class solution p_cls of the free nodes' system s, with the
-    known nodes as one more class whose rows and columns take their
-    observed links."""
-    node_cls = np.full(g.n, len(p_cls))
-    node_cls[~known] = s.cls
-    p = _expand(np.pad(p_cls, (0, 1)), node_cls)
-    forced = _expand(np.pad(s.forced, (0, 1), constant_values=FORCED_OBS),
-                     node_cls)
-    tail, head = links
-    seen = known[tail] | known[head]
-    p[tail[seen], head[seen]] = 1.0
-    return ProbMatrix(n=g.n, directed=g.directed, p=p, forced=forced)
-
-
 def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
-    """Yield (j, ProbMatrix | None, residual, iterations) for every node set
-    sets[j]: g's ensemble conditioned on that set, or None where its solve
-    did not converge.
+    """Yield (j, ClassSolution | None, residual, iterations) for every node
+    set sets[j]: g's ensemble conditioned on that set, or None where its
+    solve did not converge.
 
     The systems are grouped by class count C and each group is split into
-    blocks of at most STACK_ELEMENTS class pairs (B C^2). A block is built,
-    iterated as one stack and expanded one set at a time as the caller
-    consumes it, so one block and one n x n matrix are alive at once. Sets
-    come in block order, not in list order; a result does not depend on the
-    stack it was solved in.
+    blocks of at most STACK_ELEMENTS class pairs (B C^2), which is built and
+    iterated as one stack as the caller consumes it. Sets come in block
+    order, not in list order; a result does not depend on the stack it was
+    solved in.
     """
     tails_heads = links(g)
     counts = np.array([len(_classes(*_conditioned_degrees(
@@ -513,9 +534,13 @@ def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
                                                            opts)
             for j, k, s, p_cls, res, its in zip(block, known, systems, p,
                                                  residual, iterations):
-                pm = (_conditioned_matrix(g, tails_heads, k, s, p_cls)
-                      if res <= opts.tolerance else None)
-                yield int(j), pm, float(res), int(its)
+                sol = None
+                if res <= opts.tolerance:
+                    node_cls = np.full(g.n, c)
+                    node_cls[~k] = s.cls
+                    sol = ClassSolution(g.n, g.directed, tails_heads, k,
+                                        node_cls, s.m, p_cls, s.forced)
+                yield int(j), sol, float(res), int(its)
 
 
 def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:
@@ -532,22 +557,29 @@ def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:
     return cond
 
 
-def _solve_set(g: Graph, cond: list[int], opts: SolverOptions | None):
-    """g's ensemble conditioned on one node set; raises SolverError, naming
-    the node of a one-node set, if the solve does not converge."""
-    ((_, pm, residual, iterations),) = _solve_graph(g, [cond],
-                                                    opts or SolverOptions())
-    if pm is None:
+def solve_classes(g: Graph, nodes: Iterable[int] | None = None,
+                  opts: SolverOptions | None = None) -> ClassSolution:
+    """g's ensemble on degree classes: the benchmark when `nodes` is None,
+    else the ensemble conditioned on the exact link patterns of `nodes`, a
+    non-empty proper subset of g's nodes.
+
+    Raises SolverError, naming the node of a one-node set, if the solve
+    does not converge.
+    """
+    cond = [] if nodes is None else _conditioning_set(g, nodes)
+    ((_, sol, residual, iterations),) = _solve_graph(g, [cond],
+                                                     opts or SolverOptions())
+    if sol is None:
         raise SolverError("degree-constrained solve did not converge",
                           residual=residual, iterations=iterations,
                           node=cond[0] if len(cond) == 1 else None)
-    return pm
+    return sol
 
 
 def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
     """Configuration-model probabilities for g's own degree sequence: the
     ensemble conditioned on no node."""
-    return _solve_set(g, [], opts)
+    return solve_classes(g, None, opts).expand()
 
 
 def solve_conditioned_set(g: Graph, nodes: Iterable[int],
@@ -558,14 +590,14 @@ def solve_conditioned_set(g: Graph, nodes: Iterable[int],
     adjacency value; the remaining nodes are solved with degrees reduced by
     their (now known) links into the conditioned set.
     """
-    return _solve_set(g, _conditioning_set(g, nodes), opts)
+    return solve_classes(g, nodes, opts).expand()
 
 
 def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
-    """Yield (node, ProbMatrix | None) for every node of g: the ensemble
-    conditioned on that node alone, equal to solve_conditioned_set(g, [node])
-    bit for bit, or None where its solve did not converge. Nodes come in the
+    """Yield (node, ClassSolution | None) for every node of g: the ensemble
+    conditioned on that node alone, equal to solve_classes(g, [node]) bit
+    for bit, or None where its solve did not converge. Nodes come in the
     block order of the stacked solve, not in index order."""
     sets = [_conditioning_set(g, [i]) for i in range(g.n)]
-    for i, pm, _, _ in _solve_graph(g, sets, opts or SolverOptions()):
-        yield i, pm
+    for i, sol, _, _ in _solve_graph(g, sets, opts or SolverOptions()):
+        yield i, sol

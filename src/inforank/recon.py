@@ -6,6 +6,12 @@ Undirected graphs evaluate ordered pairs symmetrically, which leaves the
 value unchanged. The per-node accuracies are scored on the conditioned
 ensembles of entropy.conditioned_pass, so a caller that also ranks (the
 `accuracy` command, via entropy.ranking_pass) solves each ensemble once.
+
+`class_accuracy` scores an ensemble on its degree classes
+(maxent.ClassSolution) with no n x n array: the pair sum of 1 - p over the
+free class pairs, plus 2p - 1 gathered on the observed links among the free
+nodes, plus 1 for each pair that touches a conditioned node.
+`expected_accuracy` scores a ProbMatrix and stays as its oracle.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from .centrality import RankVector
 from .entropy import conditioned_pass
 from .errors import InputError, UndefinedCorrelationError
 from .graphs import Graph
-from .maxent import ProbMatrix, SolverOptions, solve_benchmark
+from .maxent import ClassSolution, ProbMatrix, SolverOptions, solve_classes
 
 
 def expected_accuracy(pm: ProbMatrix, g: Graph) -> float:
@@ -30,6 +36,20 @@ def expected_accuracy(pm: ProbMatrix, g: Graph) -> float:
     terms = a * pm.p + (1.0 - a) * (1.0 - pm.p)
     np.fill_diagonal(terms, 0.0)
     return float(terms.sum() / (g.n * (g.n - 1)))
+
+
+def class_accuracy(sol: ClassSolution) -> float:
+    """expected_accuracy of sol.expand() against the graph sol was solved
+    for, summed over class pairs."""
+    n, f = sol.n, int(sol.m.sum())
+    if n < 2:
+        raise InputError("accuracy needs at least two nodes")
+    tail, head = sol.links
+    among = ~(sol.known[tail] | sol.known[head])
+    on_links = sol.p[sol.node_cls[tail[among]], sol.node_cls[head[among]]]
+    total = (sol.m @ (sol.partners * (1.0 - sol.p))).sum()
+    total += (2.0 * on_links - 1.0).sum() + (n * (n - 1) - f * (f - 1))
+    return float(total / (n * (n - 1)))
 
 
 def pearson(x, y) -> float:
@@ -79,7 +99,6 @@ class AccuracyReport:
 def accuracy_report(g: Graph, ranks: list[RankVector],
                     opts: SolverOptions | None = None) -> AccuracyReport:
     """Per-node accuracies plus Pearson r against each rescaled rank vector."""
-    opts = opts or SolverOptions()
-    a_bench = expected_accuracy(solve_benchmark(g, opts), g)
-    (acc,) = conditioned_pass(g, (lambda i, pm: expected_accuracy(pm, g),), opts)
+    a_bench = class_accuracy(solve_classes(g, None, opts))
+    (acc,) = conditioned_pass(g, (lambda i, sol: class_accuracy(sol),), opts)
     return AccuracyReport.build(a_bench, acc, ranks)

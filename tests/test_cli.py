@@ -21,13 +21,13 @@ def count_solves(monkeypatch):
     """Count benchmark solves wherever inforank calls them, the class
     systems that reach the fixed-point loops (one per solve), and the nodes
     whose conditioned ensembles the conditioned pass hands out."""
-    counts = {"solve_benchmark": 0, "systems": 0, "nodes": []}
-    real_bench, real_each = maxent.solve_benchmark, maxent.solve_each_conditioned
+    counts = {"benchmark": 0, "systems": 0, "nodes": []}
+    real_bench, real_each = maxent.solve_classes, maxent.solve_each_conditioned
     real_systems = maxent._solve_systems
 
-    def bench(*args, **kwargs):
-        counts["solve_benchmark"] += 1
-        return real_bench(*args, **kwargs)
+    def bench(g, nodes=None, *args, **kwargs):
+        counts["benchmark"] += nodes is None
+        return real_bench(g, nodes, *args, **kwargs)
 
     def each(*args, **kwargs):
         for node, pm in real_each(*args, **kwargs):
@@ -283,8 +283,31 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     assert code == EXIT_OK
     n = json.loads(out.read_text())["n"]
     # the benchmark system and each of the n conditioned systems, once
-    assert counts["solve_benchmark"] == 1 and counts["systems"] == n + 1
+    assert counts["benchmark"] == 1 and counts["systems"] == n + 1
     assert sorted(counts["nodes"]) == list(range(n))
+
+
+@pytest.mark.parametrize("argv, expansions", [
+    (["rank", "--generate", "ba:60,3", "--seed", "1"], 0),
+    (["accuracy", "--generate", "ba:60,3", "--seed", "1"], 0),
+    (["rank", "--generate", "er:40,0.1", "--seed", "2", "--directed"], 0),
+    (["accuracy", "--generate", "er:40,0.1", "--seed", "2", "--directed"], 0),
+    (["compare", "--generate", "scalefree:30,2", "--seed", "3"], 0),
+    (["risk", "--generate", "scalefree:30,2", "--seed", "3", "--samples", "2"],
+     30),
+])
+def test_only_risk_expands_to_node_matrices(tmp_path, monkeypatch, argv,
+                                             expansions):
+    # ranking and accuracy score every ensemble on its degree classes; only
+    # the risk scorer builds each node's n x n matrix, to sample from it
+    calls = []
+    expand = maxent.ClassSolution.expand
+    monkeypatch.setattr(maxent.ClassSolution, "expand",
+                        lambda sol: calls.append(sol) or expand(sol))
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    assert len(calls) == expansions
+    assert all(sol.known.sum() == 1 for sol in calls)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -305,6 +328,15 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     (["rank", "--generate", "ba:10,2", "--directed"], EXIT_CONFIG),
     (["rank", "--generate", "star:5", "--directed"], EXIT_CONFIG),
     (["rank", "--generate", "ring:10,2", "--directed"], EXIT_CONFIG),
+    (["compare", "--generate", "er:10,0.4", "--measure", "inforank",
+      "--alpha", "1.5"], EXIT_CONFIG),
+    (["compare", "--generate", "er:10,0.4", "--measure", "degree",
+      "--alpha", "nan"], EXIT_CONFIG),
+    (["compare", "--generate", "er:10,0.4", "--measure", "closeness",
+      "--alpha", "-0.1"], EXIT_CONFIG),
+    (["sample", "--generate", "ba:60,3", "--samples", "0"], EXIT_CONFIG),
+    (["sample", "--generate", "er:10,0.4", "--conditioned-on", "2",
+      "--samples", "-1"], EXIT_CONFIG),
 ])
 def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     weights = tmp_path / "weights.txt"
@@ -315,7 +347,7 @@ def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     files = {"WEIGHTS": str(weights), "EDGES": str(edges)}
     argv = [files.get(arg, arg) for arg in argv]
     assert run(tmp_path, *argv)[0] == code
-    assert counts == {"solve_benchmark": 0, "systems": 0, "nodes": []}
+    assert counts == {"benchmark": 0, "systems": 0, "nodes": []}
 
 
 def test_twelve_significant_digit_output(tmp_path):

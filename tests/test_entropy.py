@@ -9,10 +9,12 @@ from inforank import (ProbMatrix, SolverOptions, UndefinedIndexError,
                       degree_sequence, expected_accuracy, inforank,
                       inforank_subset, make_graph, maxent,
                       solve_conditioned_set, solve_dbcm, solve_ubcm)
-from inforank.entropy import DEFAULT_LIMIT_EPS, _h, conditioned_pass
+from inforank.entropy import (DEFAULT_LIMIT_EPS, _h, class_entropy,
+                              conditioned_pass)
 from inforank.graphs import DegreeSeq
 from inforank.generators import (barabasi_albert, erdos_renyi, ring_lattice,
                                  scale_free_directed, star)
+from inforank.recon import class_accuracy
 
 from helpers import relabel, small_graph
 from oracles import entropy_direct
@@ -136,12 +138,33 @@ def test_stacked_pass_matches_single_solves(case, budget):
     g, _ = case
     with mock.patch.object(maxent, "STACK_ELEMENTS", budget):
         s_cond, acc = conditioned_pass(
-            g, (lambda i, pm: benchmark_entropy(pm, DEFAULT_LIMIT_EPS)[0],
-                lambda i, pm: expected_accuracy(pm, g)))
+            g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS)[0],
+                lambda i, sol: class_accuracy(sol)))
     for i in range(g.n):
-        pm = solve_conditioned_set(g, [i])
-        assert s_cond[i] == benchmark_entropy(pm, DEFAULT_LIMIT_EPS)[0]
-        assert acc[i] == expected_accuracy(pm, g)
+        sol = maxent.solve_classes(g, [i])
+        assert s_cond[i] == class_entropy(sol, DEFAULT_LIMIT_EPS)[0]
+        assert acc[i] == class_accuracy(sol)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_graph(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, DEFAULT_LIMIT_EPS]))
+def test_class_scoring_matches_dense_scoring(case, draw_seed, eps):
+    # the benchmark, a one-node set and a larger set, scored on classes and
+    # on the expanded ProbMatrix by the dense oracle
+    g, node = case
+    rng = np.random.default_rng(draw_seed)
+    big = rng.choice(g.n, size=int(rng.integers(min(2, g.n - 1), g.n)),
+                     replace=False)
+    for nodes in (None, [node], big.tolist()):
+        sol = maxent.solve_classes(g, nodes)
+        pm = sol.expand()
+        s, contrib = class_entropy(sol, eps)
+        s_dense, contrib_dense = benchmark_entropy(pm, eps)
+        np.testing.assert_allclose(s, s_dense, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(contrib, contrib_dense, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(class_accuracy(sol), expected_accuracy(pm, g),
+                                   rtol=1e-12, atol=0)
 
 
 def _conditioned_iterations(g):
@@ -179,7 +202,8 @@ def test_capped_stack_fails_only_the_slow_nodes(g):
     for i in range(g.n):
         # a system that converges early keeps its iterates while the rest of
         # its stack goes on
-        assert np.array_equal(full[i].p, solve_conditioned_set(g, [i]).p)
+        assert np.array_equal(full[i].expand().p,
+                              solve_conditioned_set(g, [i]).p)
         if slow[i]:
             assert capped[i] is None
         else:

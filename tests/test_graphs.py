@@ -148,7 +148,8 @@ def test_adjacency_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(Graph._adjacency, "func",
                         lambda g: builds.append(g) or build(g))
     g = erdos_renyi(20, 0.2, seed=3, directed=True)
-    _, _, (acc,) = ranking_pass(g, (lambda i, pm: expected_accuracy(pm, g),))
+    _, _, (acc,) = ranking_pass(
+        g, (lambda i, sol: expected_accuracy(sol.expand(), g),))
     assert not np.isnan(acc).any()
     assert builds == [g]
 
