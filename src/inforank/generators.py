@@ -13,6 +13,8 @@ from .graphs import Graph, make_graph
 
 def erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = False) -> Graph:
     """G(n, p): each (ordered) pair linked independently with probability p."""
+    if n < 0:
+        raise InputError(f"node count must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)

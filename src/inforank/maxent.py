@@ -16,13 +16,13 @@ digit.
 Every ensemble of a graph is solved by one route: the ensemble conditioned
 on a node set, whose links are fixed to the observed ones. The benchmark is
 the ensemble conditioned on no node, `solve_classes` solves either, and
-`solve_each_conditioned` conditions on each node in turn. The route
-iterates a stack of class systems with the same class count at once, each
-to its own convergence, so the n one-node systems of a ranking pay the
-per-step call overhead once per stack instead of once per node; each result
-is bit-identical to the one its system gives when solved alone. A degree
-sequence without a graph (`solve_ubcm`, `solve_dbcm`) is solved as a stack
-of one by the same loop.
+`solve_each_conditioned` conditions on each node in turn. Each system is
+classified once and joins the pending block of its class count, and a full
+block is iterated as one stack, each system to its own convergence: the n
+one-node systems of a ranking pay the per-step call overhead once per block
+instead of once per node, and each result is bit-identical to the one its
+system gives alone. A degree sequence without a graph (`solve_ubcm`,
+`solve_dbcm`) is a block of one.
 
 The route yields a ClassSolution, which the scorers read in O(C^2 + n + m);
 only the public ProbMatrix solves and the risk sampler expand it to n x n.
@@ -32,11 +32,11 @@ degrees. Degenerate degrees are handled exactly before iterating:
   * k_i = 0 -> x_i = 0, all incident probabilities are exactly 0;
   * every pair that takes the same value at all points of the polytope (a
     boundary face, e.g. a node whose degree equals its available partners)
-    is pinned to that value. An O(n) cut test decides whether any pair can
-    be fixed; only then are they found exactly, by one maximum flow on the
-    class network and the strongly connected components of its residual
-    graph. The rest of the system is solved with the degrees left after the
-    pairs pinned to 1.
+    is pinned to that value. An O(n log n) cut test decides whether any
+    pair can be fixed; only then are they found exactly, by one maximum
+    flow on the class network and the strongly connected components of its
+    residual graph. The rest of the system is solved with the degrees left
+    after the pairs pinned to 1.
 
 Pinned entries are tracked in a mask so downstream consumers can tell free
 probabilities from boundary-pinned ones and from entries fixed by
@@ -131,7 +131,8 @@ def _tight_cut(k_out: np.ndarray, k_in: np.ndarray) -> bool:
                - sum_j min(k_in_j, s),
     taken by the first s rows in descending (k_out, k_in) order
     (Fulkerson-Chen-Anstee); E(s) = 0 is tight. Any excess above zero
-    means no feasible point and raises InputError. Uses O(n) memory.
+    means no feasible point and raises InputError. Takes O(n log n) time
+    (a lexsort) and O(n) memory.
     """
     rows, cols = k_out > 0, k_in > 0
     n_r, n_c = int(rows.sum()), int(cols.sum())
@@ -205,27 +206,23 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
     """Pin the class pairs the degree polytope fixes, for either solver.
 
     Takes the class degrees and class sizes m. Returns (k_out, k_in, free,
-    ones, forced), all per class: the degrees left after the pairs fixed at
-    1 are removed, the pairs left to the iteration, the pairs fixed at 1 and
-    the FORCED_LIM codes. A pair fixed at 1 is FORCED_LIM. A pair fixed at 0
-    is FORCED_LIM only while both of its ends keep a positive degree;
-    otherwise it stays FREE and comes out as an exact 0 through x = 0 at its
-    saturated end.
+    ones), all per class: the degrees left after the pairs fixed at 1 are
+    removed, the pairs left to the iteration and the pairs fixed at 1. The
+    pairs not free are FORCED_LIM: every pair fixed at 1, and a pair fixed
+    at 0 while both of its ends keep a positive degree; a pair fixed at 0
+    with a saturated end stays free and comes out as an exact 0 through
+    x = 0 there.
     """
     c = len(m)
-    free = np.ones((c, c), dtype=bool)
-    forced = np.zeros((c, c), dtype=np.int8)
     if not _tight_cut(np.repeat(k_out, m), np.repeat(k_in, m)):
-        return k_out, k_in, free, np.zeros((c, c), dtype=bool), forced
+        return (k_out, k_in, np.ones((c, c), dtype=bool),
+                np.zeros((c, c), dtype=bool))
 
     fixed, ones = _fixed_pairs(k_out, k_in, m)
     partners = _partners(m)
     k_out = k_out - (ones * partners).sum(axis=1)
     k_in = k_in - (ones * partners.T).sum(axis=0)
-    lim = ones | (fixed & np.outer(k_out > 0, k_in > 0))
-    free &= ~lim
-    forced[lim] = FORCED_LIM
-    return k_out, k_in, free, ones, forced
+    return k_out, k_in, ~(ones | (fixed & np.outer(k_out > 0, k_in > 0))), ones
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,6 @@ class _System(NamedTuple):
     k_in: np.ndarray
     free: np.ndarray
     ones: np.ndarray
-    forced: np.ndarray
 
 
 def _classes(k_out: np.ndarray, k_in: np.ndarray):
@@ -264,13 +260,6 @@ def _classes(k_out: np.ndarray, k_in: np.ndarray):
     _, first, cls, m = np.unique(key, return_index=True, return_inverse=True,
                                  return_counts=True)
     return cls, m, k_out[first], k_in[first]
-
-
-def _system(k_out: np.ndarray, k_in: np.ndarray) -> _System:
-    """The pinned class system of int64 node degrees; undirected degrees
-    come as k_out = k_in = k."""
-    cls, m, k_out, k_in = _classes(k_out, k_in)
-    return _System(cls, m, *_pin_boundary(k_out, k_in, m))
 
 
 def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
@@ -393,6 +382,30 @@ def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
     return x, y, p, residual, iterations
 
 
+def _stacks(degrees: Iterable, directed: bool, opts: SolverOptions):
+    """Solve the system of each (tag, k_out, k_in) of `degrees` (int64 node
+    degrees, k_out = k_in = k undirected), classified and pinned once as it
+    arrives. A block of one class count C is iterated as soon as it holds
+    max(1, STACK_ELEMENTS // C^2) systems, the partial blocks at the end.
+    Yields (tag, system, x, y, p, residual, iterations) in block order.
+    """
+    pending: dict[int, list] = {}
+
+    def solve(block):
+        tags, systems = zip(*block)
+        yield from zip(tags, systems,
+                       *_solve_systems(list(systems), directed, opts))
+
+    for tag, k_out, k_in in degrees:
+        cls, m, k_out, k_in = _classes(k_out, k_in)
+        block = pending.setdefault(len(m), [])
+        block.append((tag, _System(cls, m, *_pin_boundary(k_out, k_in, m))))
+        if len(block) >= max(1, STACK_ELEMENTS // max(len(m) ** 2, 1)):
+            yield from solve(pending.pop(len(m)))
+    for block in pending.values():
+        yield from solve(block)
+
+
 # ---------------------------------------------------------------------------
 # public solves
 # ---------------------------------------------------------------------------
@@ -411,17 +424,18 @@ def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
         raise InputError("undirected degree sum must be even")
 
     opts = opts or SolverOptions()
-    s = _system(k_out, k_in)
-    x, y, p, residual, iterations = _solve_systems([s], directed, opts)
-    residual, iterations = float(residual[0]), int(iterations[0])
+    ((_, s, x, y, p, residual, iterations),) = _stacks(
+        [(None, k_out, k_in)], directed, opts)
+    residual, iterations = float(residual), int(iterations)
     if not residual <= opts.tolerance:  # NaN fails too
         raise SolverError("degree-constrained solve did not converge",
                           residual=residual, iterations=iterations)
-    params = ParamVector(directed=directed, x=x[0][s.cls],
-                         y=y[0][s.cls] if directed else None,
+    params = ParamVector(directed=directed, x=x[s.cls],
+                         y=y[s.cls] if directed else None,
                          residual=residual, iterations=iterations)
-    return params, ProbMatrix(n=n, directed=directed, p=_expand(p[0], s.cls),
-                              forced=_expand(s.forced, s.cls))
+    forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
+    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, s.cls),
+                              forced=_expand(forced, s.cls))
 
 
 def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
@@ -513,34 +527,23 @@ def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
     set sets[j]: g's ensemble conditioned on that set, or None where its
     solve did not converge.
 
-    The systems are grouped by class count C and each group is split into
-    blocks of at most STACK_ELEMENTS class pairs (B C^2), which is built and
-    iterated as one stack as the caller consumes it. Sets come in block
-    order, not in list order; a result does not depend on the stack it was
-    solved in.
+    The sets' systems go through one stacker, built one at a time as the
+    caller consumes the results; sets come in block order, not in list
+    order. A result does not depend on the block it was solved in.
     """
     tails_heads = links(g)
-    counts = np.array([len(_classes(*_conditioned_degrees(
-        tails_heads, _known(g.n, nodes)))[1]) for nodes in sets])
-    for c in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
-        group = np.flatnonzero(counts == c)
-        size = max(1, STACK_ELEMENTS // max(c * c, 1))
-        for start in range(0, len(group), size):
-            block = group[start:start + size]
-            known = [_known(g.n, sets[j]) for j in block]
-            systems = [_system(*_conditioned_degrees(tails_heads, k))
-                       for k in known]
-            _, _, p, residual, iterations = _solve_systems(systems, g.directed,
-                                                           opts)
-            for j, k, s, p_cls, res, its in zip(block, known, systems, p,
-                                                 residual, iterations):
-                sol = None
-                if res <= opts.tolerance:
-                    node_cls = np.full(g.n, c)
-                    node_cls[~k] = s.cls
-                    sol = ClassSolution(g.n, g.directed, tails_heads, k,
-                                        node_cls, s.m, p_cls, s.forced)
-                yield int(j), sol, float(res), int(its)
+    known = (_known(g.n, nodes) for nodes in sets)
+    degrees = (((j, k), *_conditioned_degrees(tails_heads, k))
+               for j, k in enumerate(known))
+    for (j, k), s, _, _, p, res, its in _stacks(degrees, g.directed, opts):
+        sol = None
+        if res <= opts.tolerance:
+            node_cls = np.full(g.n, len(s.m))
+            node_cls[~k] = s.cls
+            forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
+            sol = ClassSolution(g.n, g.directed, tails_heads, k, node_cls,
+                                s.m, p, forced)
+        yield j, sol, float(res), int(its)
 
 
 def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:

@@ -19,11 +19,12 @@ def run(tmp_path, *argv):
 
 def count_solves(monkeypatch):
     """Count benchmark solves wherever inforank calls them, the class
-    systems that reach the fixed-point loops (one per solve), and the nodes
-    whose conditioned ensembles the conditioned pass hands out."""
-    counts = {"benchmark": 0, "systems": 0, "nodes": []}
+    systems built and those that reach the fixed-point loops (one each per
+    solve), and the nodes whose conditioned ensembles the conditioned pass
+    hands out."""
+    counts = {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
     real_bench, real_each = maxent.solve_classes, maxent.solve_each_conditioned
-    real_systems = maxent._solve_systems
+    real_systems, real_classes = maxent._solve_systems, maxent._classes
 
     def bench(g, nodes=None, *args, **kwargs):
         counts["benchmark"] += nodes is None
@@ -38,6 +39,10 @@ def count_solves(monkeypatch):
         counts["systems"] += len(stack)
         return real_systems(stack, *args, **kwargs)
 
+    def classes(*args):
+        counts["classes"] += 1
+        return real_classes(*args)
+
     modules = [m for name, m in sys.modules.items()
                if name == "inforank" or name.startswith("inforank.")]
     for real, fake in ((real_bench, bench), (real_each, each)):
@@ -46,6 +51,7 @@ def count_solves(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(mod, key, fake)
     monkeypatch.setattr(maxent, "_solve_systems", systems)
+    monkeypatch.setattr(maxent, "_classes", classes)
     return counts
 
 
@@ -75,8 +81,9 @@ def test_rank_undefined_index_exits_solver(tmp_path):
 
 
 def test_bad_generator_spec_exits_config(tmp_path):
-    code, _ = run(tmp_path, "rank", "--generate", "nope:3")
-    assert code == EXIT_CONFIG
+    for spec in ("nope:3", "er:-3,0.5", "ba:0,3"):
+        code, _ = run(tmp_path, "rank", "--generate", spec)
+        assert code == EXIT_CONFIG, spec
 
 
 def test_rank_p4_matches_library(tmp_path):
@@ -276,14 +283,17 @@ def test_threads_env_var(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["accuracy", "--generate", "er:20,0.2", "--seed", "5", "--directed"],
     ["risk", "--generate", "scalefree:12,2", "--seed", "3", "--samples", "4"],
+    ["rank", "--generate", "ba:40,3", "--seed", "1"],
 ])
 def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     counts = count_solves(monkeypatch)
     code, out = run(tmp_path, *argv)
     assert code == EXIT_OK
     n = json.loads(out.read_text())["n"]
-    # the benchmark system and each of the n conditioned systems, once
+    # the benchmark system and each of the n conditioned systems, classified
+    # and solved once
     assert counts["benchmark"] == 1 and counts["systems"] == n + 1
+    assert counts["classes"] == n + 1
     assert sorted(counts["nodes"]) == list(range(n))
 
 
@@ -347,7 +357,7 @@ def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     files = {"WEIGHTS": str(weights), "EDGES": str(edges)}
     argv = [files.get(arg, arg) for arg in argv]
     assert run(tmp_path, *argv)[0] == code
-    assert counts == {"benchmark": 0, "systems": 0, "nodes": []}
+    assert counts == {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
 
 
 def test_twelve_significant_digit_output(tmp_path):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inforank import (ProbMatrix, SolverOptions, UndefinedIndexError,
                       approx_meanfield, approx_sparse, benchmark_entropy,
@@ -144,6 +144,35 @@ def test_stacked_pass_matches_single_solves(case, budget):
         sol = maxent.solve_classes(g, [i])
         assert s_cond[i] == class_entropy(sol, DEFAULT_LIMIT_EPS)[0]
         assert acc[i] == class_accuracy(sol)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graph(), st.sampled_from([1, 40, maxent.STACK_ELEMENTS]))
+@example((barabasi_albert(40, 3, seed=1), 0), 400)
+@example((erdos_renyi(30, 0.15, seed=2, directed=True), 0), 40)
+def test_stacks_hold_one_class_count_within_budget(case, budget):
+    # every stack that reaches the fixed-point loops is unpadded, of one
+    # class count C, and holds max(1, budget // C^2) systems, the last
+    # stack of each C at most that many
+    g, _ = case
+    stacks = []
+    real = maxent._solve_systems
+
+    def record(systems, *args):
+        stacks.append([len(s.m) for s in systems])
+        return real(systems, *args)
+
+    with mock.patch.object(maxent, "STACK_ELEMENTS", budget), \
+            mock.patch.object(maxent, "_solve_systems", record):
+        assert len(list(maxent.solve_each_conditioned(g))) == g.n
+    assert sum(map(len, stacks)) == g.n
+    sizes = {}
+    for counts in stacks:
+        assert counts == [counts[0]] * len(counts)
+        sizes.setdefault(counts[0], []).append(len(counts))
+    for c, got in sizes.items():
+        full = max(1, budget // (c * c))
+        assert got[:-1] == [full] * (len(got) - 1) and got[-1] <= full
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

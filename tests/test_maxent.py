@@ -225,6 +225,18 @@ def test_conditioned_set_validation(monkeypatch):
             inforank_subset(P4, bad)
 
 
+@pytest.mark.parametrize("g", [barabasi_albert(40, 3, seed=1),
+                               erdos_renyi(30, 0.15, seed=2, directed=True)],
+                         ids=["ba-40-3", "er-dir-30"])
+def test_each_conditioned_system_classified_once(monkeypatch, g):
+    calls = []
+    real = maxent._classes
+    monkeypatch.setattr(maxent, "_classes",
+                        lambda *args: calls.append(1) or real(*args))
+    assert len(list(maxent.solve_each_conditioned(g))) == g.n
+    assert len(calls) == g.n
+
+
 def test_conditioned_nonconvergence_names_node():
     g = erdos_renyi(30, 0.2, seed=8)
     with pytest.raises(SolverError) as exc:
