@@ -174,6 +174,8 @@ class RiskExperiment:
         externals = externals or ExternalsConfig()
         if samples_per_node < 1:
             raise InputError("samples_per_node must be >= 1")
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
         self.samples = samples_per_node
         self.alpha, self.beta, self.seed = alpha, beta, seed
         self.tol, self.max_iter = tol, max_iter

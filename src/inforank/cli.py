@@ -3,7 +3,9 @@
 Every run is reproducible: the seed is recorded in each output artifact and
 identical configurations produce byte-identical machine-readable output,
 independent of the thread count. Floating-point output carries 12
-significant digits.
+significant digits. Every command but `sample` writes one artifact, its
+payload as JSON or its node table as CSV; a node whose solve failed shows
+as null (an empty CSV field), and the command exits 4.
 
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -41,8 +44,23 @@ EXIT_SOLVER = 4
 THREADS_ENV = "INFORANK_THREADS"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _flag(raw: str) -> bool:
+    """A config file's true/false/yes/no/1/0, in any case."""
+    value = raw.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(raw)
+    return value in ("1", "true", "yes")
+
+
+# the keys a config file may set, each with the cast of its value
+_CONFIG_CASTS = {"directed": _flag, "tolerance": float, "max_iterations": int,
+                 "threads": int}
+
+
+def _fmt(x) -> str:
+    """A CSV cell or comment value: a float to 12 significant digits, None
+    as an empty field."""
+    return "" if x is None else f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _clean(obj):
@@ -61,32 +79,46 @@ def _clean(obj):
     return obj
 
 
-def _write_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(_clean(payload), indent=2) + "\n"
-    if output:
-        Path(output).write_text(text)
+def _json(obj) -> str:
+    return json.dumps(_clean(obj), indent=2) + "\n"
+
+
+def _rows(g, **columns) -> list[dict]:
+    """The node table: node, label, then one value per column, in order. A
+    NaN marks a node whose solve failed and becomes None."""
+    cols = {name: np.asarray(col).tolist() for name, col in columns.items()}
+    return [{"node": i, "label": g.label(i),
+             **{name: None if math.isnan(col[i]) else col[i]
+                for name, col in cols.items()}}
+            for i in range(g.n)]
+
+
+def _write(args, payload: dict, rows: list[dict], comments: list[str]) -> int:
+    """Write a command's artifact to --output or stdout: `payload` as JSON,
+    or the node table `rows` as CSV under one `# ` line per comment.
+
+    Returns EXIT_SOLVER if a node's solve failed (a None cell), else EXIT_OK.
+    """
+    if args.format == "json":
+        text = _json(payload)
+    else:
+        buf = io.StringIO()
+        buf.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(buf)
+        writer.writerow(list(rows[0]))
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+        text = buf.getvalue()
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+    failed = any(v is None for row in rows for v in row.values())
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
-def _write_csv(rows: list[dict], header_comments: list[str], output: str | None) -> None:
-    buf = io.StringIO()
-    for line in header_comments:
-        buf.write(f"# {line}\n")
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (_fmt(v) if isinstance(v, float) else
-                                 "" if v is None else v)
-                             for k, v in row.items()})
-    if output:
-        Path(output).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-
-
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str) -> dict:
+    """The cast values of a key=value config file; an unknown key or a bad
+    value raises InputError."""
     cfg = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -95,7 +127,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_CASTS:
+            raise InputError(f"config line {lineno}: unknown key {key!r}")
+        cfg[key] = _cast(key, value.strip(), _CONFIG_CASTS[key])
     return cfg
 
 
@@ -106,18 +141,14 @@ def _cast(name: str, raw: str, cast):
         raise InputError(f"bad value for {name}: {raw!r}") from None
 
 
-def _resolve(args, key, cast, default):
+def _resolve(args, key, default):
     """Flag > config file > default (env handled separately for threads)."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if args.config_values and key in args.config_values:
-        return _cast(key, args.config_values[key], cast)
-    return default
+    value = getattr(args, key)
+    return args.config_values.get(key, default) if value is None else value
 
 
 def _get_graph(args):
-    directed = bool(_resolve(args, "directed", lambda s: s.lower() in ("1", "true", "yes"), False))
+    directed = _resolve(args, "directed", False)
     if args.generate:
         g = from_spec(args.generate, seed=args.seed, directed=directed)
     elif args.input:
@@ -133,8 +164,8 @@ def _get_graph(args):
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(
-        tolerance=_resolve(args, "tolerance", float, 1e-10),
-        max_iterations=int(_resolve(args, "max_iterations", int, 100_000)),
+        tolerance=_resolve(args, "tolerance", 1e-10),
+        max_iterations=_resolve(args, "max_iterations", 100_000),
     )
 
 
@@ -142,7 +173,7 @@ def _check_threads(args) -> None:
     """Validate the thread count: flag > config file > $INFORANK_THREADS > 1;
     below 1 is an error. It has no effect: the conditioned solves run as
     stacked array operations in one thread."""
-    threads = _resolve(args, "threads", int, None)
+    threads = _resolve(args, "threads", None)
     if threads is None:
         threads = _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), int)
     if threads < 1:
@@ -159,9 +190,13 @@ def _pagerank_alpha(args) -> float:
 
 
 def _inforank_vector(report) -> RankVector:
-    return RankVector(index_name="inforank",
-                      scores=np.where(report.failed, np.nan, report.I),
-                      rescaled=rescale(np.where(report.failed, 0.0, report.I)))
+    """InfoRank as a rank vector. A failed node scores NaN, rescaled too, and
+    takes no part in the rescaling."""
+    ok = ~report.failed
+    rescaled = np.full(len(ok), np.nan)
+    if ok.any():
+        rescaled[ok] = rescale(report.I[ok])
+    return RankVector(index_name="inforank", scores=report.I, rescaled=rescaled)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +205,22 @@ def _inforank_vector(report) -> RankVector:
 
 def cmd_rank(args) -> int:
     g = _get_graph(args)
-    opts = _solver_options(args)
-    report = inforank(g, opts)
+    report = inforank(g, _solver_options(args))
 
     scale = 1.0 / math.log(2.0) if args.base2 else 1.0
     unit = "bits" if args.base2 else "nats"
-    rows = report.to_rows()
-    for row in rows:
-        row["S0_contrib"] = row["S0_contrib"] * scale
-        if row["S_cond"] is not None:
-            row["S_cond"] = row["S_cond"] * scale
-
-    if args.format == "json":
-        payload = {
-            "command": "rank", "seed": args.seed, "n": report.n,
-            "directed": report.directed, "entropy_unit": unit,
-            "S0": report.S0 * scale, "nodes": rows,
-            "failed_nodes": [int(i) for i in np.flatnonzero(report.failed)],
-        }
-        _write_json(payload, args.output)
-    else:
-        _write_csv(rows, [f"seed={args.seed}", f"S0={_fmt(report.S0 * scale)} {unit}"],
-                   args.output)
-    return EXIT_SOLVER if report.failed.any() else EXIT_OK
+    deg = degree_sequence(g)
+    degrees = {"k_out": deg.k_out, "k_in": deg.k_in} if g.directed else {"k": deg.k}
+    rows = _rows(g, **degrees, S0_contrib=report.S0_contrib * scale,
+                 S_cond=report.S_cond * scale, inforank=report.I)
+    payload = {
+        "command": "rank", "seed": args.seed, "n": g.n,
+        "directed": g.directed, "entropy_unit": unit,
+        "S0": report.S0 * scale, "nodes": rows,
+        "failed_nodes": np.flatnonzero(report.failed),
+    }
+    return _write(args, payload, rows,
+                  [f"seed={args.seed}", f"S0={_fmt(report.S0 * scale)} {unit}"])
 
 
 def cmd_compare(args) -> int:
@@ -203,39 +231,29 @@ def cmd_compare(args) -> int:
                 "closeness": lambda: closeness_centrality(g),
                 "pagerank": lambda: pagerank(g, alpha=alpha),
                 "inforank": lambda: _inforank_vector(inforank(g, opts))}
-    measure = args.measure or "all"
     vectors = [make() for name, make in measures.items()
-               if measure in ("all", name)]
+               if args.measure in ("all", name)]
 
-    deg = degree_sequence(g)
-    k_tot = deg.total()
-    rows = []
-    for i in range(g.n):
-        row = {"node": i, "label": g.label(i), "k_total": int(k_tot[i])}
-        for v in vectors:
-            row[v.index_name] = float(v.scores[i])
-            row[f"{v.index_name}_rescaled"] = float(v.rescaled[i])
-        rows.append(row)
+    columns = {}
+    for v in vectors:
+        columns[v.index_name] = v.scores
+        columns[f"{v.index_name}_rescaled"] = v.rescaled
+    rows = _rows(g, k_total=degree_sequence(g).total(), **columns)
 
     correlations = {}
-    for a_idx in range(len(vectors)):
-        for b_idx in range(a_idx + 1, len(vectors)):
-            va, vb = vectors[a_idx], vectors[b_idx]
-            key = f"{va.index_name}~{vb.index_name}"
-            try:
-                correlations[key] = pearson(va.rescaled, vb.rescaled)
-            except UndefinedCorrelationError:
-                correlations[key] = None
+    for va, vb in itertools.combinations(vectors, 2):
+        key = f"{va.index_name}~{vb.index_name}"
+        ok = ~np.isnan(va.rescaled + vb.rescaled)  # failed nodes take no part
+        try:
+            correlations[key] = pearson(va.rescaled[ok], vb.rescaled[ok])
+        except (InputError, UndefinedCorrelationError):  # < 2 nodes, or constant
+            correlations[key] = None
 
-    if args.format == "json":
-        _write_json({"command": "compare", "seed": args.seed, "n": g.n,
-                     "directed": g.directed, "pagerank_alpha": alpha,
-                     "nodes": rows, "correlations": correlations}, args.output)
-    else:
-        comments = [f"seed={args.seed}"] + [
-            f"corr {key}={'' if r is None else _fmt(r)}" for key, r in correlations.items()]
-        _write_csv(rows, comments, args.output)
-    return EXIT_OK
+    payload = {"command": "compare", "seed": args.seed, "n": g.n,
+               "directed": g.directed, "pagerank_alpha": alpha,
+               "nodes": rows, "correlations": correlations}
+    return _write(args, payload, rows, [f"seed={args.seed}"] + [
+        f"corr {key}={_fmt(r)}" for key, r in correlations.items()])
 
 
 def cmd_accuracy(args) -> int:
@@ -246,29 +264,23 @@ def cmd_accuracy(args) -> int:
                  pagerank(g, alpha=alpha)]
     report, bench, (acc,) = ranking_pass(
         g, (lambda i, sol: class_accuracy(sol),), opts)
-    rep = AccuracyReport.build(class_accuracy(bench), acc,
-                               [*baselines, _inforank_vector(report)])
+    # the correlations skip failed nodes, which this rescaling keeps at 0
+    ranked = RankVector(index_name="inforank", scores=report.I,
+                        rescaled=rescale(np.where(report.failed, 0.0, report.I)))
+    rep = AccuracyReport.build(class_accuracy(bench), acc, [*baselines, ranked])
 
-    per_node = [{"node": i, "label": g.label(i),
-                 "accuracy": None if rep.failed[i] else float(rep.A[i])}
-                for i in range(g.n)]
+    rows = _rows(g, accuracy=rep.A)
     payload = {
         "command": "accuracy", "seed": args.seed, "n": g.n,
         "directed": g.directed,
         "benchmark_accuracy": rep.A_benchmark,
-        "per_node": per_node,
+        "per_node": rows,
         "correlations": rep.correlations,
-        "failed_nodes": [int(i) for i in np.flatnonzero(rep.failed)],
+        "failed_nodes": np.flatnonzero(rep.failed),
     }
-    if args.format == "json":
-        _write_json(payload, args.output)
-    else:
-        comments = [f"seed={args.seed}",
-                    f"benchmark_accuracy={_fmt(rep.A_benchmark)}"] + [
-            f"corr accuracy~{name}={'' if r is None else _fmt(r)}"
-            for name, r in rep.correlations.items()]
-        _write_csv(per_node, comments, args.output)
-    return EXIT_SOLVER if rep.failed.any() else EXIT_OK
+    return _write(args, payload, rows, [
+        f"seed={args.seed}", f"benchmark_accuracy={_fmt(rep.A_benchmark)}"] + [
+        f"corr accuracy~{name}={_fmt(r)}" for name, r in rep.correlations.items()])
 
 
 def cmd_sample(args) -> int:
@@ -317,31 +329,24 @@ def cmd_risk(args) -> int:
         except InputError as exc:
             fits[name] = {"error": str(exc)}
 
-    rows = [{"node": i, "label": g.label(i),
-             "inforank": None if report.failed[i] else float(report.I[i]),
-             "mse": None if report.failed[i] else float(mse[i])}
-            for i in range(g.n)]
-    if args.format == "json":
-        _write_json({"command": "risk", "seed": args.seed, "n": g.n,
-                     "alpha": args.alpha, "beta": args.beta,
-                     "samples_per_node": args.samples,
-                     "externals": {"mu_a": args.mu_a, "sigma_a": args.sigma_a,
-                                   "mu_l": args.mu_l, "sigma_l": args.sigma_l},
-                     "nodes": rows, **fits}, args.output)
-    else:
-        comments = [f"seed={args.seed}", f"alpha={args.alpha} beta={args.beta}"]
-        for name, fit in fits.items():
-            if "coefficients_highest_first" in fit:
-                coeffs = " ".join(_fmt(c) for c in fit["coefficients_highest_first"])
-                comments.append(f"{name} coeffs={coeffs} rss={_fmt(fit['rss'])}")
-            else:
-                comments.append(f"{name} error={fit['error']}")
-        _write_csv(rows, comments, args.output)
-        if args.output:
-            fit_path = Path(args.output).with_suffix(".fits.json")
-            fit_path.write_text(json.dumps(_clean({"seed": args.seed, **fits}),
-                                           indent=2) + "\n")
-    return EXIT_SOLVER if report.failed.any() else EXIT_OK
+    rows = _rows(g, inforank=report.I, mse=mse)
+    payload = {"command": "risk", "seed": args.seed, "n": g.n,
+               "alpha": args.alpha, "beta": args.beta,
+               "samples_per_node": args.samples,
+               "externals": {"mu_a": args.mu_a, "sigma_a": args.sigma_a,
+                             "mu_l": args.mu_l, "sigma_l": args.sigma_l},
+               "nodes": rows, **fits}
+    comments = [f"seed={args.seed}", f"alpha={args.alpha} beta={args.beta}"]
+    for name, fit in fits.items():
+        if "coefficients_highest_first" in fit:
+            coeffs = " ".join(_fmt(c) for c in fit["coefficients_highest_first"])
+            comments.append(f"{name} coeffs={coeffs} rss={_fmt(fit['rss'])}")
+        else:
+            comments.append(f"{name} error={fit['error']}")
+    if args.format == "csv" and args.output:
+        Path(args.output).with_suffix(".fits.json").write_text(
+            _json({"seed": args.seed, **fits}))
+    return _write(args, payload, rows, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +437,6 @@ def main(argv=None) -> int:
     except (SolverError, UndefinedIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (InputError, UndefinedCorrelationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfoRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

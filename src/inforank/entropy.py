@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedIndexError
-from .graphs import DegreeSeq, Graph, degree_sequence
+from .graphs import DegreeSeq, Graph
 from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ClassSolution, ProbMatrix,
                      SolverOptions, solve_classes, solve_each_conditioned)
 
@@ -106,25 +106,6 @@ class EntropyReport:
     I: np.ndarray
     failed: np.ndarray            # bool; True where the conditioned solve failed
     labels: tuple[str, ...]
-    k: np.ndarray | None = None
-    k_out: np.ndarray | None = None
-    k_in: np.ndarray | None = None
-
-    def to_rows(self):
-        """Rows for tabular output: node, label, degrees, entropies, index."""
-        rows = []
-        for i in range(self.n):
-            row = {"node": i, "label": self.labels[i]}
-            if self.directed:
-                row["k_out"] = int(self.k_out[i])
-                row["k_in"] = int(self.k_in[i])
-            else:
-                row["k"] = int(self.k[i])
-            row["S0_contrib"] = float(self.S0_contrib[i])
-            row["S_cond"] = None if self.failed[i] else float(self.S_cond[i])
-            row["inforank"] = None if self.failed[i] else float(self.I[i])
-            rows.append(row)
-        return rows
 
 
 def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None) -> np.ndarray:
@@ -166,7 +147,6 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
     every scorer. Returns the EntropyReport, the benchmark ClassSolution and
     one row of per-node values per scorer (NaN where the solve failed).
     """
-    deg = degree_sequence(g)
     bench, s0, contrib = _benchmark(g, opts)
     s_cond, *extra = conditioned_pass(
         g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS)[0], *scorers),
@@ -175,9 +155,6 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
         S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
         labels=tuple(g.label(i) for i in range(g.n)),
-        k=None if g.directed else deg.k,
-        k_out=deg.k_out if g.directed else None,
-        k_in=deg.k_in if g.directed else None,
     )
     return report, bench, extra
 

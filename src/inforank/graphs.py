@@ -1,7 +1,7 @@
 """Binary graph container, edge-list ingestion and degree bookkeeping.
 
-Graphs are immutable after construction and safe to share across workers;
-the dense adjacency matrix is built on first use and kept.
+Graphs are immutable after construction; the dense adjacency matrix is
+built on first use and kept.
 Undirected edges are stored once as (min, max) pairs; adjacency queries are
 symmetric. An optional weight column in edge-list files is kept in a side
 table for the clearing module -- every entropy computation sees only the

@@ -22,6 +22,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise InputError("sample count must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _draw(pm: ProbMatrix, seed) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_risk_scorer_matches_validated_clearing():
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
-    {"max_iter": 0}, {"alpha": 0.0}, {"beta": 1.5},
+    {"max_iter": 0}, {"alpha": 0.0}, {"beta": 1.5}, {"seed": -1},
 ])
 def test_risk_experiment_checks_fixed_inputs_once(kwargs):
     g = scale_free_directed(10, 2, seed=1)

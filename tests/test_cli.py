@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,12 @@ import numpy as np
 import pytest
 
 from inforank import maxent
+from inforank.centrality import rescale
 from inforank.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
+from inforank.entropy import inforank
+from inforank.generators import from_spec
+from inforank.graphs import degree_sequence
+from inforank.recon import pearson
 
 
 def run(tmp_path, *argv):
@@ -240,6 +246,66 @@ def test_csv_format_records_seed(tmp_path):
     assert "node,label,k,S0_contrib,S_cond,inforank" in text
 
 
+@pytest.mark.parametrize("spec, seed", [("ba:40,3", 1), ("scalefree:30,2", 2)],
+                         ids=["ba-40-3", "sf-dir-30-2"])
+def test_csv_and_json_artifacts_agree(tmp_path, spec, seed):
+    g = from_spec(spec, seed=seed)
+    # capped at the benchmark's own count, some conditioned solves fail
+    solve = maxent.solve_dbcm if g.directed else maxent.solve_ubcm
+    cap = solve(degree_sequence(g))[0].iterations
+    commands = ["rank", "compare", "accuracy"] + (["risk"] if g.directed else [])
+    for extra in ([], ["--max-iterations", str(cap)]):
+        failed = inforank(g, maxent.SolverOptions(max_iterations=cap)
+                          if extra else None).failed
+        assert failed.any() == bool(extra)
+        for command in commands:
+            argv = [command, "--generate", spec, "--seed", str(seed), *extra]
+            js, sheet = tmp_path / "out.json", tmp_path / "out.csv"
+            code = main(argv + ["--output", str(js)])
+            assert code == (EXIT_SOLVER if failed.any() else EXIT_OK)
+            assert main(argv + ["--format", "csv", "--output", str(sheet)]) == code
+
+            payload = json.loads(js.read_text())
+            rows = payload["per_node" if command == "accuracy" else "nodes"]
+            lines = [line for line in sheet.read_text().splitlines()
+                     if not line.startswith("#")]
+            header, *cells = csv.reader(lines)
+            assert header == list(rows[0])
+            assert cells == [["" if v is None else v if isinstance(v, str)
+                              else "%.12g" % v for v in row.values()]
+                             for row in rows]
+            key = "accuracy" if command == "accuracy" else "inforank"
+            assert [row[key] is None for row in rows] == failed.tolist()
+
+            if command == "compare":
+                # failed nodes take no part in the rescaling or correlations
+                ok = ~failed
+                got = np.array([row["inforank_rescaled"] for row in rows], float)
+                assert np.isnan(got[failed]).all()
+                score = np.array([row["inforank"] for row in rows], float)
+                np.testing.assert_allclose(got[ok], rescale(score[ok]),
+                                           rtol=0, atol=1e-11)
+                for name in ("degree", "closeness", "pagerank"):
+                    other = np.array([row[f"{name}_rescaled"] for row in rows])
+                    np.testing.assert_allclose(
+                        payload["correlations"][f"{name}~inforank"],
+                        pearson(other[ok], got[ok]), rtol=0, atol=1e-11)
+
+
+def test_compare_with_under_two_solved_nodes(tmp_path):
+    # capped at its benchmark's count, none of this graph's conditioned
+    # solves converges: every inforank correlation is undefined
+    g = from_spec("er:8,0.4", seed=2)
+    cap = maxent.solve_ubcm(degree_sequence(g))[0].iterations
+    code, out = run(tmp_path, "compare", "--generate", "er:8,0.4", "--seed", "2",
+                    "--max-iterations", str(cap))
+    assert code == EXIT_SOLVER
+    payload = json.loads(out.read_text())
+    assert all(row["inforank_rescaled"] is None for row in payload["nodes"])
+    assert [key for key, r in payload["correlations"].items() if r is None] == [
+        "degree~inforank", "closeness~inforank", "pagerank~inforank"]
+
+
 def test_config_file_defaults_overridden_by_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 1e-6\nthreads = 2\n")
@@ -254,7 +320,7 @@ def test_config_file_defaults_overridden_by_flags(tmp_path):
     assert json.loads(out2.read_text())["n"] == 10
 
     for bad in ("threads = x", "threads = 0", "tolerance = abc",
-                "max_iterations = many"):
+                "max_iterations = many", "directed = maybe", "tolerence = 1e-6"):
         cfg.write_text(bad + "\n")
         assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
                      "--output", str(out1)]) == EXIT_CONFIG

@@ -40,6 +40,8 @@ def test_sample_determinism():
 def test_sample_spec_validation():
     with pytest.raises(InputError):
         SampleSpec(count=0, seed=1)
+    with pytest.raises(InputError):
+        SampleSpec(count=1, seed=-1)
 
 
 def test_ensemble_samples_are_independent_draws():

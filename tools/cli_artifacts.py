@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Write every artifact of a fixed matrix of CLI runs, for a byte-level diff.
+
+Usage:
+
+    python3 tools/cli_artifacts.py SRC OUTDIR
+
+SRC is the directory that holds the `inforank` package (a checkout's `src`).
+Each run of the matrix calls `inforank.cli.main` from SRC, in its own
+subdirectory of OUTDIR, and writes there its argv, exit code, stdout,
+stderr and every file it made; output paths are relative, so no artifact
+names OUTDIR. Two trees give the same artifacts exactly when
+
+    diff -r OUTDIR_A OUTDIR_B
+
+prints nothing.
+
+The matrix: BA(40, 3) with seed 1 and directed scale-free(30, 2) with seed
+2, each with default options and capped at its benchmark solve's own
+iteration count (so that some conditioned solves fail); `rank`, `compare`,
+`accuracy` and `risk` (which rejects the undirected graph), each as JSON
+and as CSV, to stdout and to --output; and `sample` to stdout and to
+--output-dir, plain and conditioned on node 0.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+GRAPHS = (("ba-40-3", "ba:40,3", 1), ("sf-dir-30-2", "scalefree:30,2", 2))
+COMMANDS = ("rank", "compare", "accuracy", "risk")
+
+
+def benchmark_iterations(spec: str, seed: int) -> int:
+    from inforank import maxent
+    from inforank.generators import from_spec
+    from inforank.graphs import degree_sequence
+    g = from_spec(spec, seed=seed)
+    solve = maxent.solve_dbcm if g.directed else maxent.solve_ubcm
+    return solve(degree_sequence(g))[0].iterations
+
+
+def matrix():
+    """(case name, argv) of every run."""
+    for name, spec, seed in GRAPHS:
+        graph = ["--generate", spec, "--seed", str(seed)]
+        cap = ["--max-iterations", str(benchmark_iterations(spec, seed))]
+        for options, extra in (("default", []), ("capped", cap)):
+            for command in COMMANDS:
+                for fmt in ("json", "csv"):
+                    argv = [command, *graph, *extra, "--format", fmt]
+                    case = f"{name}_{options}_{command}_{fmt}"
+                    yield f"{case}_stdout", argv
+                    yield f"{case}_file", argv + ["--output", f"out.{fmt}"]
+        for conditioned in ([], ["--conditioned-on", "0"]):
+            argv = ["sample", *graph, "--samples", "3", *conditioned]
+            case = f"{name}_sample{'_cond' if conditioned else ''}"
+            yield f"{case}_stdout", argv
+            yield f"{case}_dir", argv + ["--output-dir", "samples"]
+
+
+def main(src: str, outdir: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    import inforank.cli as cli
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        sys.exit(f"inforank imported from {cli.__file__}, not from {src}")
+    root = Path(outdir).resolve()
+    for case, argv in matrix():
+        where = root / case
+        where.mkdir(parents=True)
+        os.chdir(where)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        (where / "argv").write_text(" ".join(argv) + "\n")
+        (where / "exit").write_text(f"{code}\n")
+        (where / "stdout").write_text(out.getvalue())
+        (where / "stderr").write_text(err.getvalue())
+        print(f"{case}: exit {code}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
