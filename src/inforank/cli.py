@@ -31,10 +31,10 @@ from .entropy import inforank, ranking_pass
 from .errors import (GraphError, InfoRankError, InputError, ParseError,
                      SolverError, UndefinedCorrelationError, UndefinedIndexError)
 from .generators import from_spec
-from .graphs import degree_sequence, load_edge_list, serialize_edge_list
-from .maxent import SolverOptions, solve_benchmark, solve_conditioned_set
+from .graphs import degree_sequence, load_edge_list
+from .maxent import SolverOptions, solve_classes
 from .recon import AccuracyReport, class_accuracy, pearson
-from .sampling import SampleSpec, sample_ensemble
+from .sampling import SampleSpec, class_sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -287,24 +287,25 @@ def cmd_sample(args) -> int:
     g = _get_graph(args)
     opts = _solver_options(args)
     spec = SampleSpec(count=args.samples, seed=args.seed)
-    if args.conditioned_on is not None:
-        pm = solve_conditioned_set(g, [args.conditioned_on], opts)
-    else:
-        pm = solve_benchmark(g, opts)
+    nodes = None if args.conditioned_on is None else [args.conditioned_on]
+    sol = solve_classes(g, nodes, opts)
+    labels = np.array([g.label(i) for i in range(g.n)], dtype=object)
+
+    def sample_text(t: int) -> str:  # the header, then one line per edge
+        tails, heads = class_sample(sol, (spec.seed, t))
+        lines = (labels[tails] + " " + labels[heads]).tolist()
+        return (f"# seed={args.seed} sample={t}\n"
+                + ("\n".join(lines) + "\n" if lines else ""))
 
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for t, sample in enumerate(sample_ensemble(pm, spec, g.labels)):
-            path = outdir / f"sample_{t:05d}.edges"
-            path.write_text(f"# seed={args.seed} sample={t}\n"
-                            + (serialize_edge_list(sample) if sample.m else ""))
+        for t in range(spec.count):
+            (outdir / f"sample_{t:05d}.edges").write_text(sample_text(t))
         sys.stdout.write(f"wrote {spec.count} samples to {outdir}\n")
     else:
-        for t, sample in enumerate(sample_ensemble(pm, spec, g.labels)):
-            sys.stdout.write(f"# seed={args.seed} sample={t}\n")
-            if sample.m:
-                sys.stdout.write(serialize_edge_list(sample))
+        for t in range(spec.count):
+            sys.stdout.write(sample_text(t))
     return EXIT_OK
 
 

@@ -24,8 +24,9 @@ instead of once per node, and each result is bit-identical to the one its
 system gives alone. A degree sequence without a graph (`solve_ubcm`,
 `solve_dbcm`) is a block of one.
 
-The route yields a ClassSolution, which the scorers read in O(C^2 + n + m);
-only the public ProbMatrix solves and the risk sampler expand it to n x n.
+The route yields a ClassSolution, which the scorers read in O(C^2 + n + m)
+and `sample` draws from a block of rows at a time; only the public
+ProbMatrix solves and the risk sampler expand it to n x n.
 
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -492,17 +494,32 @@ class ClassSolution:
         link to."""
         return _partners(self.m)
 
+    @cached_property
+    def _gather_from(self):
+        """The class p with class C (the known nodes) at 0, and the links
+        with a known end, sorted by tail."""
+        tail, head = self.links
+        seen = np.flatnonzero(self.known[tail] | self.known[head])
+        seen = seen[np.argsort(tail[seen], kind="stable")]
+        return np.pad(self.p, (0, 1)), tail[seen], head[seen]
+
+    def _rows(self, r0: int, r1: int) -> np.ndarray:
+        """expand().p[r0:r1]: the free pairs' class values, a zero diagonal
+        and the known nodes' observed links, gathered row by row."""
+        p, tail, head = self._gather_from
+        p = p[self.node_cls[r0:r1]][:, self.node_cls]
+        np.fill_diagonal(p[:, r0:], 0.0)
+        lo, hi = np.searchsorted(tail, (r0, r1))
+        p[tail[lo:hi] - r0, head[lo:hi]] = 1.0
+        return p
+
     def expand(self) -> ProbMatrix:
-        """The node-level ProbMatrix: the free nodes' class values, and the
-        known nodes' rows and columns set to their observed links
-        (FORCED_OBS)."""
-        p = _expand(np.pad(self.p, (0, 1)), self.node_cls)
+        """The node-level ProbMatrix; the known nodes' rows and columns
+        are FORCED_OBS."""
         forced = _expand(np.pad(self.forced, (0, 1), constant_values=FORCED_OBS),
                          self.node_cls)
-        tail, head = self.links
-        seen = self.known[tail] | self.known[head]
-        p[tail[seen], head[seen]] = 1.0
-        return ProbMatrix(n=self.n, directed=self.directed, p=p, forced=forced)
+        return ProbMatrix(n=self.n, directed=self.directed,
+                          p=self._rows(0, self.n), forced=forced)
 
 
 def _known(n: int, cond) -> np.ndarray:

@@ -80,7 +80,8 @@ class AccuracyReport:
         """Assemble the report from per-node accuracies (NaN where failed).
 
         Rank vectors with zero variance get a None correlation instead of
-        aborting the report; failed nodes are excluded from the correlations.
+        aborting the report; failed nodes are excluded from the correlations,
+        which are None when fewer than two nodes are left.
         """
         failed = np.isnan(acc)
         ok = ~failed
@@ -90,7 +91,7 @@ class AccuracyReport:
                 raise InputError(f"rank vector {rank.index_name!r} has wrong length")
             try:
                 correlations[rank.index_name] = pearson(acc[ok], rank.rescaled[ok])
-            except UndefinedCorrelationError:
+            except (InputError, UndefinedCorrelationError):  # < 2 nodes, or constant
                 correlations[rank.index_name] = None
         return cls(A_benchmark=a_benchmark, A=acc,
                    correlations=correlations, failed=failed)

@@ -1,7 +1,9 @@
-"""Bernoulli sampling of graphs from a probability matrix.
+"""Bernoulli sampling of graphs from an ensemble's link probabilities.
 
 Sample t of a run uses the derived seed (seed, t), so samples are mutually
-independent, individually reproducible and safe to generate in parallel.
+independent, individually reproducible and safe to generate in parallel. A
+draw streams the probability matrix in blocks of rows, so `class_sample`,
+the `sample` command's draw, builds no n x n array.
 """
 from __future__ import annotations
 
@@ -11,7 +13,10 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, make_graph
-from .maxent import ProbMatrix
+from .maxent import ClassSolution, ProbMatrix
+
+# Entries (rows x n) of one block of a draw; it bounds the block's memory.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -26,24 +31,49 @@ class SampleSpec:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
-def _draw(pm: ProbMatrix, seed) -> np.ndarray:
-    """Boolean hit matrix of one draw; upper triangle only when undirected."""
-    hit = np.random.default_rng(seed).random((pm.n, pm.n)) < pm.p
-    if pm.directed:
-        np.fill_diagonal(hit, False)
-        return hit
-    return np.triu(hit, 1)
+def _draw(rows, n: int, directed: bool, seed, put) -> None:
+    """One draw: an entry is a hit when its uniform is below p_ij.
+
+    rows(block) returns p[block] for a slice of rows of the n x n p. Each
+    block of at most BLOCK_ELEMENTS entries takes the next rows of one
+    default_rng(seed).random((n, n)), so the draw does not depend on the
+    block size. The diagonal is cleared, and an undirected draw keeps j > i
+    only. put(block, hit) receives each block's hits, in row order.
+    """
+    rng = np.random.default_rng(seed)
+    step = BLOCK_ELEMENTS // n or 1
+    for r0 in range(0, n, step):
+        block = slice(r0, r0 + step)
+        p = rows(block)
+        hit = rng.random(p.shape) < p
+        if directed:
+            hit.ravel()[r0::n + 1] = False  # (i, i); hit is contiguous
+        else:  # j <= i lies in the columns up to r0 and the block's square
+            hit[:, :r0] = False
+            square = hit[:, r0:r0 + len(hit)]
+            square[...] = np.triu(square, 1)
+        put(block, hit)
+
+
+def _edges(rows, n: int, directed: bool, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of one draw's edges, in row-major order."""
+    tails, heads = [], []
+
+    def put(block, hit):
+        i, j = divmod(np.flatnonzero(hit), n)
+        tails.append(i + block.start)
+        heads.append(j)
+
+    _draw(rows, n, directed, seed, put)
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 def sample_graph(pm: ProbMatrix, seed, labels=None) -> Graph:
-    """One graph draw: each free entry is an independent Bernoulli(p_ij).
-
-    Undirected matrices use a single draw per unordered pair; entries pinned
-    at 0 or 1 are copied deterministically by the same comparison. The draw
-    carries `labels`, the node labels of the graph pm was solved for.
-    """
-    edges = zip(*np.nonzero(_draw(pm, seed)))
-    return make_graph(pm.n, [(int(i), int(j)) for i, j in edges],
+    """One graph draw: each entry is an independent Bernoulli(p_ij), one
+    per unordered pair when undirected. The draw carries `labels`, the
+    node labels of the graph pm was solved for."""
+    tails, heads = _edges(pm.p.__getitem__, pm.n, pm.directed, seed)
+    return make_graph(pm.n, zip(tails.tolist(), heads.tolist()),
                       directed=pm.directed, labels=labels)
 
 
@@ -53,7 +83,19 @@ def sample_ensemble(pm: ProbMatrix, spec: SampleSpec, labels=None):
         yield sample_graph(pm, seed=(spec.seed, t), labels=labels)
 
 
+def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads, in row-major order, of the edges of
+    sample_graph(sol.expand(), seed), drawn from the classes with no n x n
+    array. Like expand, it rejects an ensemble of no nodes."""
+    if sol.n == 0:
+        raise InputError("probability matrix must have at least one node")
+    return _edges(lambda block: sol._rows(block.start, block.stop),
+                  sol.n, sol.directed, seed)
+
+
 def adjacency_sample(pm: ProbMatrix, seed) -> np.ndarray:
     """Adjacency-matrix form of sample_graph: the same draw from the same seed."""
-    a = _draw(pm, seed).astype(float)
+    a = np.empty((pm.n, pm.n))
+    # bound methods, not closures: the risk scorer draws 100 times per node
+    _draw(pm.p.__getitem__, pm.n, pm.directed, seed, a.__setitem__)
     return a if pm.directed else a + a.T

@@ -382,3 +382,15 @@ def dense_dbcm(k_out, k_in, opts):
     x, y, _, iterations = _iterate_directed(k_out, k_in, free, opts)
     xy = np.outer(x, y)
     return np.where(free, xy / (1.0 + xy), ones), lim, iterations
+
+
+def dense_draw(p, directed, seed):
+    """Boolean hit matrix of one draw from the n x n link probabilities p:
+    one default_rng(seed).random((n, n)) compared with p at once, with the
+    diagonal cleared, and only the upper triangle kept when undirected."""
+    n = p.shape[0]
+    hit = np.random.default_rng(seed).random((n, n)) < p
+    if directed:
+        np.fill_diagonal(hit, False)
+        return hit
+    return np.triu(hit, 1)

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inforank import maxent
+from inforank import SampleSpec, maxent, sample_ensemble, sampling
 from inforank.centrality import rescale
 from inforank.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 from inforank.entropy import inforank
 from inforank.generators import from_spec
-from inforank.graphs import degree_sequence
+from inforank.graphs import degree_sequence, serialize_edge_list
 from inforank.recon import pearson
 
 
@@ -306,6 +306,58 @@ def test_compare_with_under_two_solved_nodes(tmp_path):
         "degree~inforank", "closeness~inforank", "pagerank~inforank"]
 
 
+def test_accuracy_with_under_two_solved_nodes(tmp_path):
+    # the same capped graph: every node fails, so every correlation is
+    # undefined, and accuracy lists the failed nodes and exits 4
+    g = from_spec("er:8,0.4", seed=2)
+    cap = maxent.solve_ubcm(degree_sequence(g))[0].iterations
+    code, out = run(tmp_path, "accuracy", "--generate", "er:8,0.4", "--seed", "2",
+                    "--max-iterations", str(cap))
+    assert code == EXIT_SOLVER
+    payload = json.loads(out.read_text())
+    assert payload["failed_nodes"] == list(range(8))
+    assert all(row["accuracy"] is None for row in payload["per_node"])
+    assert payload["correlations"] == dict.fromkeys(
+        ["degree", "closeness", "pagerank", "inforank"])
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["--generate", "er:15,0.3", "--seed", "6"], None),
+    (["--generate", "er:5,0.0"], None),
+    (["--generate", "star:6", "--conditioned-on", "0"], None),
+    (["--generate", "ba:40,3", "--seed", "1"], 200),
+    (["--generate", "scalefree:30,2", "--seed", "2", "--conditioned-on", "3"], 100),
+    (["--generate", "er:20,0.2", "--seed", "5", "--directed"], 1),
+], ids=["er", "no-edges", "star-cond", "ba-blocks", "sf-dir-cond-blocks",
+        "er-dir-rows"])
+def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
+                                              argv, budget):
+    # the streamed class draws, in one row block or several, write what
+    # serializing each sample_graph of the expanded ensemble writes
+    if budget is not None:
+        monkeypatch.setattr(sampling, "BLOCK_ELEMENTS", budget)
+    spec = argv[argv.index("--generate") + 1]
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    g = from_spec(spec, seed=seed, directed="--directed" in argv)
+    pm = (maxent.solve_conditioned_set(g, [int(argv[-1])])
+          if "--conditioned-on" in argv else maxent.solve_benchmark(g))
+    draws = list(sample_ensemble(pm, SampleSpec(count=4, seed=seed), g.labels))
+    expect = "".join(f"# seed={seed} sample={t}\n"
+                     + (serialize_edge_list(s) if s.m else "")
+                     for t, s in enumerate(draws))
+    capsys.readouterr()
+    assert main(["sample", *argv, "--samples", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == expect
+    outdir = tmp_path / "samples"
+    assert main(["sample", *argv, "--samples", "4",
+                 "--output-dir", str(outdir)]) == EXIT_OK
+    assert "".join(p.read_text() for p in sorted(outdir.iterdir())) == expect
+
+
+def test_sample_of_no_nodes_exits_config(tmp_path):
+    assert main(["sample", "--generate", "er:0,0.5"]) == EXIT_CONFIG
+
+
 def test_config_file_defaults_overridden_by_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 1e-6\nthreads = 2\n")
@@ -371,11 +423,15 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     (["compare", "--generate", "scalefree:30,2", "--seed", "3"], 0),
     (["risk", "--generate", "scalefree:30,2", "--seed", "3", "--samples", "2"],
      30),
+    (["sample", "--generate", "ba:60,3", "--seed", "1", "--samples", "3"], 0),
+    (["sample", "--generate", "scalefree:30,2", "--seed", "3",
+      "--conditioned-on", "0", "--samples", "3"], 0),
 ])
 def test_only_risk_expands_to_node_matrices(tmp_path, monkeypatch, argv,
                                              expansions):
-    # ranking and accuracy score every ensemble on its degree classes; only
-    # the risk scorer builds each node's n x n matrix, to sample from it
+    # ranking and accuracy score every ensemble on its degree classes, and
+    # sample draws from them in row blocks; only the risk scorer builds
+    # each node's n x n matrix, to sample from it
     calls = []
     expand = maxent.ClassSolution.expand
     monkeypatch.setattr(maxent.ClassSolution, "expand",

@@ -449,3 +449,24 @@ def test_benchmark_graph_route_matches_sequence_route(case):
 ], ids=["ba-120-3", "er-dir-80", "star-8", "dir-face"])
 def test_benchmark_graph_route_matches_sequence_route_on_fixed_graphs(g):
     assert_benchmark_routes_agree(g)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graph(), st.booleans(), st.data())
+def test_row_gather_is_expanded_rows(case, conditioned, data):
+    # any run of rows gathered from the classes, clipped at n as a slice
+    # is, equals those rows of the expansion; that holds the class values
+    # of the free pairs, a zero diagonal and the known nodes' observed links
+    g, node = case
+    sol = maxent.solve_classes(g, [node] if conditioned else None)
+    p = sol.expand().p
+    r0 = data.draw(st.integers(0, g.n - 1))
+    r1 = data.draw(st.integers(r0 + 1, g.n + 2))
+    assert np.array_equal(sol._rows(r0, r1), p[r0:r1])
+
+    cls, known = sol.node_cls, sol.known
+    a = g.adjacency()
+    expect = np.where(known[:, None] | known, a,
+                      np.pad(sol.p, (0, 1))[np.ix_(cls, cls)])
+    np.fill_diagonal(expect, 0.0)
+    assert np.array_equal(p, expect)

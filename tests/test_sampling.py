@@ -1,10 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inforank import (InputError, ProbMatrix, SampleSpec, adjacency_sample,
                       degree_sequence, sample_ensemble, sample_graph,
-                      solve_ubcm)
-from inforank.generators import erdos_renyi
+                      sampling, solve_ubcm)
+from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
+from inforank.maxent import solve_classes
+from inforank.sampling import class_sample
+
+from helpers import small_graph
+from oracles import dense_draw
 
 
 def _pm(p, directed=False):
@@ -98,3 +106,59 @@ def test_forced_entries_copied_exactly():
     for s in sample_ensemble(pm, SampleSpec(count=20, seed=9)):
         assert all((0, i) in s.edges for i in range(1, 6))
         assert degree_sequence(s).k.tolist() == [5, 1, 1, 1, 1, 1]
+
+
+def _block_cases():
+    """A small graph, whether to condition on its drawn node, a draw seed
+    and the rows per block, from 1 up to a single block of n rows."""
+    return small_graph().flatmap(lambda case: st.tuples(
+        st.just(case), st.booleans(), st.integers(0, 2**32 - 1),
+        st.integers(1, case[0].n)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_block_cases(), st.integers(0, 7))
+def test_streamed_draw_matches_dense_oracle(case, spare):
+    # blocks of one row, of a few rows, of a count that does not divide n
+    # and of all n rows: every one streams the dense draw's hits
+    (g, node), conditioned, seed, rows = case
+    sol = solve_classes(g, [node] if conditioned else None)
+    pm = sol.expand()
+    hit = dense_draw(pm.p, g.directed, seed)
+    with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
+        tails, heads = class_sample(sol, seed)
+        adjacency = adjacency_sample(pm, seed)
+        graph = sample_graph(pm, seed)
+    i, j = np.nonzero(hit)
+    assert np.array_equal(tails, i) and np.array_equal(heads, j)
+    assert np.array_equal(adjacency, hit | hit.T if not g.directed else hit)
+    assert sorted(graph.edges) == list(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("budget", [1, 2300, sampling.BLOCK_ELEMENTS])
+def test_streamed_draw_matches_dense_oracle_on_large_graphs(budget):
+    # BA(300, 3) and directed SF(200, 2) conditioned on node 0, in blocks
+    # of one row, of 7 and 11 rows (which divide neither n) and of the
+    # default size
+    for g, nodes in ((barabasi_albert(300, 3, seed=1), None),
+                     (scale_free_directed(200, 2, seed=2), [0])):
+        sol = solve_classes(g, nodes)
+        hit = dense_draw(sol.expand().p, g.directed, (5, 1))
+        with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
+            tails, heads = class_sample(sol, (5, 1))
+        i, j = np.nonzero(hit)
+        assert np.array_equal(tails, i) and np.array_equal(heads, j)
+
+
+@pytest.mark.parametrize("budget", [1, 20, sampling.BLOCK_ELEMENTS])
+@pytest.mark.parametrize("directed", [False, True])
+def test_draw_never_hits_the_diagonal(directed, budget):
+    # the draw clears the diagonal itself, even where p_ii was set to 1
+    # after the matrix was checked
+    pm = _pm(np.ones((9, 9)), directed)
+    pm.p[...] = 1.0
+    with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
+        a = adjacency_sample(pm, seed=1)
+        g = sample_graph(pm, seed=1)
+    assert np.array_equal(a, 1.0 - np.eye(9))
+    assert g.m == (72 if directed else 36)

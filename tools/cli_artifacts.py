@@ -20,7 +20,9 @@ The matrix: BA(40, 3) with seed 1 and directed scale-free(30, 2) with seed
 iteration count (so that some conditioned solves fail); `rank`, `compare`,
 `accuracy` and `risk` (which rejects the undirected graph), each as JSON
 and as CSV, to stdout and to --output; and `sample` to stdout and to
---output-dir, plain and conditioned on node 0.
+--output-dir, plain and conditioned on node 0. Two larger `sample` runs,
+BA(400, 3) plain and directed scale-free(300, 2) conditioned on node 0,
+draw more entries than one row block of `sampling.BLOCK_ELEMENTS` holds.
 """
 from __future__ import annotations
 
@@ -32,6 +34,10 @@ from pathlib import Path
 
 GRAPHS = (("ba-40-3", "ba:40,3", 1), ("sf-dir-30-2", "scalefree:30,2", 2))
 COMMANDS = ("rank", "compare", "accuracy", "risk")
+# (case, spec, seed, extra options) of the sample runs of several row blocks
+BLOCK_SAMPLES = (("ba-400-3_sample", "ba:400,3", 1, []),
+                 ("sf-dir-300-2_sample_cond", "scalefree:300,2", 2,
+                  ["--conditioned-on", "0"]))
 
 
 def benchmark_iterations(spec: str, seed: int) -> int:
@@ -60,6 +66,11 @@ def matrix():
             case = f"{name}_sample{'_cond' if conditioned else ''}"
             yield f"{case}_stdout", argv
             yield f"{case}_dir", argv + ["--output-dir", "samples"]
+    for case, spec, seed, extra in BLOCK_SAMPLES:
+        argv = ["sample", "--generate", spec, "--seed", str(seed),
+                "--samples", "3", *extra]
+        yield f"{case}_stdout", argv
+        yield f"{case}_dir", argv + ["--output-dir", "samples"]
 
 
 def main(src: str, outdir: str) -> None:
