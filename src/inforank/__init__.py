@@ -17,7 +17,7 @@ from .errors import (GraphError, InfoRankError, InputError, ParseError,
                      SolverError, UndefinedCorrelationError,
                      UndefinedIndexError)
 from .graphs import (DegreeSeq, Graph, degree_sequence, load_edge_list,
-                     make_graph, serialize_edge_list)
+                     make_graph)
 from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
                      SolverOptions, solve_benchmark, solve_conditioned_set,
                      solve_dbcm, solve_ubcm)
@@ -38,6 +38,6 @@ __all__ = [
     "degree_centrality", "degree_sequence", "expected_accuracy", "fit_trend",
     "inforank", "inforank_subset", "load_edge_list", "make_graph",
     "pagerank", "pearson", "rescale", "risk_error_experiment",
-    "sample_ensemble", "sample_graph", "serialize_edge_list",
+    "sample_ensemble", "sample_graph",
     "solve_benchmark", "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
 ]

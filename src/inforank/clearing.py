@@ -28,6 +28,10 @@ from .graphs import Graph
 from .maxent import ClassSolution, SolverOptions
 from .sampling import adjacency_sample
 
+# clear()'s defaults, which the risk experiment clears with
+CLEAR_TOL = 1e-10
+CLEAR_MAX_ITER = 10_000
+
 
 @dataclass
 class ClearingProblem:
@@ -81,8 +85,8 @@ class PaymentVector:
     iterations: int
 
 
-def clear(prob: ClearingProblem, tol: float = 1e-10,
-          max_iter: int = 10_000) -> PaymentVector:
+def clear(prob: ClearingProblem, tol: float = CLEAR_TOL,
+          max_iter: int = CLEAR_MAX_ITER) -> PaymentVector:
     """Greatest clearing fixed point via monotone iteration from p = pbar."""
     if not 0.0 < tol < math.inf:
         raise InputError("clearing tolerance must be positive and finite")
@@ -160,17 +164,16 @@ class RiskExperiment:
     weights preserving the observed interbank volume in expectation, clears
     them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
 
-    The fixed inputs (externals, alpha, beta, tol, max_iter) are checked
-    once, here, by clearing the real network through `clear`. A sampled
-    liability matrix is a 0/1 draw with an empty diagonal times a
-    non-negative weight, so it is valid by construction and is cleared
-    without building a ClearingProblem.
+    Every network is cleared with clear()'s defaults. The fixed inputs
+    (externals, alpha, beta) are checked once, here, by clearing the real
+    network through `clear`. A sampled liability matrix is a 0/1 draw with
+    an empty diagonal times a non-negative weight, so it is valid by
+    construction and is cleared without building a ClearingProblem.
     """
 
     def __init__(self, g: Graph, samples_per_node: int = 100,
                  externals: ExternalsConfig | None = None,
-                 alpha: float = 0.9, beta: float = 0.9, seed: int = 0,
-                 tol: float = 1e-10, max_iter: int = 10_000):
+                 alpha: float = 0.9, beta: float = 0.9, seed: int = 0):
         externals = externals or ExternalsConfig()
         if samples_per_node < 1:
             raise InputError("samples_per_node must be >= 1")
@@ -178,7 +181,6 @@ class RiskExperiment:
             raise InputError(f"seed must be >= 0, got {seed}")
         self.samples = samples_per_node
         self.alpha, self.beta, self.seed = alpha, beta, seed
-        self.tol, self.max_iter = tol, max_iter
 
         rng = np.random.default_rng(seed)
         self.ae = np.clip(rng.normal(externals.mu_a, externals.sigma_a, g.n), 0.0, None)
@@ -186,10 +188,9 @@ class RiskExperiment:
 
         l_real = build_liabilities(g)
         self.volume = float(l_real.sum())
-        # validates alpha, beta, tol, max_iter and the externals
+        # validates alpha, beta and the externals
         self.p_real = clear(ClearingProblem(L=l_real, Ae=self.ae, Le=self.le,
-                                            alpha=alpha, beta=beta),
-                            tol=tol, max_iter=max_iter).p
+                                            alpha=alpha, beta=beta)).p
         self.norm = float(self.p_real @ self.p_real)
         if self.norm == 0.0:
             raise InputError("real payment vector is zero; error normalization undefined")
@@ -202,7 +203,7 @@ class RiskExperiment:
         for t in range(self.samples):
             a_s = adjacency_sample(pm, seed=(self.seed, node, t))
             p = _clear(a_s * w, self.ae, self.le, self.alpha, self.beta,
-                       self.tol, self.max_iter).p
+                       CLEAR_TOL, CLEAR_MAX_ITER).p
             diff = p - self.p_real
             errors[t] = float(diff @ diff) / self.norm
         return errors.mean()
@@ -212,12 +213,11 @@ def risk_error_experiment(g: Graph, samples_per_node: int = 100,
                           externals: ExternalsConfig | None = None,
                           alpha: float = 0.9, beta: float = 0.9,
                           seed: int = 0,
-                          opts: SolverOptions | None = None,
-                          tol: float = 1e-10, max_iter: int = 10_000) -> RiskResult:
+                          opts: SolverOptions | None = None) -> RiskResult:
     """Per-node error in estimating the clearing payments from sampled
     topologies of each node's conditioned ensemble (see RiskExperiment)."""
     experiment = RiskExperiment(g, samples_per_node, externals,
-                                alpha, beta, seed, tol, max_iter)
+                                alpha, beta, seed)
     (mse,) = conditioned_pass(g, (experiment,), opts)
     return RiskResult(mse=mse, failed=np.isnan(mse), p_real=experiment.p_real,
                       Ae=experiment.ae, Le=experiment.le)

@@ -4,8 +4,9 @@ Every run is reproducible: the seed is recorded in each output artifact and
 identical configurations produce byte-identical machine-readable output,
 independent of the thread count. Floating-point output carries 12
 significant digits. Every command but `sample` writes one artifact, its
-payload as JSON or its node table as CSV; a node whose solve failed shows
-as null (an empty CSV field), and the command exits 4.
+payload as JSON or its node table as CSV, to --output or stdout; a node
+whose solve failed shows as null (an empty CSV field), and the command
+exits 4. `sample` writes its draws to stdout or to --output-dir.
 
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
@@ -354,7 +355,7 @@ def cmd_risk(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, artifact: bool = True):
     sub.add_argument("--input", help="edge-list file path, or - for stdin")
     sub.add_argument("--generate", metavar="SPEC",
                      help="synthetic graph: er:n,p | ba:n,m | star:n | ring:n,k | scalefree:n,m")
@@ -368,8 +369,9 @@ def _add_common(sub):
     sub.add_argument("--threads", type=int, default=None,
                      help=f"accepted and checked (>= 1; default ${THREADS_ENV} or 1) "
                           "but has no effect")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--output", help="output file (default stdout)")
+    if artifact:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        sub.add_argument("--output", help="output file (default stdout)")
     sub.add_argument("--config", help="key=value config file (flags take precedence)")
 
 
@@ -399,8 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PageRank damping (default 0.85)")
     p_acc.set_defaults(func=cmd_accuracy)
 
-    p_smp = subs.add_parser("sample", help="draw graphs from the fitted ensemble")
-    _add_common(p_smp)
+    # no prefix matching, so that --output is not taken for --output-dir
+    p_smp = subs.add_parser("sample", help="draw graphs from the fitted ensemble",
+                            allow_abbrev=False)
+    _add_common(p_smp, artifact=False)
     p_smp.add_argument("--samples", type=int, default=1)
     p_smp.add_argument("--conditioned-on", dest="conditioned_on", type=int, default=None,
                        help="sample the ensemble conditioned on this node")

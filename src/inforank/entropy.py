@@ -105,7 +105,6 @@ class EntropyReport:
     S_cond: np.ndarray
     I: np.ndarray
     failed: np.ndarray            # bool; True where the conditioned solve failed
-    labels: tuple[str, ...]
 
 
 def conditioned_pass(g: Graph, scorers, opts: SolverOptions | None = None) -> np.ndarray:
@@ -153,9 +152,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
         opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
-        S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond),
-        labels=tuple(g.label(i) for i in range(g.n)),
-    )
+        S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond))
     return report, bench, extra
 
 

@@ -47,10 +47,11 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     deg[: m + 1] = m
     for v in range(m + 1, n):
         targets: set[int] = set()
-        weights = deg[:v] / deg[:v].sum()
+        # rng.choice(v, p=weights) per draw, with its cdf built once per node
+        cdf = (deg[:v] / deg[:v].sum()).cumsum()
+        cdf /= cdf[-1]
         while len(targets) < m:
-            t = int(rng.choice(v, p=weights))
-            targets.add(t)
+            targets.add(int(cdf.searchsorted(rng.random(), side="right")))
         for t in sorted(targets):
             edges.append((t, v))
             deg[t] += 1
@@ -102,14 +103,17 @@ def scale_free_directed(n: int, m: int = 2, seed: int = 0) -> Graph:
             if i != j:
                 add(i, j)
     for v in range(core, n):
-        w_in = (k_in[:v] + 1.0) / (k_in[:v] + 1.0).sum()
-        w_out = (k_out[:v] + 1.0) / (k_out[:v] + 1.0).sum()
+        # rng.choice(v, p=weights) per draw, as in barabasi_albert
+        cdf_in = ((k_in[:v] + 1.0) / (k_in[:v] + 1.0).sum()).cumsum()
+        cdf_out = ((k_out[:v] + 1.0) / (k_out[:v] + 1.0).sum()).cumsum()
+        cdf_in /= cdf_in[-1]
+        cdf_out /= cdf_out[-1]
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(int(rng.choice(v, p=w_in)))
+            targets.add(int(cdf_in.searchsorted(rng.random(), side="right")))
         sources: set[int] = set()
         while len(sources) < m:
-            sources.add(int(rng.choice(v, p=w_out)))
+            sources.add(int(cdf_out.searchsorted(rng.random(), side="right")))
         for t in sorted(targets):
             add(v, t)
         for s in sorted(sources):

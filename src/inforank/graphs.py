@@ -1,4 +1,5 @@
-"""Binary graph container, edge-list ingestion and degree bookkeeping.
+"""Binary graph container, edge-list ingestion and degree bookkeeping; the
+`sample` command is the only edge-list writer.
 
 Graphs are immutable after construction; the dense adjacency matrix is
 built on first use and kept.
@@ -189,17 +190,6 @@ def load_edge_list(source, directed: bool = False) -> Graph:
         labels=tuple(labels),
         weights=weights if any_weight else None,
     )
-
-
-def serialize_edge_list(g: Graph) -> str:
-    """Inverse of load_edge_list up to (n, directed, edge set)."""
-    lines = []
-    for i, j in sorted(g.edges):
-        if g.weights is not None and (i, j) in g.weights:
-            lines.append(f"{g.label(i)} {g.label(j)} {g.weights[(i, j)]:.12g}")
-        else:
-            lines.append(f"{g.label(i)} {g.label(j)}")
-    return "\n".join(lines) + "\n"
 
 
 def links(g: Graph):

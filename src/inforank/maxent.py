@@ -24,9 +24,9 @@ instead of once per node, and each result is bit-identical to the one its
 system gives alone. A degree sequence without a graph (`solve_ubcm`,
 `solve_dbcm`) is a block of one.
 
-The route yields a ClassSolution, which the scorers read in O(C^2 + n + m)
-and `sample` draws from a block of rows at a time; only the public
-ProbMatrix solves and the risk sampler expand it to n x n.
+Every solve builds a ClassSolution by one constructor. The scorers read it
+in O(C^2 + n + m), `sample` draws from a block of rows at a time, and only
+the ProbMatrix solves and the risk sampler expand it to n x n.
 
 The finite solution exists only strictly inside the polytope of expected
 degrees. Degenerate degrees are handled exactly before iterating:
@@ -234,10 +234,11 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 # The core pins and iterates on the classes of the degrees it is given, with
 # class sizes m. A node of class c has free[c, d] * partners[c, d] free
 # (out-)partners in class d, and free[d, c] * partners[c, d] free
-# in-partners there. The fixed-point loops run a stack of B systems of one
-# class count C as (B, C) and (B, C, C) arrays; a single solve is a stack of
-# one. Stacking never pads a system: a padded class changes the order of the
-# sums in the matrix products and with it the last bits of p.
+# in-partners there. One loop (_run) drives the step of either model
+# (_step_undirected, _step_directed) on a stack of B systems of one class
+# count C as (B, C) and (B, C, C) arrays; a single solve is a stack of one.
+# Stacking never pads a system: a padded class changes the order of the sums
+# in the matrix products and with it the last bits of p.
 
 # Class-pair entries (B * C^2) of one stacked block of conditioned systems;
 # it bounds the memory of the block's (B, C, C) arrays.
@@ -262,13 +263,6 @@ def _classes(k_out: np.ndarray, k_in: np.ndarray):
     _, first, cls, m = np.unique(key, return_index=True, return_inverse=True,
                                  return_counts=True)
     return cls, m, k_out[first], k_in[first]
-
-
-def _expand(a: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    """Node matrix of the class matrix a, with a zero diagonal."""
-    out = a[cls][:, cls]
-    np.fill_diagonal(out, 0)
-    return out
 
 
 def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
@@ -315,69 +309,50 @@ def _start(k: np.ndarray, total: np.ndarray) -> np.ndarray:
     return k / np.sqrt(np.where(total > 0, total, 1))[:, None]
 
 
-def _iterate_undirected(k: np.ndarray, w: np.ndarray, total: np.ndarray,
-                        opts: SolverOptions):
-    """Fixed point x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack:
-    k is (B, C), w is (B, C, C) and total holds each system's degree sum.
-
-    Each system starts where the node-level iteration does, and so makes
-    the same iterates in exact arithmetic. Returns (x, residual,
-    iterations) as _run does.
-    """
-    k = k.astype(float)
-
-    def step(k, w, x):
-        s = ((w / (1.0 + x[:, :, None] * x[:, None])) @ x[:, :, None])[:, :, 0]
-        return np.abs(k - x * s).max(axis=1), (k / np.where(s > 0, s, np.inf),)
-
-    (x,), residual, iterations = _run(step, (k, w), (_start(k, total),),
-                                      total > 0, opts)
-    return x, residual, iterations
+def _step_undirected(k, w, x):
+    """One step of x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack:
+    k and x are (B, C), w is (B, C, C). Returns each system's residual at x
+    and the next x."""
+    s = ((w / (1.0 + x[:, :, None] * x[:, None])) @ x[:, :, None])[:, :, 0]
+    return np.abs(k - x * s).max(axis=1), (k / np.where(s > 0, s, np.inf),)
 
 
-def _iterate_directed(k_out: np.ndarray, k_in: np.ndarray, w_out: np.ndarray,
-                      w_in: np.ndarray, total: np.ndarray, opts: SolverOptions):
-    """Directed class fixed point on a stack; w_out[b, c, d] counts the free
-    out-partners in class d of a node of class c, w_in[b, c, d] the free
-    in-partners in class c of a node of class d."""
-    ko = k_out.astype(float)
-    ki = k_in.astype(float)
-
-    def step(ko, ki, w_out, w_in, x, y):
-        d = 1.0 + x[:, :, None] * y[:, None]
-        sx = ((w_out / d) @ y[:, :, None])[:, :, 0]
-        sy = (x[:, None] @ (w_in / d))[:, 0]
-        residual = np.maximum(np.abs(ko - x * sx).max(axis=1),
-                              np.abs(ki - y * sy).max(axis=1))
-        return residual, (ko / np.where(sx > 0, sx, np.inf),
-                          ki / np.where(sy > 0, sy, np.inf))
-
-    (x, y), residual, iterations = _run(
-        step, (ko, ki, w_out, w_in), (_start(ko, total), _start(ki, total)),
-        total > 0, opts)
-    return x, y, residual, iterations
+def _step_directed(ko, ki, w_out, w_in, x, y):
+    """The directed step: w_out[b, c, d] counts the free out-partners in
+    class d of a node of class c, w_in[b, c, d] the free in-partners in
+    class c of a node of class d."""
+    d = 1.0 + x[:, :, None] * y[:, None]
+    sx = ((w_out / d) @ y[:, :, None])[:, :, 0]
+    sy = (x[:, None] @ (w_in / d))[:, 0]
+    residual = np.maximum(np.abs(ko - x * sx).max(axis=1),
+                          np.abs(ki - y * sy).max(axis=1))
+    return residual, (ko / np.where(sx > 0, sx, np.inf),
+                      ki / np.where(sy > 0, sy, np.inf))
 
 
 def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
     """Iterate class systems of one class count together.
 
-    Returns their class x, y and p as (B, C) and (B, C, C) stacks, with
-    their residuals and iterations. A system converged iff its residual is
-    <= tolerance; the p of one that did not is meaningless.
+    Each system starts where the node-level iteration does, and so makes
+    the same iterates in exact arithmetic. Returns their class x, y and p
+    as (B, C) and (B, C, C) stacks, with their residuals and iterations. A
+    system converged iff its residual is <= tolerance; the p of one that
+    did not is meaningless.
     """
     m = np.stack([s.m for s in systems])
     k_out = np.stack([s.k_out for s in systems])
     free = np.stack([s.free for s in systems])
     partners = _partners(m)
     total = (m * k_out).sum(axis=1)
-    w_out = (free * partners).astype(float)
+    ks = [k_out.astype(float)]
+    ws = [(free * partners).astype(float)]
     if directed:
-        x, y, residual, iterations = _iterate_directed(
-            k_out, np.stack([s.k_in for s in systems]), w_out,
-            (free * partners.transpose(0, 2, 1)).astype(float), total, opts)
-    else:
-        x, residual, iterations = _iterate_undirected(k_out, w_out, total, opts)
-        y = x
+        ks.append(np.stack([s.k_in for s in systems]).astype(float))
+        ws.append((free * partners.transpose(0, 2, 1)).astype(float))
+    xs, residual, iterations = _run(
+        _step_directed if directed else _step_undirected, (*ks, *ws),
+        [_start(k, total) for k in ks], total > 0, opts)
+    x, y = xs[0], xs[-1]  # one x when undirected
 
     xy = x[:, :, None] * y[:, None]
     p = np.where(free, xy / (1.0 + xy), np.stack([s.ones for s in systems]))
@@ -435,9 +410,9 @@ def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
     params = ParamVector(directed=directed, x=x[s.cls],
                          y=y[s.cls] if directed else None,
                          residual=residual, iterations=iterations)
-    forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
-    return params, ProbMatrix(n=n, directed=directed, p=_expand(p, s.cls),
-                              forced=_expand(forced, s.cls))
+    no_links = (np.zeros(0, np.int64),) * 2
+    return params, _class_solution(n, directed, no_links, np.zeros(n, bool),
+                                   s, p).expand()
 
 
 def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
@@ -516,10 +491,21 @@ class ClassSolution:
     def expand(self) -> ProbMatrix:
         """The node-level ProbMatrix; the known nodes' rows and columns
         are FORCED_OBS."""
-        forced = _expand(np.pad(self.forced, (0, 1), constant_values=FORCED_OBS),
-                         self.node_cls)
+        forced = np.pad(self.forced, (0, 1), constant_values=FORCED_OBS)
+        forced = forced[self.node_cls][:, self.node_cls]
+        np.fill_diagonal(forced, FREE)
         return ProbMatrix(n=self.n, directed=self.directed,
                           p=self._rows(0, self.n), forced=forced)
+
+
+def _class_solution(n: int, directed: bool, links, known: np.ndarray,
+                    s: _System, p: np.ndarray) -> ClassSolution:
+    """The ClassSolution of system s, solved to class probabilities p, for
+    n nodes with these links, conditioned on the `known` nodes."""
+    node_cls = np.full(n, len(s.m))
+    node_cls[~known] = s.cls
+    forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
+    return ClassSolution(n, directed, links, known, node_cls, s.m, p, forced)
 
 
 def _known(n: int, cond) -> np.ndarray:
@@ -553,13 +539,8 @@ def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
     degrees = (((j, k), *_conditioned_degrees(tails_heads, k))
                for j, k in enumerate(known))
     for (j, k), s, _, _, p, res, its in _stacks(degrees, g.directed, opts):
-        sol = None
-        if res <= opts.tolerance:
-            node_cls = np.full(g.n, len(s.m))
-            node_cls[~k] = s.cls
-            forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
-            sol = ClassSolution(g.n, g.directed, tails_heads, k, node_cls,
-                                s.m, p, forced)
+        sol = (_class_solution(g.n, g.directed, tails_heads, k, s, p)
+               if res <= opts.tolerance else None)
         yield j, sol, float(res), int(its)
 
 

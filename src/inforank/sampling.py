@@ -68,19 +68,18 @@ def _edges(rows, n: int, directed: bool, seed) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(tails), np.concatenate(heads)
 
 
-def sample_graph(pm: ProbMatrix, seed, labels=None) -> Graph:
+def sample_graph(pm: ProbMatrix, seed) -> Graph:
     """One graph draw: each entry is an independent Bernoulli(p_ij), one
-    per unordered pair when undirected. The draw carries `labels`, the
-    node labels of the graph pm was solved for."""
+    per unordered pair when undirected."""
     tails, heads = _edges(pm.p.__getitem__, pm.n, pm.directed, seed)
     return make_graph(pm.n, zip(tails.tolist(), heads.tolist()),
-                      directed=pm.directed, labels=labels)
+                      directed=pm.directed)
 
 
-def sample_ensemble(pm: ProbMatrix, spec: SampleSpec, labels=None):
+def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
     """Yield spec.count independent draws with per-sample derived seeds."""
     for t in range(spec.count):
-        yield sample_graph(pm, seed=(spec.seed, t), labels=labels)
+        yield sample_graph(pm, seed=(spec.seed, t))
 
 
 def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -394,3 +394,53 @@ def dense_draw(p, directed, seed):
         np.fill_diagonal(hit, False)
         return hit
     return np.triu(hit, 1)
+
+
+def barabasi_albert_choice(n, m, seed):
+    """Edge set of generators.barabasi_albert as first written: one
+    rng.choice over the normalised degrees per target draw."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)}
+    deg = np.zeros(n)
+    deg[: m + 1] = m
+    for v in range(m + 1, n):
+        targets = set()
+        weights = deg[:v] / deg[:v].sum()
+        while len(targets) < m:
+            targets.add(int(rng.choice(v, p=weights)))
+        for t in sorted(targets):
+            edges.add((t, v))
+            deg[t] += 1
+        deg[v] = m
+    return edges
+
+
+def scale_free_directed_choice(n, m, seed):
+    """Edge set of generators.scale_free_directed as first written: one
+    rng.choice per target and per source draw."""
+    rng = np.random.default_rng(seed)
+    k_out, k_in = np.zeros(n), np.zeros(n)
+    edges = set()
+
+    def add(i, j):
+        if i != j and (i, j) not in edges:
+            edges.add((i, j))
+            k_out[i] += 1
+            k_in[j] += 1
+
+    for i in range(m + 1):
+        for j in range(m + 1):
+            add(i, j)
+    for v in range(m + 1, n):
+        w_in = (k_in[:v] + 1.0) / (k_in[:v] + 1.0).sum()
+        w_out = (k_out[:v] + 1.0) / (k_out[:v] + 1.0).sum()
+        targets, sources = set(), set()
+        while len(targets) < m:
+            targets.add(int(rng.choice(v, p=w_in)))
+        while len(sources) < m:
+            sources.add(int(rng.choice(v, p=w_out)))
+        for t in sorted(targets):
+            add(v, t)
+        for s in sorted(sources):
+            add(s, v)
+    return edges

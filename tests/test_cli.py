@@ -13,13 +13,14 @@ from inforank.centrality import rescale
 from inforank.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 from inforank.entropy import inforank
 from inforank.generators import from_spec
-from inforank.graphs import degree_sequence, serialize_edge_list
+from inforank.graphs import degree_sequence
 from inforank.recon import pearson
 
 
 def run(tmp_path, *argv):
-    out = tmp_path / "out.json"
-    code = main(list(argv) + ["--output", str(out)])
+    flag, out = (("--output-dir", tmp_path / "samples") if argv[0] == "sample"
+                 else ("--output", tmp_path / "out.json"))
+    code = main(list(argv) + [flag, str(out)])
     return code, out
 
 
@@ -332,8 +333,8 @@ def test_accuracy_with_under_two_solved_nodes(tmp_path):
         "er-dir-rows"])
 def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
                                               argv, budget):
-    # the streamed class draws, in one row block or several, write what
-    # serializing each sample_graph of the expanded ensemble writes
+    # the streamed class draws, in one row block or several, write the
+    # sorted edges of each sample_graph of the expanded ensemble
     if budget is not None:
         monkeypatch.setattr(sampling, "BLOCK_ELEMENTS", budget)
     spec = argv[argv.index("--generate") + 1]
@@ -341,9 +342,10 @@ def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
     g = from_spec(spec, seed=seed, directed="--directed" in argv)
     pm = (maxent.solve_conditioned_set(g, [int(argv[-1])])
           if "--conditioned-on" in argv else maxent.solve_benchmark(g))
-    draws = list(sample_ensemble(pm, SampleSpec(count=4, seed=seed), g.labels))
+    draws = sample_ensemble(pm, SampleSpec(count=4, seed=seed))
     expect = "".join(f"# seed={seed} sample={t}\n"
-                     + (serialize_edge_list(s) if s.m else "")
+                     + "".join(f"{g.label(i)} {g.label(j)}\n"
+                               for i, j in sorted(s.edges))
                      for t, s in enumerate(draws))
     capsys.readouterr()
     assert main(["sample", *argv, "--samples", "4"]) == EXIT_OK
@@ -352,6 +354,21 @@ def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
     assert main(["sample", *argv, "--samples", "4",
                  "--output-dir", str(outdir)]) == EXIT_OK
     assert "".join(p.read_text() for p in sorted(outdir.iterdir())) == expect
+
+
+@pytest.mark.parametrize("flags", [
+    ["--output", "x.txt"], ["--output=x.txt"], ["--format", "csv"],
+    ["--format", "csv", "--output", "x.txt"],
+])
+def test_sample_rejects_artifact_flags(tmp_path, monkeypatch, capsys, flags):
+    # sample writes to stdout or --output-dir only; --output is not taken
+    # for a prefix of --output-dir
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--generate", "er:5,0.5", *flags])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_of_no_nodes_exits_config(tmp_path):

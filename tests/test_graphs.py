@@ -1,16 +1,18 @@
-import io
-
 import numpy as np
 import pytest
 
 from inforank import (GraphError, ParseError, degree_sequence,
-                      expected_accuracy, load_edge_list, make_graph,
-                      serialize_edge_list)
+                      expected_accuracy, load_edge_list, make_graph)
+from inforank.cli import EXIT_OK, main
 from inforank.entropy import ranking_pass
-from inforank.generators import erdos_renyi
+from inforank.generators import (barabasi_albert, erdos_renyi, from_spec,
+                                 scale_free_directed)
 from inforank.graphs import Graph
+from inforank.maxent import solve_classes
+from inforank.sampling import class_sample
 
 from helpers import relabel
+from oracles import barabasi_albert_choice, scale_free_directed_choice
 
 
 def test_load_two_edge_path():
@@ -65,24 +67,48 @@ def test_first_appearance_ordering():
     assert g.labels == ("z", "y", "x")
 
 
-def test_round_trip_identity():
+def test_round_trip_identity(tmp_path):
+    # every file `sample --output-dir` writes loads back through
+    # load_edge_list to the edge set it drew, by label
+    names = ["ann", "bo", "cy", "dee", "ed", "flo", "gus", "hal", "ida", "jo"]
     rng = np.random.default_rng(0)
-    for directed in (False, True):
-        edges = set()
-        while len(edges) < 30:
-            i, j = rng.integers(0, 15, 2)
-            if i != j:
-                edges.add((int(i), int(j)) if directed else (min(i, j), max(i, j)))
-        g = make_graph(15, sorted(edges), directed=directed)
-        g2 = load_edge_list(io.StringIO(serialize_edge_list(g)), directed=directed)
-        assert g2.n == g.n and g2.directed == g.directed
-        if directed:
-            original = {(g.label(i), g.label(j)) for i, j in g.edges}
-            loaded = {(g2.label(i), g2.label(j)) for i, j in g2.edges}
-        else:
-            original = {frozenset((g.label(i), g.label(j))) for i, j in g.edges}
-            loaded = {frozenset((g2.label(i), g2.label(j))) for i, j in g2.edges}
-        assert original == loaded
+    pairs = [(i, j) for i in range(10) for j in range(10)
+             if i != j and rng.random() < 0.3]
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{names[i]},{names[j]}\n" for i, j in pairs))
+    cases = [
+        (load_edge_list(path.read_text()), ["--input", str(path)], 0, None),
+        (load_edge_list(path.read_text(), directed=True),
+         ["--input", str(path), "--directed"], 0, [2]),
+        (from_spec("ba:30,2", seed=1), ["--generate", "ba:30,2"], 1, None),
+        (from_spec("scalefree:20,2", seed=2), ["--generate", "scalefree:20,2"],
+         2, [0]),
+    ]
+    for k, (g, argv, seed, nodes) in enumerate(cases):
+        cond = ["--conditioned-on", str(nodes[0])] if nodes else []
+        outdir = tmp_path / f"samples{k}"
+        assert main(["sample", *argv, *cond, "--seed", str(seed),
+                     "--samples", "3", "--output-dir", str(outdir)]) == EXIT_OK
+        files = sorted(outdir.iterdir())
+        assert len(files) == 3
+        sol = solve_classes(g, nodes)
+        pair = tuple if g.directed else frozenset
+        for t, f in enumerate(files):
+            tails, heads = class_sample(sol, (seed, t))
+            drawn = {pair((g.label(i), g.label(j))) for i, j in zip(tails, heads)}
+            h = load_edge_list(f.read_text(), directed=g.directed)
+            assert {pair((h.label(i), h.label(j))) for i, j in h.edges} == drawn
+
+
+@pytest.mark.parametrize("n, m", [(5, 1), (5, 3), (40, 2), (150, 3), (600, 2)])
+def test_attachment_generators_keep_their_streams(n, m):
+    # one cumulative sum per arriving node draws what one rng.choice per
+    # target drew
+    for seed in range(6):
+        assert set(barabasi_albert(n, m, seed).edges) == \
+            barabasi_albert_choice(n, m, seed)
+        assert set(scale_free_directed(n, m, seed).edges) == \
+            scale_free_directed_choice(n, m, seed)
 
 
 def test_degree_sequence_path_and_star():
