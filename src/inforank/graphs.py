@@ -140,8 +140,9 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     """Parse a textual edge list into a Graph.
 
     Each non-comment line holds two labels separated by whitespace or commas,
-    with an optional third weight column. Labels map to dense indices in
-    first-appearance order; duplicate edges are deduplicated (weights summed).
+    with an optional third weight column; a label may not begin with `#`.
+    Labels map to dense indices in first-appearance order; duplicate edges
+    are deduplicated (weights summed).
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -165,6 +166,10 @@ def load_edge_list(source, directed: bool = False) -> Graph:
         fields = [f for f in _SEP.split(line) if f]
         if len(fields) not in (2, 3):
             raise ParseError(f"expected 2 or 3 fields, got {len(fields)}: {line!r}", lineno)
+        for label in fields[:2]:
+            if label.startswith("#"):
+                # an edge line written with this label first reads as a comment
+                raise ParseError(f"node label {label!r} begins with '#'", lineno)
         u, v = node_id(fields[0]), node_id(fields[1])
         if u == v:
             raise GraphError(f"line {lineno}: self-loop {fields[0]!r} rejected")

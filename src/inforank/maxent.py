@@ -22,7 +22,11 @@ block is iterated as one stack, each system to its own convergence: the n
 one-node systems of a ranking pay the per-step call overhead once per block
 instead of once per node, and each result is bit-identical to the one its
 system gives alone. A degree sequence without a graph (`solve_ubcm`,
-`solve_dbcm`) is a block of one.
+`solve_dbcm`) is a block of one. A block iterates in one workspace,
+allocated when the block starts and dropped when its last system stops:
+every step writes its terms there instead of into fresh (B, C, C) arrays,
+which are large enough that the allocator maps and unmaps them, and faults
+their pages in anew, at every step.
 
 Every solve builds a ClassSolution by one constructor. The scorers read it
 in O(C^2 + n + m), `sample` draws from a block of rows at a time, and only
@@ -239,6 +243,15 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 # count C as (B, C) and (B, C, C) arrays; a single solve is a stack of one.
 # Stacking never pads a system: a padded class changes the order of the sums
 # in the matrix products and with it the last bits of p.
+#
+# _run calls step(*consts, *xs, work) with the consts and xs of the b
+# systems still iterating and the block's workspace, which it allocates
+# once for all B systems and keeps until the stack is empty, sliced to
+# those b. The step writes every term into the workspace with out=, the
+# next xs too, and returns the residuals. Each operation keeps the operands
+# and the order of the steps in tests/oracles.py, which allocate every
+# array afresh: a sum in another order (einsum, or (w / d * x).sum(-1) for
+# the matmul) moves the last bits of p.
 
 # Class-pair entries (B * C^2) of one stacked block of conditioned systems;
 # it bounds the memory of the block's (B, C, C) arrays.
@@ -268,24 +281,41 @@ def _classes(k_out: np.ndarray, k_in: np.ndarray):
 def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
     """Iterate a stack of systems, one per leading index, to convergence.
 
-    step(*consts, *xs) returns each system's residual at xs and the next
-    xs. A system leaves the stack at its first iteration with residual <=
-    tolerance and keeps the xs of that iteration; systems not `live` never
-    enter and keep xs = 0 and residual 0. Returns (xs, residual,
-    iterations). A system still in the stack after max_iterations keeps
-    xs = 0 and its last residual, which is above the tolerance.
+    step(*consts, *xs, work) returns each system's residual at xs and
+    writes the next xs into work. A system leaves the stack at its first
+    iteration with residual <= tolerance and keeps the xs of that
+    iteration; systems not `live` never enter and keep xs = 0 and residual
+    0. Returns (xs, residual, iterations). A system still in the stack
+    after max_iterations keeps xs = 0 and its last residual, which is above
+    the tolerance.
+
+    The workspace is allocated once, for the B live systems, and lives
+    until the stack is empty: two (B, C, C) arrays for the pair terms,
+    (B, C) rows for each sum and for the residual terms, and two sets of
+    xs, the current and the next, which swap at every step. The b systems
+    still iterating are kept at the front, so the step gets the contiguous
+    slices [:b] of each, taken again only when b changes, and no step
+    allocates a (B, C, C) array.
     """
     out = [np.zeros_like(x) for x in xs]
     residual = np.zeros(len(live))
     iterations = np.zeros(len(live), dtype=np.int64)
     idx = np.flatnonzero(live)
     consts = [c[idx] for c in consts]
-    xs = [x[idx] for x in xs]
+    cur = np.stack([x[idx] for x in xs])
+    nxt = np.empty_like(cur)
+    nx, size, c = cur.shape
+    pairs, rows = np.empty((2, size, c, c)), np.empty((nx + 1, size, c))
     res = residual[idx]
+    b = -1
     for it in range(1, opts.max_iterations + 1):
-        if not len(idx):
-            break
-        res, xs_next = step(*consts, *xs)
+        if b != len(idx):
+            b = len(idx)
+            if not b:
+                break
+            work = tuple(pairs[:, :b]), tuple(rows[:, :b])
+            xs, xs_next = tuple(cur[:, :b]), tuple(nxt[:, :b])
+        res = step(*consts, *xs, (*work, xs_next))
         done = res <= opts.tolerance
         if done.any():
             stop = idx[done]
@@ -296,8 +326,8 @@ def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
             left = ~done
             idx, res = idx[left], res[left]
             consts = [c[left] for c in consts]
-            xs_next = [x[left] for x in xs_next]
-        xs = xs_next
+            nxt[:, :len(idx)] = nxt[:, :b][:, left]
+        cur, nxt, xs, xs_next = nxt, cur, xs_next, xs
     residual[idx] = res
     iterations[idx] = opts.max_iterations
     return out, residual, iterations
@@ -309,25 +339,43 @@ def _start(k: np.ndarray, total: np.ndarray) -> np.ndarray:
     return k / np.sqrt(np.where(total > 0, total, 1))[:, None]
 
 
-def _step_undirected(k, w, x):
-    """One step of x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack:
-    k and x are (B, C), w is (B, C, C). Returns each system's residual at x
-    and the next x."""
-    s = ((w / (1.0 + x[:, :, None] * x[:, None])) @ x[:, :, None])[:, :, 0]
-    return np.abs(k - x * s).max(axis=1), (k / np.where(s > 0, s, np.inf),)
+def _residual(k, x, s, r):
+    """max |k - x s| of each system, with r as the row for its terms."""
+    np.multiply(x, s, out=r)
+    np.subtract(k, r, out=r)
+    np.abs(r, out=r)
+    return r.max(axis=1)
 
 
-def _step_directed(ko, ki, w_out, w_in, x, y):
+def _step_undirected(k, w, x, work):
+    """One step of x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack
+    of b systems: k and x are (b, C), w is (b, C, C). work holds the (b, C,
+    C) arrays d and t, the (b, C) rows s and r, and the row of the next x.
+    Returns each system's residual at x and writes the next x into work."""
+    (d, t), (s, r), (x_next,) = work
+    np.multiply(x[:, :, None], x[:, None], out=d)
+    np.add(1.0, d, out=d)
+    np.divide(w, d, out=t)
+    np.matmul(t, x[:, :, None], out=s[:, :, None])
+    np.divide(k, np.where(s > 0, s, np.inf), out=x_next)
+    return _residual(k, x, s, r)
+
+
+def _step_directed(ko, ki, w_out, w_in, x, y, work):
     """The directed step: w_out[b, c, d] counts the free out-partners in
     class d of a node of class c, w_in[b, c, d] the free in-partners in
-    class c of a node of class d."""
-    d = 1.0 + x[:, :, None] * y[:, None]
-    sx = ((w_out / d) @ y[:, :, None])[:, :, 0]
-    sy = (x[:, None] @ (w_in / d))[:, 0]
-    residual = np.maximum(np.abs(ko - x * sx).max(axis=1),
-                          np.abs(ki - y * sy).max(axis=1))
-    return residual, (ko / np.where(sx > 0, sx, np.inf),
-                      ki / np.where(sy > 0, sy, np.inf))
+    class c of a node of class d. work holds d and t, the rows sx, sy and
+    r, and the rows of the next x and y."""
+    (d, t), (sx, sy, r), (x_next, y_next) = work
+    np.multiply(x[:, :, None], y[:, None], out=d)
+    np.add(1.0, d, out=d)
+    np.divide(w_out, d, out=t)
+    np.matmul(t, y[:, :, None], out=sx[:, :, None])
+    np.divide(w_in, d, out=t)
+    np.matmul(x[:, None], t, out=sy[:, None])
+    np.divide(ko, np.where(sx > 0, sx, np.inf), out=x_next)
+    np.divide(ki, np.where(sy > 0, sy, np.inf), out=y_next)
+    return np.maximum(_residual(ko, x, sx, r), _residual(ki, y, sy, r))
 
 
 def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):

@@ -444,3 +444,23 @@ def scale_free_directed_choice(n, m, seed):
         for s in sorted(sources):
             add(s, v)
     return edges
+
+
+def step_undirected(k, w, x):
+    """One step of maxent's undirected class iteration as first written,
+    each operation into a fresh array: k and x are (B, C), w is (B, C, C).
+    Returns each system's residual at x and the next x."""
+    s = ((w / (1.0 + x[:, :, None] * x[:, None])) @ x[:, :, None])[:, :, 0]
+    return np.abs(k - x * s).max(axis=1), (k / np.where(s > 0, s, np.inf),)
+
+
+def step_directed(ko, ki, w_out, w_in, x, y):
+    """The directed analogue of step_undirected: returns the residual and
+    the next x and y."""
+    d = 1.0 + x[:, :, None] * y[:, None]
+    sx = ((w_out / d) @ y[:, :, None])[:, :, 0]
+    sy = (x[:, None] @ (w_in / d))[:, 0]
+    residual = np.maximum(np.abs(ko - x * sx).max(axis=1),
+                          np.abs(ki - y * sy).max(axis=1))
+    return residual, (ko / np.where(sx > 0, sx, np.inf),
+                      ki / np.where(sy > 0, sy, np.inf))

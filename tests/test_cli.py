@@ -78,6 +78,13 @@ def test_rank_empty_file_exits_parse(tmp_path):
     assert main(["rank", "--input", str(empty)]) == EXIT_PARSE
 
 
+def test_hash_label_exits_parse(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a #b\nc #b\na c\n")
+    assert main(["sample", "--input", str(edges), "--samples", "1"]) == EXIT_PARSE
+    assert main(["rank", "--input", str(edges)]) == EXIT_PARSE
+
+
 def test_rank_missing_file_exits_parse():
     assert main(["rank", "--input", "/no/such/file"]) == EXIT_PARSE
 

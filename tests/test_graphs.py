@@ -48,6 +48,15 @@ def test_malformed_line_reports_number():
         load_edge_list("a b notanumber")
 
 
+@pytest.mark.parametrize("text", ["a b\na #b\n", "a b\n,#b c\n", "a b\nc,#b, 2\n"])
+def test_label_beginning_with_hash_rejected(text):
+    # written first on an edge line, such a label would make it a comment
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(text)
+    assert exc.value.line == 2
+    assert "'#b'" in str(exc.value)
+
+
 def test_comma_separator_and_comments():
     g = load_edge_list("# header\na,b\nb,c, 2.5\n")
     assert g.n == 3

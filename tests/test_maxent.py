@@ -12,7 +12,8 @@ from inforank.generators import barabasi_albert, erdos_renyi, star
 
 from helpers import col_sums, relabel, row_sums, small_graph
 from oracles import (dbcm_fixed_point, dense_dbcm, dense_ubcm, p4_bisection,
-                     pair_ranges, reduced_131_bisection)
+                     pair_ranges, reduced_131_bisection, step_directed,
+                     step_undirected)
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -470,3 +471,54 @@ def test_row_gather_is_expanded_rows(case, conditioned, data):
                       np.pad(sol.p, (0, 1))[np.ix_(cls, cls)])
     np.fill_diagonal(expect, 0.0)
     assert np.array_equal(p, expect)
+
+
+@st.composite
+def class_stack(draw):
+    """A stack of b class systems of C classes for either step: (directed,
+    consts, start xs). w has zero rows, some classes and whole systems have
+    x = 0 at the fixed point, and the degrees are those of that fixed point."""
+    directed = draw(st.booleans())
+    b, c = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx = 2 if directed else 1
+    w = rng.integers(0, 6, size=(nx, b, c, c)).astype(float)
+    w[:, rng.random((b, c)) < 0.1] = 0.0
+    fix = rng.lognormal(-1.0, 1.0, size=(nx, b, c))
+    fix[:, rng.random((b, c)) < 0.1] = 0.0
+    fix[:, rng.random(b) < 0.1] = 0.0
+    x, y = fix[0], fix[-1]
+    d = 1.0 + x[:, :, None] * y[:, None]
+    k = [x * (w[0] / d * y[:, None]).sum(axis=2)]
+    if directed:
+        k.append(y * (w[1] / d * x[:, :, None]).sum(axis=1))
+    total = k[0].sum(axis=1)
+    return directed, (*k, *w), [maxent._start(kk, total) for kk in k]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(class_stack(), st.integers(0, 8), st.data())
+def test_workspace_steps_match_oracle_steps(stack, spare, data):
+    # each step writes into a workspace allocated for more systems than
+    # are live, and halfway the stack shrinks to its first b systems, as it
+    # does in maxent._run; every residual and next iterate equals the
+    # oracle's, which allocates every array afresh, bit for bit
+    directed, consts, xs = stack
+    step, oracle = ((maxent._step_directed, step_directed) if directed
+                    else (maxent._step_undirected, step_undirected))
+    nx, b, c = len(xs), *xs[0].shape
+    pairs, rows = np.empty((2, b + spare, c, c)), np.empty((nx + 1, b + spare, c))
+    cur, nxt = np.empty((2, nx, b + spare, c))
+    cur[:, :b] = xs
+    for it in range(40):
+        if it == 20:
+            b = data.draw(st.integers(1, b))
+            consts = [k[:b] for k in consts]
+            xs = [x[:b] for x in xs]
+        work = tuple(pairs[:, :b]), tuple(rows[:, :b]), tuple(nxt[:, :b])
+        residual = step(*consts, *cur[:, :b], work)
+        expect, xs = oracle(*consts, *xs)
+        assert np.array_equal(residual, expect)
+        for x, got in zip(xs, nxt[:, :b]):
+            assert np.array_equal(got, x)
+        cur, nxt = nxt, cur
