@@ -22,7 +22,8 @@ from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
                      SolverOptions, solve_benchmark, solve_conditioned_set,
                      solve_dbcm, solve_ubcm)
 from .recon import AccuracyReport, accuracy_report, expected_accuracy, pearson
-from .sampling import SampleSpec, adjacency_sample, sample_ensemble, sample_graph
+from .sampling import (SampleSpec, adjacency_samples, sample_ensemble,
+                       sample_graph)
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,7 @@ __all__ = [
     "GraphError", "InfoRankError", "InputError", "ParamVector", "ParseError",
     "PaymentVector", "ProbMatrix", "RankVector", "SampleSpec",
     "SolverError", "SolverOptions", "UndefinedCorrelationError",
-    "UndefinedIndexError", "accuracy_report", "adjacency_sample",
+    "UndefinedIndexError", "accuracy_report", "adjacency_samples",
     "approx_meanfield", "approx_sparse", "benchmark_entropy",
     "build_liabilities", "clear", "closeness_centrality",
     "degree_centrality", "degree_sequence", "expected_accuracy", "fit_trend",

@@ -7,13 +7,17 @@ pays in full; an insolvent bank pays alpha * external assets + beta *
 receipts. External liabilities are folded into the obligation vector and the
 relative-liability denominator, with external creditors acting as a
 non-defaulting pro-rata sink. alpha = beta = 1 with no external liabilities
-recovers the classic fictitious-default clearing payments.
+recovers the classic fictitious-default clearing payments. One kernel,
+_clear, iterates a stack of B systems that share their externals as (B, n)
+and (B, n, n) arrays, each system stopping at its own convergence; `clear`
+runs it on a stack of one.
 
 The risk experiment is a per-node scorer (RiskExperiment) over the
 conditioned ensembles of entropy.conditioned_pass; the `risk` command runs it
 in the same pass as the ranking, so each ensemble is solved once. It is the
-only scorer that expands an ensemble to its n x n ProbMatrix: it samples
-adjacency matrices from it.
+only scorer that expands an ensemble to its n x n ProbMatrix: it draws its
+samples from it as stacks of adjacency matrices, which it weights and
+clears in place, in one workspace allocated per experiment.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
 from .maxent import ClassSolution, SolverOptions
-from .sampling import adjacency_sample
+from .sampling import BLOCK_ELEMENTS, adjacency_samples
 
 # clear()'s defaults, which the risk experiment clears with
 CLEAR_TOL = 1e-10
@@ -72,12 +76,6 @@ class ClearingProblem:
         return self.L.sum(axis=1) + self.Le
 
 
-def _relative_liabilities(L: np.ndarray, pbar: np.ndarray) -> np.ndarray:
-    """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
-    # a bank with pbar_i = 0 owes nothing, so its row of L is already zero
-    return L / np.where(pbar > 0, pbar, 1.0)[:, None]
-
-
 @dataclass
 class PaymentVector:
     p: np.ndarray
@@ -92,28 +90,55 @@ def clear(prob: ClearingProblem, tol: float = CLEAR_TOL,
         raise InputError("clearing tolerance must be positive and finite")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
-    return _clear(prob.L, prob.Ae, prob.Le, prob.alpha, prob.beta, tol, max_iter)
+    pi = prob.L[None].copy()  # the kernel turns it into Pi
+    (p,), (iterations,) = _clear(pi, prob.Ae, prob.Le, prob.alpha, prob.beta,
+                                 tol, max_iter)
+    insolvent = (prob.Ae + pi[0].T @ p) < prob.obligations()
+    return PaymentVector(p=p, insolvent=insolvent, iterations=int(iterations))
 
 
 def _clear(L: np.ndarray, Ae: np.ndarray, Le: np.ndarray, alpha: float,
-           beta: float, tol: float, max_iter: int) -> PaymentVector:
-    """The iteration of `clear`, for inputs a ClearingProblem would accept."""
-    pbar = L.sum(axis=1) + Le
-    pi = _relative_liabilities(L, pbar)
-    p = pbar.copy()
+           beta: float, tol: float, max_iter: int):
+    """The iteration of `clear` on a stack of B systems that share Ae, Le,
+    alpha and beta, for inputs a ClearingProblem would accept.
+
+    L is a float (B, n, n) stack of liability matrices; it is overwritten
+    with the relative liabilities Pi[b, i, j] = L[b, i, j] / pbar[b, i]
+    (zero rows where pbar[b, i] = 0). Returns the (B, n) payments and each
+    system's iteration count. Each system leaves the stack at its first
+    iteration with a change below tol and keeps the p of that iteration;
+    the systems still iterating are moved to the front of L, so every step
+    works on the contiguous slice L[:b]. Raises SolverError if any system
+    is still iterating after max_iter.
+    """
+    pbar = L.sum(axis=2) + Le
+    # a bank with pbar_i = 0 owes nothing, so its row of L is already zero
+    np.divide(L, np.where(pbar > 0, pbar, 1.0)[:, :, None], out=L)
+    out = np.empty_like(pbar)
+    iterations = np.zeros(len(L), dtype=np.int64)
+    idx = np.arange(len(L))
+    pi, p = L, pbar.copy()
     for it in range(1, max_iter + 1):
-        receipts = pi.T @ p
+        receipts = np.matmul(pi.transpose(0, 2, 1), p[:, :, None])[:, :, 0]
         available = Ae + receipts
         solvent = available >= pbar
         p_new = np.where(solvent, pbar, alpha * Ae + beta * receipts)
-        change = float(np.max(np.abs(p_new - p))) if len(p) else 0.0
+        change = np.abs(p_new - p).max(axis=1, initial=0.0)
         p = p_new
-        if change < tol:
-            receipts = pi.T @ p
-            insolvent = (Ae + receipts) < pbar
-            return PaymentVector(p=p, insolvent=insolvent, iterations=it)
+        done = change < tol
+        if done.any():
+            out[idx[done]] = p[done]
+            iterations[idx[done]] = it
+            left = np.flatnonzero(~done)
+            if not len(left):
+                return out, iterations
+            for dst, src in enumerate(left):
+                if dst != src:
+                    pi[dst] = pi[src]
+            idx, pi = idx[left], pi[:len(left)]
+            p, pbar = p[left], pbar[left]
     raise SolverError("clearing iteration did not converge (tolerance too tight?)",
-                      residual=change, iterations=max_iter)
+                      residual=float(change.max()), iterations=max_iter)
 
 
 def build_liabilities(g: Graph) -> np.ndarray:
@@ -168,7 +193,14 @@ class RiskExperiment:
     (externals, alpha, beta) are checked once, here, by clearing the real
     network through `clear`. A sampled liability matrix is a 0/1 draw with
     an empty diagonal times a non-negative weight, so it is valid by
-    construction and is cleared without building a ClearingProblem.
+    construction, and no sample builds a ClearingProblem.
+
+    The samples go through one workspace, a float (S, n, n) array allocated
+    here with S = min(samples_per_node, max(1, sampling.BLOCK_ELEMENTS //
+    n^2)): each stack of up to S samples is drawn into it
+    (sampling.adjacency_samples), weighted and cleared (_clear) in place.
+    Sample t keeps its seed (seed, node, t), and each system clears as it
+    would alone, so the stack size changes no result.
     """
 
     def __init__(self, g: Graph, samples_per_node: int = 100,
@@ -194,18 +226,24 @@ class RiskExperiment:
         self.norm = float(self.p_real @ self.p_real)
         if self.norm == 0.0:
             raise InputError("real payment vector is zero; error normalization undefined")
+        stack = min(samples_per_node, max(1, BLOCK_ELEMENTS // g.n ** 2))
+        self.work = np.empty((stack, g.n, g.n))
 
     def __call__(self, node: int, cond: ClassSolution) -> float:
         pm = cond.expand()
         exp_links = float(pm.p.sum())
         w = self.volume / exp_links if exp_links > 0 else 0.0
         errors = np.empty(self.samples)
-        for t in range(self.samples):
-            a_s = adjacency_sample(pm, seed=(self.seed, node, t))
-            p = _clear(a_s * w, self.ae, self.le, self.alpha, self.beta,
-                       CLEAR_TOL, CLEAR_MAX_ITER).p
-            diff = p - self.p_real
-            errors[t] = float(diff @ diff) / self.norm
+        for t0 in range(0, self.samples, len(self.work)):
+            seeds = [(self.seed, node, t)
+                     for t in range(t0, min(t0 + len(self.work), self.samples))]
+            liab = adjacency_samples(pm, seeds, self.work)
+            np.multiply(liab, w, out=liab)
+            p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,
+                          CLEAR_TOL, CLEAR_MAX_ITER)
+            for t, p_t in enumerate(p, t0):
+                diff = p_t - self.p_real
+                errors[t] = float(diff @ diff) / self.norm
         return errors.mean()
 
 

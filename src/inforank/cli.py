@@ -6,7 +6,8 @@ independent of the thread count. Floating-point output carries 12
 significant digits. Every command but `sample` writes one artifact, its
 payload as JSON or its node table as CSV, to --output or stdout; a node
 whose solve failed shows as null (an empty CSV field), and the command
-exits 4. `sample` writes its draws to stdout or to --output-dir.
+exits 4. `sample` writes its draws to stdout or to --output-dir, which
+must not hold sample files of an earlier run.
 
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
@@ -285,6 +286,10 @@ def cmd_accuracy(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    outdir = Path(args.output_dir) if args.output_dir else None
+    if outdir is not None and any(outdir.glob("sample_*.edges")):
+        raise InputError(f"output directory {outdir} already holds sample_*.edges "
+                         "files; write each run to a directory of its own")
     g = _get_graph(args)
     opts = _solver_options(args)
     spec = SampleSpec(count=args.samples, seed=args.seed)
@@ -298,8 +303,7 @@ def cmd_sample(args) -> int:
         return (f"# seed={args.seed} sample={t}\n"
                 + ("\n".join(lines) + "\n" if lines else ""))
 
-    if args.output_dir:
-        outdir = Path(args.output_dir)
+    if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
         for t in range(spec.count):
             (outdir / f"sample_{t:05d}.edges").write_text(sample_text(t))

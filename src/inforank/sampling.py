@@ -3,7 +3,9 @@
 Sample t of a run uses the derived seed (seed, t), so samples are mutually
 independent, individually reproducible and safe to generate in parallel. A
 draw streams the probability matrix in blocks of rows, so `class_sample`,
-the `sample` command's draw, builds no n x n array.
+the `sample` command's draw, builds no n x n array. `adjacency_samples`,
+the risk scorer's draw, fills a caller's stack of n x n matrices, one per
+seed; each holds the same draw from the same seed.
 """
 from __future__ import annotations
 
@@ -92,9 +94,22 @@ def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:
                   sol.n, sol.directed, seed)
 
 
-def adjacency_sample(pm: ProbMatrix, seed) -> np.ndarray:
-    """Adjacency-matrix form of sample_graph: the same draw from the same seed."""
-    a = np.empty((pm.n, pm.n))
-    # bound methods, not closures: the risk scorer draws 100 times per node
-    _draw(pm.p.__getitem__, pm.n, pm.directed, seed, a.__setitem__)
-    return a if pm.directed else a + a.T
+def adjacency_samples(pm: ProbMatrix, seeds, out: np.ndarray) -> np.ndarray:
+    """Adjacency matrices of sample_graph(pm, seed) for each of `seeds`, as
+    0.0/1.0 floats in the leading slices of `out`, a float (B, n, n) array
+    with B >= len(seeds); returns those slices.
+
+    Slice b is filled in place with default_rng(seeds[b]).random((n, n)),
+    the stream of that seed's draw, and then compared with p in place, so a
+    directed draw allocates no n x n array.
+    """
+    out = out[:len(seeds)]
+    for a, seed in zip(out, seeds):
+        np.random.default_rng(seed).random(out=a)
+    np.less(out, pm.p, out=out)
+    if not pm.directed:  # keep j > i, then mirror it
+        upper = np.triu(out, 1)
+        return np.add(upper, upper.transpose(0, 2, 1), out=out)
+    diagonal = np.arange(pm.n)
+    out[:, diagonal, diagonal] = 0.0
+    return out

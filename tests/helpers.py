@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from inforank import ClearingProblem, Graph, GraphError, ProbMatrix, make_graph
-from inforank.clearing import _relative_liabilities
 
 
 def row_sums(pm: ProbMatrix) -> np.ndarray:
@@ -19,7 +18,8 @@ def col_sums(pm: ProbMatrix) -> np.ndarray:
 
 def relative_liabilities(prob: ClearingProblem) -> np.ndarray:
     """Pi[i, j] = L[i, j] / pbar_i (zero rows where pbar_i = 0)."""
-    return _relative_liabilities(prob.L, prob.obligations())
+    pbar = prob.obligations()
+    return prob.L / np.where(pbar > 0, pbar, 1.0)[:, None]
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -464,3 +464,22 @@ def step_directed(ko, ki, w_out, w_in, x, y):
                           np.abs(ki - y * sy).max(axis=1))
     return residual, (ko / np.where(sx > 0, sx, np.inf),
                       ki / np.where(sy > 0, sy, np.inf))
+
+
+def clear_one(L, Ae, Le, alpha, beta, tol, max_iter):
+    """clearing's iteration as first written, on one liability matrix at a
+    time: returns (p, iterations), or (None, max_iter) when it has not
+    converged after max_iter iterations."""
+    pbar = L.sum(axis=1) + Le
+    pi = L / np.where(pbar > 0, pbar, 1.0)[:, None]
+    p = pbar.copy()
+    for it in range(1, max_iter + 1):
+        receipts = pi.T @ p
+        available = Ae + receipts
+        solvent = available >= pbar
+        p_new = np.where(solvent, pbar, alpha * Ae + beta * receipts)
+        change = float(np.max(np.abs(p_new - p))) if len(p) else 0.0
+        p = p_new
+        if change < tol:
+            return p, it
+    return None, max_iter

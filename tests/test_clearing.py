@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inforank import (ClearingProblem, ExternalsConfig, InputError,
-                      adjacency_sample, build_liabilities, clear,
-                      degree_sequence, fit_trend, make_graph,
+                      SolverError, adjacency_samples, build_liabilities,
+                      clear, degree_sequence, fit_trend, make_graph,
                       risk_error_experiment, sample_ensemble,
                       solve_conditioned_set, solve_dbcm)
-from inforank.clearing import RiskExperiment
+from inforank.clearing import (CLEAR_MAX_ITER, CLEAR_TOL, RiskExperiment,
+                               _clear)
 from inforank import SampleSpec
 from inforank.generators import erdos_renyi, scale_free_directed
 
 from helpers import relative_liabilities
-from oracles import picard_clearing, polyfit_normal_equations
+from oracles import clear_one, picard_clearing, polyfit_normal_equations
 
 RING_L = np.array([[0.0, 1.0, 0.0],
                    [0.0, 0.0, 1.0],
@@ -132,6 +134,84 @@ def test_alpha_beta_one_reduces_to_plain_clearing():
         assert np.abs(pv.p - p).max() < 1e-10
 
 
+def test_clear_of_no_banks():
+    pv = clear(ClearingProblem(L=np.zeros((0, 0)), Ae=np.zeros(0), Le=np.zeros(0)))
+    assert pv.p.shape == pv.insolvent.shape == (0,) and pv.iterations == 1
+
+
+def _chains(lengths, n):
+    """One liability matrix per length m: banks 0..m-1 of n owe 1 each to
+    the next, and the rest owe nothing."""
+    L = np.zeros((len(lengths), n, n))
+    for b, m in enumerate(lengths):
+        L[b, np.arange(m - 1), np.arange(1, m)] = 1.0
+    return L
+
+
+@st.composite
+def clearing_stack(draw):
+    """(L, Ae, Le, alpha, beta) of a stack of B systems on n banks that
+    share their externals. Rows of L and entries of Le are zero in places,
+    so some pbar_i = 0; alpha and beta are 1 or below 1. Some systems are a
+    default chain of their first m banks, m differing from system to
+    system: bank 0 cannot pay, and each bank after it is solvent only while
+    its debtor pays in full, so the default moves one bank per iteration."""
+    b, n = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha, beta = (draw(st.sampled_from([1.0, rng.uniform(0.05, 1.0)]))
+                   for _ in range(2))
+    L = rng.uniform(0.0, 2.0, (b, n, n)) * (rng.random((b, n, n)) < rng.random())
+    L[rng.random((b, n)) < 0.2] = 0.0
+    L[:, np.arange(n), np.arange(n)] = 0.0
+    Le = rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7)
+    Ae = rng.uniform(0.0, 3.0, n)
+    chain = rng.random(b) < 0.5
+    if chain.any() and n > 1:
+        L[chain] = _chains(rng.integers(2, n + 1, chain.sum()), n)
+        Ae = Le + rng.uniform(0.0, 0.01, n)
+        Ae[0] = 0.5
+    return L, Ae, Le, alpha, beta
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(clearing_stack(), st.one_of(st.just(CLEAR_MAX_ITER), st.integers(1, 12)))
+def test_stacked_clearing_matches_per_matrix_oracle(stack, max_iter):
+    # the stacked kernel, whose systems leave the stack at their own
+    # iteration, gives each system the p and iteration count of the
+    # per-matrix iteration bit for bit, and raises exactly when that
+    # iteration fails for some system
+    L, Ae, Le, alpha, beta = stack
+    expect = [clear_one(l, Ae, Le, alpha, beta, CLEAR_TOL, max_iter) for l in L]
+    if any(q is None for q, _ in expect):
+        with pytest.raises(SolverError):
+            _clear(L.copy(), Ae, Le, alpha, beta, CLEAR_TOL, max_iter)
+        return
+    p, iterations = _clear(L.copy(), Ae, Le, alpha, beta, CLEAR_TOL, max_iter)
+    assert np.array_equal(p, [q for q, _ in expect])
+    assert iterations.tolist() == [it for _, it in expect]
+
+
+def test_stacked_clearing_cascades_stop_at_their_own_step():
+    # chains of 2 to 30 banks in one stack, shuffled: each system stops at
+    # its own iteration, and the long ones run well past 9 iterations
+    n = 30
+    lengths = np.random.default_rng(3).permutation(np.arange(2, n + 1))
+    L = _chains(lengths, n)
+    Le = np.full(n, 0.1)
+    Ae = Le + 0.005
+    Ae[0] = 0.5
+    p, iterations = _clear(L.copy(), Ae, Le, 0.9, 0.9, CLEAR_TOL, CLEAR_MAX_ITER)
+    expect = [clear_one(l, Ae, Le, 0.9, 0.9, CLEAR_TOL, CLEAR_MAX_ITER) for l in L]
+    assert np.array_equal(p, [q for q, _ in expect])
+    assert iterations.tolist() == [it for _, it in expect]
+    # the default moves one bank per iteration, so a chain of m banks
+    # stops at iteration m
+    assert np.array_equal(iterations, lengths)
+    short = int(iterations.max()) - 1
+    with pytest.raises(SolverError):
+        _clear(L.copy(), Ae, Le, 0.9, 0.9, CLEAR_TOL, short)
+
+
 def test_clearing_invariant_under_relabeling():
     rng = np.random.default_rng(12)
     n = 5
@@ -210,7 +290,8 @@ def test_risk_scorer_matches_validated_clearing():
         w = exp.volume / float(cond.p.sum())
         errors = np.empty(samples)
         for t in range(samples):
-            liab = adjacency_sample(cond, seed=(seed, node, t)) * w
+            (a,) = adjacency_samples(cond, [(seed, node, t)], np.empty((1, g.n, g.n)))
+            liab = a * w
             assert np.all(liab >= 0.0) and np.all(np.diagonal(liab) == 0.0)
             prob = ClearingProblem(L=liab, Ae=exp.ae, Le=exp.le,
                                    alpha=exp.alpha, beta=exp.beta)

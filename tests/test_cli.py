@@ -168,6 +168,26 @@ def test_sample_writes_numbered_files(tmp_path):
     assert files == [f"sample_{t:05d}.edges" for t in range(4)]
 
 
+def test_sample_refuses_a_directory_with_sample_files(tmp_path, monkeypatch,
+                                                     capsys):
+    # a second run into the same directory would leave the first run's
+    # files next to its own; it exits 2 before any solve and names the
+    # directory, and a fresh directory works
+    argv = ["sample", "--generate", "er:15,0.3", "--output-dir"]
+    outdir = tmp_path / "samples"
+    assert main(argv + [str(outdir), "--seed", "6", "--samples", "3"]) == EXIT_OK
+    before = {p.name: p.read_text() for p in outdir.iterdir()}
+    counts = count_solves(monkeypatch)
+    capsys.readouterr()
+    assert main(argv + [str(outdir), "--seed", "4", "--samples", "1"]) == EXIT_CONFIG
+    assert str(outdir) in capsys.readouterr().err
+    assert counts == {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
+    assert {p.name: p.read_text() for p in outdir.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert main(argv + [str(fresh), "--seed", "4", "--samples", "1"]) == EXIT_OK
+    assert [p.name for p in fresh.iterdir()] == ["sample_00000.edges"]
+
+
 def test_sample_writes_input_labels(tmp_path):
     # the same graph, once with names and once with its own indices as
     # labels: the draws match, written with the names

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inforank import (InputError, ProbMatrix, SampleSpec, adjacency_sample,
+from inforank import (InputError, ProbMatrix, SampleSpec, adjacency_samples,
                       degree_sequence, sample_ensemble, sample_graph,
                       sampling, solve_ubcm)
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
@@ -63,7 +63,7 @@ def test_ensemble_samples_are_independent_draws():
 def test_adjacency_sample_matches_graph_sample():
     g = erdos_renyi(15, 0.3, seed=3)
     _, pm = solve_ubcm(degree_sequence(g))
-    a = adjacency_sample(pm, seed=(4, 0))
+    (a,) = adjacency_samples(pm, [(4, 0)], np.empty((1, 15, 15)))
     s = sample_graph(pm, seed=(4, 0))
     assert np.array_equal(a, s.adjacency())
 
@@ -127,12 +127,30 @@ def test_streamed_draw_matches_dense_oracle(case, spare):
     hit = dense_draw(pm.p, g.directed, seed)
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
         tails, heads = class_sample(sol, seed)
-        adjacency = adjacency_sample(pm, seed)
+        (adjacency,) = adjacency_samples(pm, [seed], np.empty((1, g.n, g.n)))
         graph = sample_graph(pm, seed)
     i, j = np.nonzero(hit)
     assert np.array_equal(tails, i) and np.array_equal(heads, j)
     assert np.array_equal(adjacency, hit | hit.T if not g.directed else hit)
     assert sorted(graph.edges) == list(zip(i.tolist(), j.tolist()))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_block_cases(), st.integers(1, 6), st.integers(0, 3))
+def test_stacked_draw_matches_dense_oracle(case, count, spare):
+    # a stack of 1 to 6 draws, in an out of `spare` more slices than seeds:
+    # slice b is the dense draw of seeds[b], as 0.0/1.0 and mirrored when
+    # undirected, and the slices past the seeds are left as they were
+    (g, node), conditioned, seed, _ = case
+    pm = solve_classes(g, [node] if conditioned else None).expand()
+    seeds = [seed] + [(seed, t) for t in range(1, count)]
+    out = np.full((count + spare, g.n, g.n), np.nan)
+    stack = adjacency_samples(pm, seeds, out)
+    assert stack.shape == (count, g.n, g.n) and np.shares_memory(stack, out)
+    for a, s in zip(stack, seeds):
+        hit = dense_draw(pm.p, g.directed, s)
+        assert np.array_equal(a, hit | hit.T if not g.directed else hit)
+    assert np.isnan(out[count:]).all()
 
 
 @pytest.mark.parametrize("budget", [1, 2300, sampling.BLOCK_ELEMENTS])
@@ -158,7 +176,7 @@ def test_draw_never_hits_the_diagonal(directed, budget):
     pm = _pm(np.ones((9, 9)), directed)
     pm.p[...] = 1.0
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
-        a = adjacency_sample(pm, seed=1)
+        (a,) = adjacency_samples(pm, [1], np.empty((1, 9, 9)))
         g = sample_graph(pm, seed=1)
     assert np.array_equal(a, 1.0 - np.eye(9))
     assert g.m == (72 if directed else 36)

@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Time `inforank()` against n, one fresh interpreter per point.
+"""Time `inforank()` and the risk experiment against n, one fresh
+interpreter per point.
 
 Usage:
 
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
-        [--ba 200,400,800,1600] [--sf 200,400,800]
+        [--ba 200,400,800,1600] [--sf 200,400,800] [--risk 60,120,240,300]
         [--stack-elements 8192,65536] [--seed 1] > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
 `src`). Each point is BA(n, 3) (`--ba`) or directed scale-free(n, 2)
 (`--sf`) from that tree's own generators with `--seed`, ranked by
-`inforank()` with default options in a new `python3` process. The child
-reports the wall time of the `inforank()` call, the minor page faults it
-took (`ru_minflt` after minus before), the process's peak RSS
-(`ru_maxrss`) and a sha256 of S0, S_cond, S0_contrib, I and the failed
-flags. With `--stack-elements`, the child sets `maxent.STACK_ELEMENTS` to
-each value in turn before the call.
+`inforank()` with default options in a new `python3` process, or directed
+scale-free(n, 2) run through `risk_error_experiment()` with 100 samples
+per node and its other defaults (`--risk`). With none of the three
+options, the BA and scale-free defaults shown above run. The child
+reports the wall time of the `inforank()` or `risk_error_experiment()`
+call, the minor page faults it took (`ru_minflt` after minus before), the
+process's peak RSS (`ru_maxrss`) and a sha256 of S0, S_cond, S0_contrib,
+I and the failed flags, or of the risk experiment's mse. With
+`--stack-elements`, the child sets `maxent.STACK_ELEMENTS` to each value
+in turn before the call.
 
 Every round runs every point on each tree; the tree that runs first
 alternates from round to round. The JSON on stdout holds the machine, every
@@ -39,7 +44,7 @@ import hashlib, json, resource, sys, time
 src, model, n, seed, stack = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
-from inforank import inforank, maxent
+from inforank import inforank, maxent, risk_error_experiment
 from inforank.generators import barabasi_albert, scale_free_directed
 if not maxent.__file__.startswith(src):
     sys.exit(f"inforank imported from {maxent.__file__}, not from {src}")
@@ -49,11 +54,15 @@ make = barabasi_albert if model == "ba" else scale_free_directed
 g = make(int(n), 3 if model == "ba" else 2, seed=int(seed))
 before = resource.getrusage(resource.RUSAGE_SELF)
 t0 = time.perf_counter()
-r = inforank(g)
+if model == "risk":
+    r = risk_error_experiment(g, samples_per_node=100)
+else:
+    r = inforank(g)
 wall = time.perf_counter() - t0
 after = resource.getrusage(resource.RUSAGE_SELF)
 h = hashlib.sha256()
-for a in (r.S0, r.S_cond, r.S0_contrib, r.I, r.failed):
+for a in ((r.mse,) if model == "risk" else
+          (r.S0, r.S_cond, r.S0_contrib, r.I, r.failed)):
     h.update(np.ascontiguousarray(a).tobytes())
 print(json.dumps({"wall_s": round(wall, 4),
                   "minflt": after.ru_minflt - before.ru_minflt,
@@ -94,19 +103,23 @@ def main() -> None:
     ap.add_argument("--change", required=True)
     ap.add_argument("--base")
     ap.add_argument("--rounds", type=int, default=1)
-    ap.add_argument("--ba", type=ints, default=[200, 400, 800, 1600])
-    ap.add_argument("--sf", type=ints, default=[200, 400, 800])
+    ap.add_argument("--ba", type=ints)
+    ap.add_argument("--sf", type=ints)
+    ap.add_argument("--risk", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.ba is args.sf is args.risk is None:
+        args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
     if args.base:
         trees["base"] = str(Path(args.base).resolve())
     stacks = [str(v) for v in args.stack_elements] if args.stack_elements else ["default"]
     cases = [(model, n, stack) for stack in stacks
-             for model, sizes in (("ba", args.ba), ("sf", args.sf))
-             for n in sizes]
+             for model, sizes in (("ba", args.ba), ("sf", args.sf),
+                                  ("risk", args.risk))
+             for n in sizes or ()]
     points = []
     for rnd in range(args.rounds):
         sides = sorted(trees, reverse=rnd % 2 == 1)
