@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Graph, degree_sequence
+from .graphs import Graph, degree_sequence, links
 
 
 @dataclass
@@ -44,15 +44,6 @@ def degree_centrality(g: Graph) -> RankVector:
     return _rank_vector("degree", scores)
 
 
-def _adjacency_lists(g: Graph) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        out[i].append(j)
-        if not g.directed:
-            out[j].append(i)
-    return out
-
-
 def closeness_centrality(g: Graph) -> RankVector:
     """Reachable-count over summed hop distances, per source.
 
@@ -60,7 +51,10 @@ def closeness_centrality(g: Graph) -> RankVector:
     link directions; nodes that reach nothing (zero out-degree in particular)
     score 0.
     """
-    adj = _adjacency_lists(g)
+    tail, head = links(g)
+    order = np.argsort(tail, kind="stable")
+    bounds = np.cumsum(np.bincount(tail, minlength=g.n))[:-1]
+    adj = [a.tolist() for a in np.split(head[order], bounds)]
     scores = np.zeros(g.n)
     for src in range(g.n):
         dist = np.full(g.n, -1, dtype=np.int64)
@@ -96,11 +90,10 @@ def pagerank(g: Graph, alpha: float = 0.85) -> RankVector:
     if alpha == 0.0:
         return _rank_vector("pagerank", np.full(n, 1.0 / n))
 
-    a = g.adjacency()
-    k_out = a.sum(axis=1)
-    # column-stochastic transition restricted to non-dangling rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(k_out[:, None] > 0, a / np.where(k_out[:, None] > 0, k_out[:, None], 1.0), 0.0)
+    # row-stochastic transition; a dangling node's row stays zero
+    tail, head = links(g)
+    m = np.zeros((n, n))
+    m[tail, head] = 1.0 / np.bincount(tail)[tail]
 
     p = np.full(n, 1.0 / n)
     teleport = (1.0 - alpha) / n

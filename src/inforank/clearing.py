@@ -146,9 +146,7 @@ def build_liabilities(g: Graph) -> np.ndarray:
     unit weight per link when it has none."""
     if not g.directed:
         raise InputError("liability matrices need a directed graph")
-    if g.weights is not None:
-        return g.weight_matrix()
-    return g.adjacency()
+    return g.weight_matrix()
 
 
 @dataclass

@@ -185,19 +185,13 @@ def approx_sparse(deg: DegreeSeq) -> np.ndarray:
 
     Valid when all p_ij << 1; zero-degree sides contribute 0.
     """
-    if deg.directed:
-        out = np.zeros(deg.n)
-        root_l = np.sqrt(float(deg.L)) if deg.L > 0 else 1.0
-        for arr in (deg.k_out, deg.k_in):
-            k = arr.astype(float)
+    out = np.zeros(deg.n)
+    if deg.L > 0:
+        root_l = np.sqrt(float(deg.L) if deg.directed else 2.0 * deg.L)
+        for k in (deg.k_out, deg.k_in) if deg.directed else (deg.k,):
+            k = k.astype(float)
             nz = k > 0
             out[nz] += -k[nz] * np.log(k[nz] / root_l) + k[nz]
-        return out
-    k = deg.k.astype(float)
-    out = np.zeros(deg.n)
-    nz = k > 0
-    if deg.L > 0:
-        out[nz] = -k[nz] * np.log(k[nz] / np.sqrt(2.0 * deg.L)) + k[nz]
     return out
 
 
@@ -205,7 +199,8 @@ def approx_meanfield(deg: DegreeSeq) -> np.ndarray:
     """Mean-field estimate of S_0^(i): (n-1) h(k_i/(n-1)) per side."""
     n = deg.n
     if n < 2:
-        return np.zeros(deg.n)
-    if deg.directed:
-        return (n - 1) * (_h(deg.k_out / (n - 1.0)) + _h(deg.k_in / (n - 1.0)))
-    return (n - 1) * _h(deg.k / (n - 1.0))
+        return np.zeros(n)
+    total = np.full(n, -0.0)  # x + -0.0 is x bit for bit, a -0.0 included
+    for k in (deg.k_out, deg.k_in) if deg.directed else (deg.k,):
+        total += _h(k / (n - 1.0))
+    return (n - 1) * total

@@ -18,19 +18,15 @@ def erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = False) -> Grap
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
     if directed:
-        r = rng.random((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j and r[i, j] < p:
-                    edges.append((i, j))
+        hit = rng.random((n, n)) < p
+        np.fill_diagonal(hit, False)
+        tail, head = np.nonzero(hit)
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j))
-    return make_graph(n, edges, directed=directed)
+        tail, head = np.triu_indices(n, 1)
+        hit = rng.random(len(tail)) < p
+        tail, head = tail[hit], head[hit]
+    return make_graph(n, zip(tail.tolist(), head.tolist()), directed=directed)
 
 
 def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:

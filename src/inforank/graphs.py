@@ -1,8 +1,9 @@
 """Binary graph container, edge-list ingestion and degree bookkeeping; the
 `sample` command is the only edge-list writer.
 
-Graphs are immutable after construction; the dense adjacency matrix is
-built on first use and kept.
+Graphs are immutable after construction and hold no array: `links` gives
+the tails and heads of a graph's links, the one array form every consumer
+reads, and the dense matrices are built from it afresh on each call.
 Undirected edges are stored once as (min, max) pairs; adjacency queries are
 symmetric. An optional weight column in edge-list files is kept in a side
 table for the clearing module -- every entropy computation sees only the
@@ -14,7 +15,6 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class Graph:
                 raise GraphError(f"edge ({i},{j}) out of range for n={self.n}")
             if not self.directed and i > j:
                 raise GraphError("undirected edges must be stored as (min,max)")
+        if self.weights is not None and not self.weights.keys() <= self.edges:
+            raise GraphError("every weight must belong to a stored link")
 
     @property
     def m(self) -> int:
@@ -55,28 +57,18 @@ class Graph:
         return self.labels[i] if self.labels is not None else str(i)
 
     def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (symmetric when undirected).
-
-        Built once per graph; every call returns a fresh copy.
-        """
-        return self._adjacency.copy()
-
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix (symmetric when undirected)."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            if not self.directed:
-                a[j, i] = 1.0
-        a.flags.writeable = False
+        tail, head = links(self)
+        a[tail, head] = 1.0
         return a
 
     def weight_matrix(self) -> np.ndarray:
         """Dense weight matrix; links without a stored weight get weight 1."""
-        weights = self.weights or {}
-        w = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            w[i, j] = weights.get((i, j), 1.0)
+        w = self.adjacency()
+        if self.weights:
+            i, j = np.array(list(self.weights), dtype=np.int64).T
+            w[i, j] = list(self.weights.values())
             if not self.directed:
                 w[j, i] = w[i, j]
         return w

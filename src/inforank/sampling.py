@@ -33,20 +33,21 @@ class SampleSpec:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
-def _draw(rows, n: int, directed: bool, seed, put) -> None:
-    """One draw: an entry is a hit when its uniform is below p_ij.
+def _edges(rows, n: int, directed: bool, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of one draw's edges, in row-major order; an entry is
+    a hit when its uniform is below p_ij.
 
     rows(block) returns p[block] for a slice of rows of the n x n p. Each
     block of at most BLOCK_ELEMENTS entries takes the next rows of one
     default_rng(seed).random((n, n)), so the draw does not depend on the
     block size. The diagonal is cleared, and an undirected draw keeps j > i
-    only. put(block, hit) receives each block's hits, in row order.
+    only.
     """
     rng = np.random.default_rng(seed)
     step = BLOCK_ELEMENTS // n or 1
+    tails, heads = [], []
     for r0 in range(0, n, step):
-        block = slice(r0, r0 + step)
-        p = rows(block)
+        p = rows(slice(r0, r0 + step))
         hit = rng.random(p.shape) < p
         if directed:
             hit.ravel()[r0::n + 1] = False  # (i, i); hit is contiguous
@@ -54,19 +55,9 @@ def _draw(rows, n: int, directed: bool, seed, put) -> None:
             hit[:, :r0] = False
             square = hit[:, r0:r0 + len(hit)]
             square[...] = np.triu(square, 1)
-        put(block, hit)
-
-
-def _edges(rows, n: int, directed: bool, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of one draw's edges, in row-major order."""
-    tails, heads = [], []
-
-    def put(block, hit):
         i, j = divmod(np.flatnonzero(hit), n)
-        tails.append(i + block.start)
+        tails.append(i + r0)
         heads.append(j)
-
-    _draw(rows, n, directed, seed, put)
     return np.concatenate(tails), np.concatenate(heads)
 
 

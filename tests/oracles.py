@@ -158,11 +158,7 @@ def bfs_closeness(n, edges, directed):
 
 def pagerank_linear(n, edges, directed, alpha):
     """Dense linear-system stationary solve, normalized to sum 1."""
-    a = np.zeros((n, n))
-    for i, j in edges:
-        a[i, j] = 1.0
-        if not directed:
-            a[j, i] = 1.0
+    a = dense_matrix(n, edges, directed)
     k_out = a.sum(axis=1)
     m = np.zeros((n, n))
     for i in range(n):
@@ -170,6 +166,52 @@ def pagerank_linear(n, edges, directed, alpha):
             m[i] = a[i] / k_out[i]
     p = np.linalg.solve(np.eye(n) - alpha * m.T, np.full(n, (1.0 - alpha) / n))
     return p / p.sum()
+
+
+def dense_matrix(n, edges, directed, weights=None):
+    """n x n matrix with weights.get((i, j), 1.0) on each edge (i, j),
+    mirrored when undirected: the adjacency matrix when weights is None."""
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = (weights or {}).get((i, j), 1.0)
+        if not directed:
+            a[j, i] = a[i, j]
+    return a
+
+
+def pagerank_dense(n, edges, directed, alpha):
+    """centrality.pagerank as first written: power iteration on a transition
+    matrix divided out of the dense adjacency matrix."""
+    a = dense_matrix(n, edges, directed)
+    k_out = a.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(k_out[:, None] > 0, a / np.where(k_out[:, None] > 0, k_out[:, None], 1.0), 0.0)
+    p = np.full(n, 1.0 / n)
+    teleport = (1.0 - alpha) / n
+    while True:
+        p_new = teleport + alpha * (m.T @ p)
+        if np.abs(p_new - p).sum() < 1e-12:
+            return p_new / p_new.sum()
+        p = p_new
+
+
+def erdos_renyi_loops(n, p, seed, directed):
+    """Edge set of generators.erdos_renyi as first written: a loop over the
+    pairs, with one scalar draw per unordered pair when undirected."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    if directed:
+        r = rng.random((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j and r[i, j] < p:
+                    edges.add((i, j))
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.add((i, j))
+    return edges
 
 
 def pearson_two_pass(x, y):

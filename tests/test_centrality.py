@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inforank import (InputError, closeness_centrality, degree_centrality,
                       degree_sequence, make_graph, pagerank, rescale)
 from inforank.generators import erdos_renyi, star
 
-from oracles import bfs_closeness, pagerank_linear
+from oracles import bfs_closeness, pagerank_dense, pagerank_linear
 
 
 def test_degree_centrality_star():
@@ -75,6 +77,30 @@ def test_pagerank_five_node_directed_instance():
                    directed=True)
     expect = pagerank_linear(5, sorted(g.edges), True, 0.85)
     assert np.abs(pagerank(g).scores - expect).max() < 1e-10
+
+
+@st.composite
+def dangling_graph(draw):
+    """A graph on up to 30 linked nodes whose first nodes have no out-links
+    (no links at all when undirected), plus up to 3 isolated nodes."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hit = rng.random((n, n)) < density
+    hit[:draw(st.integers(0, 3))] = False
+    if not directed:
+        hit &= hit.T
+    edges = [(i, j) for i, j in zip(*np.nonzero(hit))
+             if i != j and (directed or i < j)]
+    return make_graph(n + draw(st.integers(0, 3)), edges, directed=directed)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(dangling_graph(), st.sampled_from([0.5, 0.85]))
+def test_pagerank_matches_dense_oracle_bit_for_bit(g, alpha):
+    expect = pagerank_dense(g.n, sorted(g.edges), g.directed, alpha)
+    assert np.array_equal(pagerank(g, alpha).scores, expect)
 
 
 def test_pagerank_rejects_bad_alpha():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from inforank import (GraphError, ParseError, degree_sequence,
-                      expected_accuracy, load_edge_list, make_graph)
+                      load_edge_list, make_graph)
 from inforank.cli import EXIT_OK, main
-from inforank.entropy import ranking_pass
 from inforank.generators import (barabasi_albert, erdos_renyi, from_spec,
                                  scale_free_directed)
 from inforank.graphs import Graph
@@ -12,7 +11,8 @@ from inforank.maxent import solve_classes
 from inforank.sampling import class_sample
 
 from helpers import relabel
-from oracles import barabasi_albert_choice, scale_free_directed_choice
+from oracles import (barabasi_albert_choice, dense_matrix, erdos_renyi_loops,
+                     scale_free_directed_choice)
 
 
 def test_load_two_edge_path():
@@ -112,12 +112,16 @@ def test_round_trip_identity(tmp_path):
 @pytest.mark.parametrize("n, m", [(5, 1), (5, 3), (40, 2), (150, 3), (600, 2)])
 def test_attachment_generators_keep_their_streams(n, m):
     # one cumulative sum per arriving node draws what one rng.choice per
-    # target drew
+    # target drew, and one array draw what one draw per pair drew
     for seed in range(6):
         assert set(barabasi_albert(n, m, seed).edges) == \
             barabasi_albert_choice(n, m, seed)
         assert set(scale_free_directed(n, m, seed).edges) == \
             scale_free_directed_choice(n, m, seed)
+    for seed, p in enumerate((0.0, m / n, 1.0)):
+        for directed in (False, True):
+            assert set(erdos_renyi(n, p, seed, directed).edges) == \
+                erdos_renyi_loops(n, p, seed, directed)
 
 
 def test_degree_sequence_path_and_star():
@@ -175,18 +179,41 @@ def test_relabel_permutes_degrees():
         assert k1[i] == k2[perm[i]]
 
 
-def test_adjacency_built_once_per_graph(monkeypatch):
-    # the conditioned pass and its accuracy scorer ask for the adjacency of
-    # the same graph once per node; it is built on the first call only
-    builds = []
-    build = Graph._adjacency.func
-    monkeypatch.setattr(Graph._adjacency, "func",
-                        lambda g: builds.append(g) or build(g))
-    g = erdos_renyi(20, 0.2, seed=3, directed=True)
-    _, _, (acc,) = ranking_pass(
-        g, (lambda i, sol: expected_accuracy(sol.expand(), g),))
-    assert not np.isnan(acc).any()
-    assert builds == [g]
+@pytest.mark.parametrize("argv", [
+    ["rank", "--generate", "ba:20,2"],
+    ["compare", "--generate", "er:20,0.1", "--directed"],
+    ["accuracy", "--generate", "er:20,0.1", "--directed"],
+    ["accuracy", "--generate", "ba:20,2"],
+    ["sample", "--generate", "scalefree:20,2", "--samples", "2"],
+    ["sample", "--generate", "ba:20,2", "--conditioned-on", "0"],
+], ids=["rank", "compare-dir", "accuracy-dir", "accuracy", "sample-dir",
+        "sample-cond"])
+def test_commands_build_no_dense_graph_matrix(argv, monkeypatch):
+    # every command but risk reads a graph through graphs.links only
+    def refuse(g):
+        raise AssertionError("dense graph matrix built")
+    monkeypatch.setattr(Graph, "adjacency", refuse)
+    monkeypatch.setattr(Graph, "weight_matrix", refuse)
+    assert main(argv) == EXIT_OK
+
+
+def test_dense_matrices_match_loop_oracle():
+    rng = np.random.default_rng(11)
+    for directed in (True, False):
+        g = erdos_renyi(25, 0.2, seed=4, directed=directed)
+        links = sorted(g.edges)
+        weights = {e: float(rng.uniform(0.5, 3.0)) for e in links[::2]}
+        gw = make_graph(g.n, links, directed=directed, weights=weights)
+        assert np.array_equal(gw.adjacency(), dense_matrix(g.n, links, directed))
+        assert np.array_equal(gw.weight_matrix(),
+                              dense_matrix(g.n, links, directed, weights))
+        assert np.array_equal(g.weight_matrix(), g.adjacency())
+
+
+def test_weight_off_the_links_rejected():
+    with pytest.raises(GraphError):
+        Graph(n=3, directed=True, edges=frozenset({(0, 1)}),
+              weights={(1, 2): 2.0})
 
 
 def test_adjacency_returns_a_fresh_copy():

@@ -23,6 +23,11 @@ and as CSV, to stdout and to --output; and `sample` to stdout and to
 --output-dir, plain and conditioned on node 0. Two larger `sample` runs,
 BA(400, 3) plain and directed scale-free(300, 2) conditioned on node 0,
 draw more entries than one row block of `sampling.BLOCK_ELEMENTS` holds.
+Two more graphs reach paths the generated ones do not: `compare` and
+`accuracy` on directed ER(40, .03) with seed 3, whose 13 nodes without
+out-links (5 of them isolated) leave rows of PageRank's transition matrix
+empty; and `risk` on WEIGHTED, an edge list with weights on every other
+link, written to OUTDIR.
 """
 from __future__ import annotations
 
@@ -38,6 +43,23 @@ COMMANDS = ("rank", "compare", "accuracy", "risk")
 BLOCK_SAMPLES = (("ba-400-3_sample", "ba:400,3", 1, []),
                  ("sf-dir-300-2_sample_cond", "scalefree:300,2", 2,
                   ["--conditioned-on", "0"]))
+WEIGHTED = "weighted.edges"
+# (case, graph options, commands) of the runs on the two other graphs
+EXTRA = (("er-dir-40", ["--generate", "er:40,0.03", "--directed", "--seed", "3"],
+          ("compare", "accuracy")),
+         ("weighted-sf-dir-30", ["--input", f"../{WEIGHTED}", "--directed"],
+          ("risk",)))
+
+
+def weighted_edges() -> str:
+    """Directed scale-free(30, 2) with seed 2 as labelled edge lines; every
+    other line has a weight in [0.5, 5) drawn from seed 0."""
+    import numpy as np
+    from inforank.generators import scale_free_directed
+    g = scale_free_directed(30, 2, seed=2)
+    w = np.random.default_rng(0).uniform(0.5, 5.0, g.m)
+    return "".join(f"b{i} b{j} {w[t]:.3f}\n" if t % 2 else f"b{i} b{j}\n"
+                   for t, (i, j) in enumerate(sorted(g.edges)))
 
 
 def benchmark_iterations(spec: str, seed: int) -> int:
@@ -66,6 +88,12 @@ def matrix():
             case = f"{name}_sample{'_cond' if conditioned else ''}"
             yield f"{case}_stdout", argv
             yield f"{case}_dir", argv + ["--output-dir", "samples"]
+    for name, graph, commands in EXTRA:
+        for command in commands:
+            for fmt in ("json", "csv"):
+                argv = [command, *graph, "--format", fmt]
+                yield f"{name}_{command}_{fmt}_stdout", argv
+                yield f"{name}_{command}_{fmt}_file", argv + ["--output", f"out.{fmt}"]
     for case, spec, seed, extra in BLOCK_SAMPLES:
         argv = ["sample", "--generate", spec, "--seed", str(seed),
                 "--samples", "3", *extra]
@@ -79,6 +107,8 @@ def main(src: str, outdir: str) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"inforank imported from {cli.__file__}, not from {src}")
     root = Path(outdir).resolve()
+    root.mkdir(parents=True, exist_ok=True)
+    (root / WEIGHTED).write_text(weighted_edges())
     for case, argv in matrix():
         where = root / case
         where.mkdir(parents=True)
