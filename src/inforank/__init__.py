@@ -23,7 +23,7 @@ from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
                      solve_dbcm, solve_ubcm)
 from .recon import AccuracyReport, accuracy_report, expected_accuracy, pearson
 from .sampling import (SampleSpec, adjacency_samples, sample_ensemble,
-                       sample_graph)
+                       sample_graph, seed_states)
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,6 @@ __all__ = [
     "degree_centrality", "degree_sequence", "expected_accuracy", "fit_trend",
     "inforank", "inforank_subset", "load_edge_list", "make_graph",
     "pagerank", "pearson", "rescale", "risk_error_experiment",
-    "sample_ensemble", "sample_graph",
+    "sample_ensemble", "sample_graph", "seed_states",
     "solve_benchmark", "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
 ]

@@ -30,7 +30,7 @@ from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
 from .maxent import ClassSolution, SolverOptions
-from .sampling import BLOCK_ELEMENTS, adjacency_samples
+from .sampling import BLOCK_ELEMENTS, adjacency_samples, seed_states
 
 # clear()'s defaults, which the risk experiment clears with
 CLEAR_TOL = 1e-10
@@ -197,8 +197,9 @@ class RiskExperiment:
     here with S = min(samples_per_node, max(1, sampling.BLOCK_ELEMENTS //
     n^2)): each stack of up to S samples is drawn into it
     (sampling.adjacency_samples), weighted and cleared (_clear) in place.
-    Sample t keeps its seed (seed, node, t), and each system clears as it
-    would alone, so the stack size changes no result.
+    Sample t keeps its seed (seed, node, t); a node's seeds are hashed in
+    one sampling.seed_states call. Each system clears as it would alone, so
+    the stack size changes no result.
     """
 
     def __init__(self, g: Graph, samples_per_node: int = 100,
@@ -231,17 +232,16 @@ class RiskExperiment:
         pm = cond.expand()
         exp_links = float(pm.p.sum())
         w = self.volume / exp_links if exp_links > 0 else 0.0
+        states = seed_states([(self.seed, node, t) for t in range(self.samples)])
         errors = np.empty(self.samples)
         for t0 in range(0, self.samples, len(self.work)):
-            seeds = [(self.seed, node, t)
-                     for t in range(t0, min(t0 + len(self.work), self.samples))]
-            liab = adjacency_samples(pm, seeds, self.work)
+            liab = adjacency_samples(pm, states[t0:t0 + len(self.work)], self.work)
             np.multiply(liab, w, out=liab)
             p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,
                           CLEAR_TOL, CLEAR_MAX_ITER)
-            for t, p_t in enumerate(p, t0):
-                diff = p_t - self.p_real
-                errors[t] = float(diff @ diff) / self.norm
+            d = p - self.p_real  # (1, n) @ (n, 1) per sample: the dot of d_t @ d_t
+            dd = np.matmul(d[:, None], d[:, :, None])[:, 0, 0]
+            errors[t0:t0 + len(p)] = dd / self.norm
         return errors.mean()
 
 

@@ -6,6 +6,14 @@ draw streams the probability matrix in blocks of rows, so `class_sample`,
 the `sample` command's draw, builds no n x n array. `adjacency_samples`,
 the risk scorer's draw, fills a caller's stack of n x n matrices, one per
 seed; each holds the same draw from the same seed.
+
+Every draw takes its uniforms from the stream of default_rng(seed). The
+risk scorer draws thousands of small matrices, and seeding a fresh
+default_rng costs more than filling one of them, so `seed_states` copies
+numpy's seeding (SeedSequence's hashing, then PCG64's seeding) vectorized
+over many seeds, and `adjacency_samples` sets each of those states on one
+reused generator. The tests hold every state and stream equal to
+default_rng's.
 """
 from __future__ import annotations
 
@@ -19,6 +27,13 @@ from .maxent import ClassSolution, ProbMatrix
 
 # Entries (rows x n) of one block of a draw; it bounds the block's memory.
 BLOCK_ELEMENTS = 1 << 16
+
+# numpy's SeedSequence hash and mix constants, and PCG64's multiplier
+INIT_A, MULT_A = 0x43b0d7e5, 0x931e8875
+INIT_B, MULT_B = 0x8b51f9dd, 0x58f38ded
+MIX_MULT_L, MIX_MULT_R = 0xca01f9dd, 0x4973f715
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK_128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -85,18 +100,117 @@ def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:
                   sol.n, sol.directed, seed)
 
 
-def adjacency_samples(pm: ProbMatrix, seeds, out: np.ndarray) -> np.ndarray:
-    """Adjacency matrices of sample_graph(pm, seed) for each of `seeds`, as
-    0.0/1.0 floats in the leading slices of `out`, a float (B, n, n) array
-    with B >= len(seeds); returns those slices.
+def _words(seed) -> list[int]:
+    """seed's entropy words as SeedSequence coerces them: an int as its
+    little-endian 32-bit words (0 as one word), a sequence as its items'
+    words in turn. A negative component raises ValueError and any other
+    non-integer TypeError, as default_rng does; unlike default_rng, None
+    (fresh OS entropy) and strings are rejected as well."""
+    words = []
+    for v in seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,):
+        if isinstance(v, (int, np.integer)):
+            v = int(v)
+            if v < 0:
+                raise ValueError("expected non-negative integer")
+            words.append(v & 0xFFFFFFFF)
+            while v := v >> 32:
+                words.append(v & 0xFFFFFFFF)
+        elif isinstance(v, (tuple, list, np.ndarray)):
+            words += _words(v)
+        else:
+            raise TypeError("seed must be an integer or a sequence of "
+                            f"integers, not {v!r}")
+    return words
 
-    Slice b is filled in place with default_rng(seeds[b]).random((n, n)),
-    the stream of that seed's draw, and then compared with p in place, so a
-    directed draw allocates no n x n array.
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The uint32 hash constant before and after each of `count` hashmix
+    steps; the constant advances by one multiplication per step."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of value[..., j] with the constant consts[j],
+    for the len(consts) - 1 successive steps along the last axis."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * MIX_MULT_L - y * MIX_MULT_R
+    return r ^ r >> 16
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy[s]).generate_state(4, np.uint64) for each row of
+    a uint32 (S, L) array, as a uint64 (S, 4) array.
+
+    SeedSequence's pool is a (S, 4) array here, one column per pool word,
+    mixed step by step in numpy's order; uint32 arithmetic wraps as the C
+    code's does. A pool word is never mixed with itself, so the steps that
+    mix one word into the three others are one vectorized step.
     """
-    out = out[:len(seeds)]
-    for a, seed in zip(out, seeds):
-        np.random.default_rng(seed).random(out=a)
+    size = entropy.shape[1]
+    a = _hash_consts(INIT_A, MULT_A, 16 + 4 * max(size - 4, 0))
+    pool = np.zeros((len(entropy), 4), np.uint32)
+    pool[:, :min(size, 4)] = entropy[:, :4]
+    pool = _hashmix(pool, a[:5])
+    k = 4
+    for src in range(4):  # every pool word into every other one
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[k:k + 4]))
+        k += 3
+    for src in range(4, size):  # each entropy word past the pool into all
+        pool = _mix(pool, _hashmix(entropy[:, src, None], a[k:k + 5]))
+        k += 4
+    words = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]],
+                     _hash_consts(INIT_B, MULT_B, 8)).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << 32  # little-endian word pairs
+
+
+def seed_states(seeds) -> list[dict]:
+    """default_rng(seed).bit_generator.state, a fresh PCG64's state, for
+    each of `seeds`, hashed in one vectorized pass per entropy length.
+
+    Seeds of one node's risk samples should go through one call: the pass
+    costs about as much for a hundred seeds as for a few. PCG64 is seeded
+    from the state words (s_hi, s_lo, i_hi, i_lo) as pcg64_set_seed does:
+    inc = 2 * (i_hi, i_lo) + 1, then state = inc + (s_hi, s_lo) and one
+    step, all modulo 2^128.
+    """
+    entropy = [_words(seed) for seed in seeds]
+    states = [None] * len(entropy)
+    for size in set(map(len, entropy)):
+        at = [i for i, words in enumerate(entropy) if len(words) == size]
+        rows = np.array([entropy[i] for i in at], np.uint32).reshape(len(at), size)
+        for i, (s_hi, s_lo, i_hi, i_lo) in zip(at, _state_words(rows).tolist()):
+            inc = (i_hi << 65 | i_lo << 1 | 1) & MASK_128
+            state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK_128
+            states[i] = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+    return states
+
+
+def adjacency_samples(pm: ProbMatrix, states, out: np.ndarray) -> np.ndarray:
+    """Adjacency matrices of sample_graph(pm, seed) for the seeds whose
+    `seed_states` are `states`, as 0.0/1.0 floats in the leading slices of
+    `out`, a float (B, n, n) array with B >= len(states); returns those
+    slices.
+
+    Slice b is filled in place with the (n, n) uniforms of a generator set
+    to states[b], the stream of default_rng(seed), and then compared with p
+    in place, so a directed draw allocates no n x n array. One generator is
+    made per call and re-stated per slice.
+    """
+    out = out[:len(states)]
+    rng = np.random.Generator(np.random.PCG64(0))  # every state is replaced
+    for a, state in zip(out, states):
+        rng.bit_generator.state = state
+        rng.random(out=a)
     np.less(out, pm.p, out=out)
     if not pm.directed:  # keep j > i, then mirror it
         upper = np.triu(out, 1)

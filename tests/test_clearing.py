@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from inforank import (ClearingProblem, ExternalsConfig, InputError,
                       SolverError, adjacency_samples, build_liabilities,
                       clear, degree_sequence, fit_trend, make_graph,
-                      risk_error_experiment, sample_ensemble,
+                      risk_error_experiment, sample_ensemble, seed_states,
                       solve_conditioned_set, solve_dbcm)
 from inforank.clearing import (CLEAR_MAX_ITER, CLEAR_TOL, RiskExperiment,
                                _clear)
@@ -290,7 +290,8 @@ def test_risk_scorer_matches_validated_clearing():
         w = exp.volume / float(cond.p.sum())
         errors = np.empty(samples)
         for t in range(samples):
-            (a,) = adjacency_samples(cond, [(seed, node, t)], np.empty((1, g.n, g.n)))
+            (a,) = adjacency_samples(cond, seed_states([(seed, node, t)]),
+                                     np.empty((1, g.n, g.n)))
             liab = a * w
             assert np.all(liab >= 0.0) and np.all(np.diagonal(liab) == 0.0)
             prob = ClearingProblem(L=liab, Ae=exp.ae, Le=exp.le,

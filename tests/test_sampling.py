@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from inforank import (InputError, ProbMatrix, SampleSpec, adjacency_samples,
                       degree_sequence, sample_ensemble, sample_graph,
-                      sampling, solve_ubcm)
+                      sampling, seed_states, solve_ubcm)
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
 from inforank.sampling import class_sample
@@ -63,7 +63,7 @@ def test_ensemble_samples_are_independent_draws():
 def test_adjacency_sample_matches_graph_sample():
     g = erdos_renyi(15, 0.3, seed=3)
     _, pm = solve_ubcm(degree_sequence(g))
-    (a,) = adjacency_samples(pm, [(4, 0)], np.empty((1, 15, 15)))
+    (a,) = adjacency_samples(pm, seed_states([(4, 0)]), np.empty((1, 15, 15)))
     s = sample_graph(pm, seed=(4, 0))
     assert np.array_equal(a, s.adjacency())
 
@@ -127,7 +127,7 @@ def test_streamed_draw_matches_dense_oracle(case, spare):
     hit = dense_draw(pm.p, g.directed, seed)
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
         tails, heads = class_sample(sol, seed)
-        (adjacency,) = adjacency_samples(pm, [seed], np.empty((1, g.n, g.n)))
+        (adjacency,) = adjacency_samples(pm, seed_states([seed]), np.empty((1, g.n, g.n)))
         graph = sample_graph(pm, seed)
     i, j = np.nonzero(hit)
     assert np.array_equal(tails, i) and np.array_equal(heads, j)
@@ -145,7 +145,7 @@ def test_stacked_draw_matches_dense_oracle(case, count, spare):
     pm = solve_classes(g, [node] if conditioned else None).expand()
     seeds = [seed] + [(seed, t) for t in range(1, count)]
     out = np.full((count + spare, g.n, g.n), np.nan)
-    stack = adjacency_samples(pm, seeds, out)
+    stack = adjacency_samples(pm, seed_states(seeds), out)
     assert stack.shape == (count, g.n, g.n) and np.shares_memory(stack, out)
     for a, s in zip(stack, seeds):
         hit = dense_draw(pm.p, g.directed, s)
@@ -168,6 +168,45 @@ def test_streamed_draw_matches_dense_oracle_on_large_graphs(budget):
         assert np.array_equal(tails, i) and np.array_equal(heads, j)
 
 
+def _entropy_seeds():
+    """An int or a tuple of ints, of 1 to 6 entropy (32-bit) words in all;
+    components sit on the word boundaries and past 2^64."""
+    component = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                          st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                          st.integers(2**64, 2**96 - 1))
+    words = lambda v: max(1, -(-v.bit_length() // 32))
+    tuples = st.lists(component, min_size=1, max_size=6).map(tuple).filter(
+        lambda seed: sum(map(words, seed)) <= 6)
+    return st.one_of(component, tuples)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 100).flatmap(
+    lambda count: st.lists(_entropy_seeds(), min_size=count, max_size=count)),
+    st.integers(1, 5))
+def test_seed_states_match_default_rng(seeds, n):
+    # a stack of 1 to 100 seeds of mixed entropy lengths, more than the
+    # pool's 4 words included: each state, and the stream of a generator
+    # set to it, is default_rng's
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed, state in zip(seeds, seed_states(seeds), strict=True):
+        oracle = np.random.default_rng(seed)
+        assert state == oracle.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(rng.random((n, n)), oracle.random((n, n)))
+
+
+@pytest.mark.parametrize("seed", [
+    -1, -2**70, (3, -1), (3, [1, -1]), np.array([1, -1]),
+    1.5, (3, 0.5), (3, np.float64(2.0)), np.array([1.0]), (3, None),
+])
+def test_seed_states_reject_what_default_rng_rejects(seed):
+    with pytest.raises((TypeError, ValueError)) as numpy_error:
+        np.random.default_rng(seed)
+    with pytest.raises(numpy_error.type):
+        seed_states([(0, 1, 2), seed])
+
+
 @pytest.mark.parametrize("budget", [1, 20, sampling.BLOCK_ELEMENTS])
 @pytest.mark.parametrize("directed", [False, True])
 def test_draw_never_hits_the_diagonal(directed, budget):
@@ -176,7 +215,7 @@ def test_draw_never_hits_the_diagonal(directed, budget):
     pm = _pm(np.ones((9, 9)), directed)
     pm.p[...] = 1.0
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
-        (a,) = adjacency_samples(pm, [1], np.empty((1, 9, 9)))
+        (a,) = adjacency_samples(pm, seed_states([1]), np.empty((1, 9, 9)))
         g = sample_graph(pm, seed=1)
     assert np.array_equal(a, 1.0 - np.eye(9))
     assert g.m == (72 if directed else 36)
