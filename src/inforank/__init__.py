@@ -22,8 +22,7 @@ from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
                      SolverOptions, solve_benchmark, solve_conditioned_set,
                      solve_dbcm, solve_ubcm)
 from .recon import AccuracyReport, accuracy_report, expected_accuracy, pearson
-from .sampling import (SampleSpec, adjacency_samples, sample_ensemble,
-                       sample_graph, seed_states)
+from .sampling import SampleSpec, sample_ensemble, sample_graph
 
 __version__ = "0.1.0"
 
@@ -33,12 +32,12 @@ __all__ = [
     "GraphError", "InfoRankError", "InputError", "ParamVector", "ParseError",
     "PaymentVector", "ProbMatrix", "RankVector", "SampleSpec",
     "SolverError", "SolverOptions", "UndefinedCorrelationError",
-    "UndefinedIndexError", "accuracy_report", "adjacency_samples",
+    "UndefinedIndexError", "accuracy_report",
     "approx_meanfield", "approx_sparse", "benchmark_entropy",
     "build_liabilities", "clear", "closeness_centrality",
     "degree_centrality", "degree_sequence", "expected_accuracy", "fit_trend",
     "inforank", "inforank_subset", "load_edge_list", "make_graph",
     "pagerank", "pearson", "rescale", "risk_error_experiment",
-    "sample_ensemble", "sample_graph", "seed_states",
+    "sample_ensemble", "sample_graph",
     "solve_benchmark", "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
 ]

@@ -15,9 +15,10 @@ runs it on a stack of one.
 The risk experiment is a per-node scorer (RiskExperiment) over the
 conditioned ensembles of entropy.conditioned_pass; the `risk` command runs it
 in the same pass as the ranking, so each ensemble is solved once. It is the
-only scorer that expands an ensemble to its n x n ProbMatrix: it draws its
-samples from it as stacks of adjacency matrices, which it weights and
-clears in place, in one workspace allocated per experiment.
+only scorer that gathers an ensemble's n x n link probabilities
+(ClassSolution.rows): it draws its samples from them as stacks of adjacency
+matrices, which it weights and clears in place, in one workspace and on one
+generator allocated per experiment.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
 from .maxent import ClassSolution, SolverOptions
-from .sampling import BLOCK_ELEMENTS, adjacency_samples, seed_states
+from .sampling import BLOCK_ELEMENTS, adjacency_samples, seed_words
 
 # clear()'s defaults, which the risk experiment clears with
 CLEAR_TOL = 1e-10
@@ -182,8 +183,8 @@ class RiskExperiment:
     Externals are drawn once from `seed` and held fixed across every sample
     so that error differences across nodes reflect topology knowledge only.
     Calling the experiment with (node, cond) draws samples_per_node graphs
-    from node's conditioned ensemble `cond` (a ClassSolution, expanded to
-    its ProbMatrix), dresses them with uniform
+    from node's conditioned ensemble `cond` (a ClassSolution, whose link
+    probabilities it gathers once with cond.rows), dresses them with uniform
     weights preserving the observed interbank volume in expectation, clears
     them, and returns the mean of ||p_sample - p_real||^2 / ||p_real||^2.
 
@@ -197,9 +198,11 @@ class RiskExperiment:
     here with S = min(samples_per_node, max(1, sampling.BLOCK_ELEMENTS //
     n^2)): each stack of up to S samples is drawn into it
     (sampling.adjacency_samples), weighted and cleared (_clear) in place.
-    Sample t keeps its seed (seed, node, t); a node's seeds are hashed in
-    one sampling.seed_states call. Each system clears as it would alone, so
-    the stack size changes no result.
+    Sample t keeps its seed (seed, node, t); a node's seeds are hashed to
+    one (samples_per_node, 4) array of state words by one
+    sampling.seed_words call, and every stack is drawn on the one PCG64
+    generator made here. Each system clears as it would alone, so the stack
+    size changes no result.
     """
 
     def __init__(self, g: Graph, samples_per_node: int = 100,
@@ -208,10 +211,10 @@ class RiskExperiment:
         externals = externals or ExternalsConfig()
         if samples_per_node < 1:
             raise InputError("samples_per_node must be >= 1")
-        if seed < 0:
-            raise InputError(f"seed must be >= 0, got {seed}")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InputError(f"seed must be an integer >= 0, got {seed!r}")
         self.samples = samples_per_node
-        self.alpha, self.beta, self.seed = alpha, beta, seed
+        self.alpha, self.beta, self.seed = alpha, beta, int(seed)
 
         rng = np.random.default_rng(seed)
         self.ae = np.clip(rng.normal(externals.mu_a, externals.sigma_a, g.n), 0.0, None)
@@ -227,15 +230,17 @@ class RiskExperiment:
             raise InputError("real payment vector is zero; error normalization undefined")
         stack = min(samples_per_node, max(1, BLOCK_ELEMENTS // g.n ** 2))
         self.work = np.empty((stack, g.n, g.n))
+        self.rng = np.random.Generator(np.random.PCG64(0))  # re-stated per sample
 
     def __call__(self, node: int, cond: ClassSolution) -> float:
-        pm = cond.expand()
-        exp_links = float(pm.p.sum())
+        prob = cond.rows(0, cond.n)
+        exp_links = float(prob.sum())
         w = self.volume / exp_links if exp_links > 0 else 0.0
-        states = seed_states([(self.seed, node, t) for t in range(self.samples)])
+        words = seed_words(self.seed, node, self.samples)
         errors = np.empty(self.samples)
         for t0 in range(0, self.samples, len(self.work)):
-            liab = adjacency_samples(pm, states[t0:t0 + len(self.work)], self.work)
+            liab = adjacency_samples(prob, cond.directed, words[t0:t0 + len(self.work)],
+                                     self.rng, self.work)
             np.multiply(liab, w, out=liab)
             p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,
                           CLEAR_TOL, CLEAR_MAX_ITER)

@@ -165,10 +165,11 @@ def _get_graph(args):
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tolerance=_resolve(args, "tolerance", 1e-10),
-        max_iterations=_resolve(args, "max_iterations", 100_000),
-    )
+    """SolverOptions with the values a flag or the config file set; the
+    others keep SolverOptions' defaults."""
+    keys = ("tolerance", "max_iterations")
+    return SolverOptions(**{key: value for key in keys
+                            if (value := _resolve(args, key, None)) is not None})
 
 
 def _check_threads(args) -> None:
@@ -368,7 +369,8 @@ def _add_common(sub, artifact: bool = True):
                           "scalefree is always directed)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
     sub.add_argument("--tolerance", type=float, default=None,
-                     help="solver degree-residual tolerance (default 1e-10)")
+                     help="solver degree-residual tolerance "
+                          f"(default {SolverOptions.tolerance:g})")
     sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
                      help=f"accepted and checked (>= 1; default ${THREADS_ENV} or 1) "

@@ -108,11 +108,14 @@ class DegreeSeq:
 
 
 def make_graph(n: int, edges, directed: bool = False, labels=None, weights=None) -> Graph:
-    """Normalize raw edge pairs into a Graph; rejects self-loops, dedups."""
+    """Normalize raw edge pairs into a Graph; rejects self-loops, dedups.
+
+    weights maps a pair as given to its weight. A repeated pair is one link
+    and takes its weight once; an undirected (i, j) and (j, i) sum theirs,
+    as load_edge_list sums the weights of its lines."""
     norm = set()
     wtab: dict[tuple[int, int], float] = {}
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
+    for i, j in dict.fromkeys((int(e[0]), int(e[1])) for e in edges):
         if i == j:
             raise GraphError(f"self-loop on node {i} is not allowed")
         key = (i, j) if directed else (min(i, j), max(i, j))

@@ -498,8 +498,8 @@ class ClassSolution:
     node i has class node_cls[i], and the pair (i, j) of two such nodes has
     probability p[node_cls[i], node_cls[j]] and provenance
     forced[node_cls[i], node_cls[j]] (FREE or FORCED_LIM). The known nodes
-    have class C, one past the last. `expand` builds the node-level
-    ProbMatrix.
+    have class C, one past the last. `rows` gathers node-level link
+    probabilities row by row; `expand` builds the node-level ProbMatrix.
     """
 
     n: int
@@ -526,7 +526,7 @@ class ClassSolution:
         seen = seen[np.argsort(tail[seen], kind="stable")]
         return np.pad(self.p, (0, 1)), tail[seen], head[seen]
 
-    def _rows(self, r0: int, r1: int) -> np.ndarray:
+    def rows(self, r0: int, r1: int) -> np.ndarray:
         """expand().p[r0:r1]: the free pairs' class values, a zero diagonal
         and the known nodes' observed links, gathered row by row."""
         p, tail, head = self._gather_from
@@ -543,7 +543,7 @@ class ClassSolution:
         forced = forced[self.node_cls][:, self.node_cls]
         np.fill_diagonal(forced, FREE)
         return ProbMatrix(n=self.n, directed=self.directed,
-                          p=self._rows(0, self.n), forced=forced)
+                          p=self.rows(0, self.n), forced=forced)
 
 
 def _class_solution(n: int, directed: bool, links, known: np.ndarray,

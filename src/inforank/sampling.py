@@ -9,11 +9,11 @@ seed; each holds the same draw from the same seed.
 
 Every draw takes its uniforms from the stream of default_rng(seed). The
 risk scorer draws thousands of small matrices, and seeding a fresh
-default_rng costs more than filling one of them, so `seed_states` copies
-numpy's seeding (SeedSequence's hashing, then PCG64's seeding) vectorized
-over many seeds, and `adjacency_samples` sets each of those states on one
-reused generator. The tests hold every state and stream equal to
-default_rng's.
+default_rng costs more than filling one of them, so `seed_words` copies
+SeedSequence's hashing for the one seed shape the scorer uses, (seed, node,
+t) for all t of a node at once, and `adjacency_samples` turns each row of
+state words into PCG64's state as it sets it on the scorer's one
+generator. The tests hold every state and stream equal to default_rng's.
 """
 from __future__ import annotations
 
@@ -96,31 +96,8 @@ def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:
     array. Like expand, it rejects an ensemble of no nodes."""
     if sol.n == 0:
         raise InputError("probability matrix must have at least one node")
-    return _edges(lambda block: sol._rows(block.start, block.stop),
+    return _edges(lambda block: sol.rows(block.start, block.stop),
                   sol.n, sol.directed, seed)
-
-
-def _words(seed) -> list[int]:
-    """seed's entropy words as SeedSequence coerces them: an int as its
-    little-endian 32-bit words (0 as one word), a sequence as its items'
-    words in turn. A negative component raises ValueError and any other
-    non-integer TypeError, as default_rng does; unlike default_rng, None
-    (fresh OS entropy) and strings are rejected as well."""
-    words = []
-    for v in seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,):
-        if isinstance(v, (int, np.integer)):
-            v = int(v)
-            if v < 0:
-                raise ValueError("expected non-negative integer")
-            words.append(v & 0xFFFFFFFF)
-            while v := v >> 32:
-                words.append(v & 0xFFFFFFFF)
-        elif isinstance(v, (tuple, list, np.ndarray)):
-            words += _words(v)
-        else:
-            raise TypeError("seed must be an integer or a sequence of "
-                            f"integers, not {v!r}")
-    return words
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -171,50 +148,55 @@ def _state_words(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << 32  # little-endian word pairs
 
 
-def seed_states(seeds) -> list[dict]:
-    """default_rng(seed).bit_generator.state, a fresh PCG64's state, for
-    each of `seeds`, hashed in one vectorized pass per entropy length.
+def seed_words(seed: int, node: int, samples: int) -> np.ndarray:
+    """SeedSequence((seed, node, t)).generate_state(4, np.uint64), the words
+    default_rng seeds its PCG64 from, for each t < samples, as a uint64
+    (samples, 4) array; seed is a non-negative int, node and t lie below
+    2^32.
 
-    Seeds of one node's risk samples should go through one call: the pass
-    costs about as much for a hundred seeds as for a few. PCG64 is seeded
-    from the state words (s_hi, s_lo, i_hi, i_lo) as pcg64_set_seed does:
-    inc = 2 * (i_hi, i_lo) + 1, then state = inc + (s_hi, s_lo) and one
-    step, all modulo 2^128.
+    Every row hashes the same entropy length: seed's little-endian 32-bit
+    words (0 as one word), then node, then t, as SeedSequence coerces them.
+    A node's risk samples should go through one call: the pass costs about
+    as much for a hundred seeds as for a few.
     """
-    entropy = [_words(seed) for seed in seeds]
-    states = [None] * len(entropy)
-    for size in set(map(len, entropy)):
-        at = [i for i, words in enumerate(entropy) if len(words) == size]
-        rows = np.array([entropy[i] for i in at], np.uint32).reshape(len(at), size)
-        for i, (s_hi, s_lo, i_hi, i_lo) in zip(at, _state_words(rows).tolist()):
-            inc = (i_hi << 65 | i_lo << 1 | 1) & MASK_128
-            state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK_128
-            states[i] = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-    return states
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((samples, len(words) + 2), np.uint32)
+    entropy[:, :-2] = words
+    entropy[:, -2] = node
+    entropy[:, -1] = np.arange(samples)
+    return _state_words(entropy)
 
 
-def adjacency_samples(pm: ProbMatrix, states, out: np.ndarray) -> np.ndarray:
-    """Adjacency matrices of sample_graph(pm, seed) for the seeds whose
-    `seed_states` are `states`, as 0.0/1.0 floats in the leading slices of
-    `out`, a float (B, n, n) array with B >= len(states); returns those
-    slices.
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """The state of a PCG64 seeded from these state words, as
+    pcg64_set_seed sets it: inc = 2 * (i_hi, i_lo) + 1, then state = inc +
+    (s_hi, s_lo) and one step, all modulo 2^128."""
+    inc = (i_hi << 65 | i_lo << 1 | 1) & MASK_128
+    state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK_128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
-    Slice b is filled in place with the (n, n) uniforms of a generator set
-    to states[b], the stream of default_rng(seed), and then compared with p
-    in place, so a directed draw allocates no n x n array. One generator is
-    made per call and re-stated per slice.
+
+def adjacency_samples(p: np.ndarray, directed: bool, words: np.ndarray,
+                      rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Adjacency matrices of the draws from the n x n link probabilities p
+    whose seeds hash to the rows of `words` (see seed_words), as 0.0/1.0
+    floats in the leading slices of `out`, a float (B, n, n) array with
+    B >= len(words); returns those slices.
+
+    Slice b is filled in place with the (n, n) uniforms of `rng`, a PCG64
+    generator set to words[b], which is the stream of default_rng(seed),
+    and then compared with p in place, so a directed draw allocates no
+    n x n array. Each slice holds sample_graph's draw from the same seed.
     """
-    out = out[:len(states)]
-    rng = np.random.Generator(np.random.PCG64(0))  # every state is replaced
-    for a, state in zip(out, states):
-        rng.bit_generator.state = state
+    out = out[:len(words)]
+    for a, row in zip(out, words.tolist()):
+        rng.bit_generator.state = _pcg64_state(*row)
         rng.random(out=a)
-    np.less(out, pm.p, out=out)
-    if not pm.directed:  # keep j > i, then mirror it
+    np.less(out, p, out=out)
+    if not directed:  # keep j > i, then mirror it
         upper = np.triu(out, 1)
         return np.add(upper, upper.transpose(0, 2, 1), out=out)
-    diagonal = np.arange(pm.n)
+    diagonal = np.arange(len(p))
     out[:, diagonal, diagonal] = 0.0
     return out

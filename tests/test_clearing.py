@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inforank import (ClearingProblem, ExternalsConfig, InputError,
-                      SolverError, adjacency_samples, build_liabilities,
-                      clear, degree_sequence, fit_trend, make_graph,
-                      risk_error_experiment, sample_ensemble, seed_states,
-                      solve_conditioned_set, solve_dbcm)
+                      SolverError, build_liabilities, clear, degree_sequence,
+                      fit_trend, make_graph, risk_error_experiment,
+                      sample_ensemble, solve_conditioned_set, solve_dbcm)
 from inforank.clearing import (CLEAR_MAX_ITER, CLEAR_TOL, RiskExperiment,
                                _clear)
 from inforank import SampleSpec
 from inforank.generators import erdos_renyi, scale_free_directed
+from inforank.maxent import solve_classes
+from inforank.sampling import adjacency_samples, seed_words
 
 from helpers import relative_liabilities
 from oracles import clear_one, picard_clearing, polyfit_normal_equations
@@ -289,9 +292,10 @@ def test_risk_scorer_matches_validated_clearing():
         cond = solve_conditioned_set(g, [node])
         w = exp.volume / float(cond.p.sum())
         errors = np.empty(samples)
+        words = seed_words(seed, node, samples)
         for t in range(samples):
-            (a,) = adjacency_samples(cond, seed_states([(seed, node, t)]),
-                                     np.empty((1, g.n, g.n)))
+            (a,) = adjacency_samples(cond.p, cond.directed, words[t:t + 1],
+                                     np.random.default_rng(0), np.empty((1, g.n, g.n)))
             liab = a * w
             assert np.all(liab >= 0.0) and np.all(np.diagonal(liab) == 0.0)
             prob = ClearingProblem(L=liab, Ae=exp.ae, Le=exp.le,
@@ -299,6 +303,23 @@ def test_risk_scorer_matches_validated_clearing():
             diff = clear(prob).p - exp.p_real
             errors[t] = float(diff @ diff) / exp.norm
         assert res.mse[node] == errors.mean()
+
+
+def test_risk_scorer_memory_does_not_grow_per_sample():
+    # a node's seeds hash to one (samples, 4) array of state words and its
+    # samples go through the workspace and generator made with the
+    # experiment, so one call on 20 000 samples stays below 4 MiB traced
+    g = scale_free_directed(8, 2, seed=1)
+    exp = RiskExperiment(g, samples_per_node=20000, seed=3)
+    cond = solve_classes(g, [0])
+    tracemalloc.start()
+    try:
+        mse = exp(0, cond)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert mse == 0.037826081595760806
 
 
 @pytest.mark.parametrize("kwargs", [

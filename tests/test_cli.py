@@ -459,31 +459,26 @@ def test_one_conditioned_solve_per_node(tmp_path, monkeypatch, argv):
     assert sorted(counts["nodes"]) == list(range(n))
 
 
-@pytest.mark.parametrize("argv, expansions", [
-    (["rank", "--generate", "ba:60,3", "--seed", "1"], 0),
-    (["accuracy", "--generate", "ba:60,3", "--seed", "1"], 0),
-    (["rank", "--generate", "er:40,0.1", "--seed", "2", "--directed"], 0),
-    (["accuracy", "--generate", "er:40,0.1", "--seed", "2", "--directed"], 0),
-    (["compare", "--generate", "scalefree:30,2", "--seed", "3"], 0),
-    (["risk", "--generate", "scalefree:30,2", "--seed", "3", "--samples", "2"],
-     30),
-    (["sample", "--generate", "ba:60,3", "--seed", "1", "--samples", "3"], 0),
-    (["sample", "--generate", "scalefree:30,2", "--seed", "3",
-      "--conditioned-on", "0", "--samples", "3"], 0),
+@pytest.mark.parametrize("argv", [
+    ["rank", "--generate", "ba:60,3", "--seed", "1"],
+    ["accuracy", "--generate", "ba:60,3", "--seed", "1"],
+    ["rank", "--generate", "er:40,0.1", "--seed", "2", "--directed"],
+    ["accuracy", "--generate", "er:40,0.1", "--seed", "2", "--directed"],
+    ["compare", "--generate", "scalefree:30,2", "--seed", "3"],
+    ["risk", "--generate", "scalefree:30,2", "--seed", "3", "--samples", "2"],
+    ["sample", "--generate", "ba:60,3", "--seed", "1", "--samples", "3"],
+    ["sample", "--generate", "scalefree:30,2", "--seed", "3",
+     "--conditioned-on", "0", "--samples", "3"],
 ])
-def test_only_risk_expands_to_node_matrices(tmp_path, monkeypatch, argv,
-                                             expansions):
-    # ranking and accuracy score every ensemble on its degree classes, and
-    # sample draws from them in row blocks; only the risk scorer builds
-    # each node's n x n matrix, to sample from it
-    calls = []
-    expand = maxent.ClassSolution.expand
-    monkeypatch.setattr(maxent.ClassSolution, "expand",
-                        lambda sol: calls.append(sol) or expand(sol))
-    code, out = run(tmp_path, *argv)
+def test_commands_build_no_prob_matrix(tmp_path, monkeypatch, argv):
+    # ranking and accuracy score every ensemble on its degree classes,
+    # sample draws from them in row blocks and risk gathers each node's
+    # link probabilities with ClassSolution.rows: none builds a ProbMatrix
+    def refuse(sol):
+        raise AssertionError("ProbMatrix built")
+    monkeypatch.setattr(maxent.ClassSolution, "expand", refuse)
+    code, _ = run(tmp_path, *argv)
     assert code == EXIT_OK
-    assert len(calls) == expansions
-    assert all(sol.known.sum() == 1 for sol in calls)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -210,6 +210,14 @@ def test_dense_matrices_match_loop_oracle():
         assert np.array_equal(g.weight_matrix(), g.adjacency())
 
 
+def test_repeated_pair_takes_its_weight_once():
+    g = make_graph(3, [(0, 1), (0, 1)], directed=True, weights={(0, 1): 2.0})
+    assert g.weights == {(0, 1): 2.0}
+    g = make_graph(3, [(0, 1), (0, 1), (1, 0)], weights={(0, 1): 2.0, (1, 0): 0.5})
+    assert g.edges == {(0, 1)} and g.weights == {(0, 1): 2.5}
+    assert load_edge_list("a b 2\nb a 0.5\n").weights == {(0, 1): 2.5}
+
+
 def test_weight_off_the_links_rejected():
     with pytest.raises(GraphError):
         Graph(n=3, directed=True, edges=frozenset({(0, 1)}),

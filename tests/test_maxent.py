@@ -463,7 +463,7 @@ def test_row_gather_is_expanded_rows(case, conditioned, data):
     p = sol.expand().p
     r0 = data.draw(st.integers(0, g.n - 1))
     r1 = data.draw(st.integers(r0 + 1, g.n + 2))
-    assert np.array_equal(sol._rows(r0, r1), p[r0:r1])
+    assert np.array_equal(sol.rows(r0, r1), p[r0:r1])
 
     cls, known = sol.node_cls, sol.known
     a = g.adjacency()

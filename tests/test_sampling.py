@@ -2,14 +2,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from inforank import (InputError, ProbMatrix, SampleSpec, adjacency_samples,
-                      degree_sequence, sample_ensemble, sample_graph,
-                      sampling, seed_states, solve_ubcm)
+from inforank import (InputError, ProbMatrix, SampleSpec, degree_sequence,
+                      sample_ensemble, sample_graph, sampling, solve_ubcm)
+from inforank.clearing import RiskExperiment
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
-from inforank.sampling import class_sample
+from inforank.sampling import (_pcg64_state, adjacency_samples, class_sample,
+                               seed_words)
 
 from helpers import small_graph
 from oracles import dense_draw
@@ -19,6 +20,11 @@ def _pm(p, directed=False):
     p = np.asarray(p, dtype=float)
     return ProbMatrix(n=p.shape[0], directed=directed, p=p.copy(),
                       forced=np.zeros(p.shape, dtype=np.int8))
+
+
+def _generator():
+    """A PCG64 generator for adjacency_samples to re-state."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def test_sample_all_zero_gives_empty_graph():
@@ -63,8 +69,9 @@ def test_ensemble_samples_are_independent_draws():
 def test_adjacency_sample_matches_graph_sample():
     g = erdos_renyi(15, 0.3, seed=3)
     _, pm = solve_ubcm(degree_sequence(g))
-    (a,) = adjacency_samples(pm, seed_states([(4, 0)]), np.empty((1, 15, 15)))
-    s = sample_graph(pm, seed=(4, 0))
+    (a,) = adjacency_samples(pm.p, pm.directed, seed_words(4, 0, 1),
+                             _generator(), np.empty((1, 15, 15)))
+    s = sample_graph(pm, seed=(4, 0, 0))
     assert np.array_equal(a, s.adjacency())
 
 
@@ -124,11 +131,12 @@ def test_streamed_draw_matches_dense_oracle(case, spare):
     (g, node), conditioned, seed, rows = case
     sol = solve_classes(g, [node] if conditioned else None)
     pm = sol.expand()
-    hit = dense_draw(pm.p, g.directed, seed)
+    hit = dense_draw(pm.p, g.directed, (seed, node, 0))
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
-        tails, heads = class_sample(sol, seed)
-        (adjacency,) = adjacency_samples(pm, seed_states([seed]), np.empty((1, g.n, g.n)))
-        graph = sample_graph(pm, seed)
+        tails, heads = class_sample(sol, (seed, node, 0))
+        (adjacency,) = adjacency_samples(pm.p, g.directed, seed_words(seed, node, 1),
+                                         _generator(), np.empty((1, g.n, g.n)))
+        graph = sample_graph(pm, (seed, node, 0))
     i, j = np.nonzero(hit)
     assert np.array_equal(tails, i) and np.array_equal(heads, j)
     assert np.array_equal(adjacency, hit | hit.T if not g.directed else hit)
@@ -139,16 +147,16 @@ def test_streamed_draw_matches_dense_oracle(case, spare):
 @given(_block_cases(), st.integers(1, 6), st.integers(0, 3))
 def test_stacked_draw_matches_dense_oracle(case, count, spare):
     # a stack of 1 to 6 draws, in an out of `spare` more slices than seeds:
-    # slice b is the dense draw of seeds[b], as 0.0/1.0 and mirrored when
-    # undirected, and the slices past the seeds are left as they were
+    # slice t is the dense draw of (seed, node, t), as 0.0/1.0 and mirrored
+    # when undirected, and the slices past the seeds are left as they were
     (g, node), conditioned, seed, _ = case
     pm = solve_classes(g, [node] if conditioned else None).expand()
-    seeds = [seed] + [(seed, t) for t in range(1, count)]
     out = np.full((count + spare, g.n, g.n), np.nan)
-    stack = adjacency_samples(pm, seed_states(seeds), out)
+    stack = adjacency_samples(pm.p, g.directed, seed_words(seed, node, count),
+                              _generator(), out)
     assert stack.shape == (count, g.n, g.n) and np.shares_memory(stack, out)
-    for a, s in zip(stack, seeds):
-        hit = dense_draw(pm.p, g.directed, s)
+    for t, a in enumerate(stack):
+        hit = dense_draw(pm.p, g.directed, (seed, node, t))
         assert np.array_equal(a, hit | hit.T if not g.directed else hit)
     assert np.isnan(out[count:]).all()
 
@@ -168,29 +176,27 @@ def test_streamed_draw_matches_dense_oracle_on_large_graphs(budget):
         assert np.array_equal(tails, i) and np.array_equal(heads, j)
 
 
-def _entropy_seeds():
-    """An int or a tuple of ints, of 1 to 6 entropy (32-bit) words in all;
-    components sit on the word boundaries and past 2^64."""
-    component = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
-                          st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                          st.integers(2**64, 2**96 - 1))
-    words = lambda v: max(1, -(-v.bit_length() // 32))
-    tuples = st.lists(component, min_size=1, max_size=6).map(tuple).filter(
-        lambda seed: sum(map(words, seed)) <= 6)
-    return st.one_of(component, tuples)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(1, 100).flatmap(
-    lambda count: st.lists(_entropy_seeds(), min_size=count, max_size=count)),
-    st.integers(1, 5))
-def test_seed_states_match_default_rng(seeds, n):
-    # a stack of 1 to 100 seeds of mixed entropy lengths, more than the
-    # pool's 4 words included: each state, and the stream of a generator
-    # set to it, is default_rng's
-    rng = np.random.Generator(np.random.PCG64(0))
-    for seed, state in zip(seeds, seed_states(seeds), strict=True):
-        oracle = np.random.default_rng(seed)
+@given(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**32 + 1, 2**64]),
+                 st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**96 - 1)),
+       st.integers(0, 2**32 - 1), st.integers(1, 100), st.integers(1, 5))
+@example(0, 2**32 - 1, 3, 2)
+def test_seed_states_match_default_rng(seed, node, samples, n):
+    # seeds of one to three 32-bit words, so (seed, node, t) is three to
+    # five entropy words, past the pool's 4 included: each row of state
+    # words is SeedSequence's, the PCG64 state set from it is
+    # default_rng's, and so is the stream of a generator set to it. The
+    # example holds seed 0 to one word: SeedSequence pads its entropy with
+    # zeros, so a dropped 0 shows only where node or t is not 0
+    words = seed_words(seed, node, samples)
+    assert words.shape == (samples, 4) and words.dtype == np.uint64
+    rng = _generator()
+    for t, row in enumerate(words):
+        seq = np.random.SeedSequence((seed, node, t))
+        assert np.array_equal(row, seq.generate_state(4, np.uint64))
+        oracle = np.random.default_rng((seed, node, t))
+        state = _pcg64_state(*row.tolist())
         assert state == oracle.bit_generator.state
         rng.bit_generator.state = state
         assert np.array_equal(rng.random((n, n)), oracle.random((n, n)))
@@ -201,10 +207,13 @@ def test_seed_states_match_default_rng(seeds, n):
     1.5, (3, 0.5), (3, np.float64(2.0)), np.array([1.0]), (3, None),
 ])
 def test_seed_states_reject_what_default_rng_rejects(seed):
-    with pytest.raises((TypeError, ValueError)) as numpy_error:
+    # the risk scorer hashes only a non-negative int seed; any seed that
+    # default_rng rejects fails when the experiment is made, before a draw
+    with pytest.raises((TypeError, ValueError)):
         np.random.default_rng(seed)
-    with pytest.raises(numpy_error.type):
-        seed_states([(0, 1, 2), seed])
+    with pytest.raises(InputError):
+        RiskExperiment(scale_free_directed(10, 2, seed=1), samples_per_node=1,
+                       seed=seed)
 
 
 @pytest.mark.parametrize("budget", [1, 20, sampling.BLOCK_ELEMENTS])
@@ -215,7 +224,8 @@ def test_draw_never_hits_the_diagonal(directed, budget):
     pm = _pm(np.ones((9, 9)), directed)
     pm.p[...] = 1.0
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
-        (a,) = adjacency_samples(pm, seed_states([1]), np.empty((1, 9, 9)))
+        (a,) = adjacency_samples(pm.p, directed, seed_words(1, 0, 1),
+                                 _generator(), np.empty((1, 9, 9)))
         g = sample_graph(pm, seed=1)
     assert np.array_equal(a, 1.0 - np.eye(9))
     assert g.m == (72 if directed else 36)

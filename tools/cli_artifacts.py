@@ -23,13 +23,14 @@ and as CSV, to stdout and to --output; and `sample` to stdout and to
 --output-dir, plain and conditioned on node 0. Two larger `sample` runs,
 BA(400, 3) plain and directed scale-free(300, 2) conditioned on node 0,
 draw more entries than one row block of `sampling.BLOCK_ELEMENTS` holds.
-Three more inputs reach paths the generated graphs do not: `compare` and
+Four more inputs reach paths the generated graphs do not: `compare` and
 `accuracy` on directed ER(40, .03) with seed 3, whose 13 nodes without
 out-links (5 of them isolated) leave rows of PageRank's transition matrix
 empty; `risk` on WEIGHTED, an edge list with weights on every other
 link, written to OUTDIR; and `risk` on directed scale-free(30, 2) with the
-seed 2^64 + 5, which makes every sample seed (seed, node, t) five 32-bit
-entropy words, more than SeedSequence's pool of four.
+seeds 2^32 + 1 and 2^64 + 5, which make every sample seed (seed, node, t)
+four and five 32-bit entropy words (the seeds 1 and 2 above make three),
+the latter more than SeedSequence's pool of four.
 """
 from __future__ import annotations
 
@@ -46,11 +47,13 @@ BLOCK_SAMPLES = (("ba-400-3_sample", "ba:400,3", 1, []),
                  ("sf-dir-300-2_sample_cond", "scalefree:300,2", 2,
                   ["--conditioned-on", "0"]))
 WEIGHTED = "weighted.edges"
-# (case, graph options, commands) of the runs on those three inputs
+# (case, graph options, commands) of the runs on those four inputs
 EXTRA = (("er-dir-40", ["--generate", "er:40,0.03", "--directed", "--seed", "3"],
           ("compare", "accuracy")),
          ("weighted-sf-dir-30", ["--input", f"../{WEIGHTED}", "--directed"],
           ("risk",)),
+         ("two-word-seed-sf-dir-30",
+          ["--generate", "scalefree:30,2", "--seed", str(2**32 + 1)], ("risk",)),
          ("wide-seed-sf-dir-30",
           ["--generate", "scalefree:30,2", "--seed", str(2**64 + 5)], ("risk",)))
 
