@@ -16,9 +16,11 @@ The risk experiment is a per-node scorer (RiskExperiment) over the
 conditioned ensembles of entropy.conditioned_pass; the `risk` command runs it
 in the same pass as the ranking, so each ensemble is solved once. It is the
 only scorer that gathers an ensemble's n x n link probabilities
-(ClassSolution.rows): it draws its samples from them as stacks of adjacency
-matrices, which it weights and clears in place, in one workspace and on one
-generator allocated per experiment.
+(ClassSolution.rows): it draws its samples from them as stacks of directed
+adjacency matrices (sampling.adjacency_samples), which it weights and clears
+in place, in one workspace and on one generator allocated per experiment.
+Its constructor rejects an undirected network (build_liabilities), so no
+sample is ever undirected.
 """
 from __future__ import annotations
 
@@ -239,7 +241,7 @@ class RiskExperiment:
         words = seed_words(self.seed, node, self.samples)
         errors = np.empty(self.samples)
         for t0 in range(0, self.samples, len(self.work)):
-            liab = adjacency_samples(prob, cond.directed, words[t0:t0 + len(self.work)],
+            liab = adjacency_samples(prob, words[t0:t0 + len(self.work)],
                                      self.rng, self.work)
             np.multiply(liab, w, out=liab)
             p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,

@@ -9,6 +9,12 @@ whose solve failed shows as null (an empty CSV field), and the command
 exits 4. `sample` writes its draws to stdout or to --output-dir, which
 must not hold sample files of an earlier run.
 
+Options come from one place: `main` sets each option that no flag set from
+the --config file, once, and the commands read `args` alone. The thread
+count falls back to $INFORANK_THREADS when neither sets it. `compare` and
+`accuracy` correlate over the solved nodes only (recon.solved_pearson), on
+one InfoRank rank vector (_inforank_vector).
+
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
 """
@@ -31,11 +37,11 @@ from .centrality import (RankVector, closeness_centrality, degree_centrality,
 from .clearing import ExternalsConfig, RiskExperiment, fit_trend
 from .entropy import inforank, ranking_pass
 from .errors import (GraphError, InfoRankError, InputError, ParseError,
-                     SolverError, UndefinedCorrelationError, UndefinedIndexError)
+                     SolverError, UndefinedIndexError)
 from .generators import from_spec
 from .graphs import degree_sequence, load_edge_list
 from .maxent import SolverOptions, solve_classes
-from .recon import AccuracyReport, class_accuracy, pearson
+from .recon import AccuracyReport, class_accuracy, solved_pearson
 from .sampling import SampleSpec, class_sample
 
 EXIT_OK = 0
@@ -143,14 +149,8 @@ def _cast(name: str, raw: str, cast):
         raise InputError(f"bad value for {name}: {raw!r}") from None
 
 
-def _resolve(args, key, default):
-    """Flag > config file > default (env handled separately for threads)."""
-    value = getattr(args, key)
-    return args.config_values.get(key, default) if value is None else value
-
-
 def _get_graph(args):
-    directed = _resolve(args, "directed", False)
+    directed = bool(args.directed)
     if args.generate:
         g = from_spec(args.generate, seed=args.seed, directed=directed)
     elif args.input:
@@ -168,15 +168,15 @@ def _solver_options(args) -> SolverOptions:
     """SolverOptions with the values a flag or the config file set; the
     others keep SolverOptions' defaults."""
     keys = ("tolerance", "max_iterations")
-    return SolverOptions(**{key: value for key in keys
-                            if (value := _resolve(args, key, None)) is not None})
+    return SolverOptions(**{key: getattr(args, key) for key in keys
+                            if getattr(args, key) is not None})
 
 
 def _check_threads(args) -> None:
     """Validate the thread count: flag > config file > $INFORANK_THREADS > 1;
     below 1 is an error. It has no effect: the conditioned solves run as
     stacked array operations in one thread."""
-    threads = _resolve(args, "threads", None)
+    threads = args.threads
     if threads is None:
         threads = _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), int)
     if threads < 1:
@@ -243,14 +243,9 @@ def cmd_compare(args) -> int:
         columns[f"{v.index_name}_rescaled"] = v.rescaled
     rows = _rows(g, k_total=degree_sequence(g).total(), **columns)
 
-    correlations = {}
-    for va, vb in itertools.combinations(vectors, 2):
-        key = f"{va.index_name}~{vb.index_name}"
-        ok = ~np.isnan(va.rescaled + vb.rescaled)  # failed nodes take no part
-        try:
-            correlations[key] = pearson(va.rescaled[ok], vb.rescaled[ok])
-        except (InputError, UndefinedCorrelationError):  # < 2 nodes, or constant
-            correlations[key] = None
+    correlations = {f"{va.index_name}~{vb.index_name}":
+                    solved_pearson(va.rescaled, vb.rescaled)
+                    for va, vb in itertools.combinations(vectors, 2)}
 
     payload = {"command": "compare", "seed": args.seed, "n": g.n,
                "directed": g.directed, "pagerank_alpha": alpha,
@@ -267,10 +262,8 @@ def cmd_accuracy(args) -> int:
                  pagerank(g, alpha=alpha)]
     report, bench, (acc,) = ranking_pass(
         g, (lambda i, sol: class_accuracy(sol),), opts)
-    # the correlations skip failed nodes, which this rescaling keeps at 0
-    ranked = RankVector(index_name="inforank", scores=report.I,
-                        rescaled=rescale(np.where(report.failed, 0.0, report.I)))
-    rep = AccuracyReport.build(class_accuracy(bench), acc, [*baselines, ranked])
+    rep = AccuracyReport.build(class_accuracy(bench), acc,
+                               [*baselines, _inforank_vector(report)])
 
     rows = _rows(g, accuracy=rep.A)
     payload = {
@@ -437,7 +430,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = _load_config_file(args.config) if args.config else {}
+        if args.config:  # the file sets what no flag set
+            for key, value in _load_config_file(args.config).items():
+                if getattr(args, key) is None:
+                    setattr(args, key, value)
         _check_threads(args)
         if args.seed < 0:
             raise InputError(f"seed must be >= 0, got {args.seed}")

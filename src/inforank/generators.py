@@ -1,7 +1,8 @@
 """Seeded synthetic graph generators backing the CLI --generate flag.
 
 Every generator is deterministic for a given seed so acceptance runs are
-reproducible without external data.
+reproducible without external data. Both preferential-attachment models
+pick each arriving node's partners through `_preferential`.
 """
 from __future__ import annotations
 
@@ -29,6 +30,18 @@ def erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = False) -> Grap
     return make_graph(n, zip(tail.tolist(), head.tolist()), directed=directed)
 
 
+def _preferential(rng: np.random.Generator, weights: np.ndarray, m: int) -> list[int]:
+    """m distinct nodes drawn with probability proportional to weights,
+    sorted: rng.choice(len(weights), p=weights / weights.sum()) per draw,
+    until m are distinct, with its cdf built once."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    drawn: set[int] = set()
+    while len(drawn) < m:
+        drawn.add(int(cdf.searchsorted(rng.random(), side="right")))
+    return sorted(drawn)
+
+
 def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     """Undirected preferential attachment; new nodes bring m links each.
 
@@ -42,13 +55,7 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     deg = np.zeros(n)
     deg[: m + 1] = m
     for v in range(m + 1, n):
-        targets: set[int] = set()
-        # rng.choice(v, p=weights) per draw, with its cdf built once per node
-        cdf = (deg[:v] / deg[:v].sum()).cumsum()
-        cdf /= cdf[-1]
-        while len(targets) < m:
-            targets.add(int(cdf.searchsorted(rng.random(), side="right")))
-        for t in sorted(targets):
+        for t in _preferential(rng, deg[:v], m):
             edges.append((t, v))
             deg[t] += 1
         deg[v] = m
@@ -99,20 +106,9 @@ def scale_free_directed(n: int, m: int = 2, seed: int = 0) -> Graph:
             if i != j:
                 add(i, j)
     for v in range(core, n):
-        # rng.choice(v, p=weights) per draw, as in barabasi_albert
-        cdf_in = ((k_in[:v] + 1.0) / (k_in[:v] + 1.0).sum()).cumsum()
-        cdf_out = ((k_out[:v] + 1.0) / (k_out[:v] + 1.0).sum()).cumsum()
-        cdf_in /= cdf_in[-1]
-        cdf_out /= cdf_out[-1]
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(int(cdf_in.searchsorted(rng.random(), side="right")))
-        sources: set[int] = set()
-        while len(sources) < m:
-            sources.add(int(cdf_out.searchsorted(rng.random(), side="right")))
-        for t in sorted(targets):
-            add(v, t)
-        for s in sorted(sources):
+        for t in _preferential(rng, k_in[:v] + 1.0, m):
+            add(v, t)  # it leaves k_out[:v], the sources' weights, as it was
+        for s in _preferential(rng, k_out[:v] + 1.0, m):
             add(s, v)
     return make_graph(n, sorted(edges), directed=True)
 
@@ -122,26 +118,28 @@ def from_spec(spec: str, seed: int = 0, directed: bool = False) -> Graph:
     'ring:40,4', 'scalefree:50,2'.
 
     `directed` applies to 'er' only: 'ba', 'star' and 'ring' make undirected
-    graphs and reject it, and 'scalefree' is always directed.
+    graphs and reject it, and 'scalefree' is always directed. Each generator
+    takes exactly its arguments, m of 'scalefree' being optional (default
+    2); empty arguments are skipped, so 'er:5,0.5,' is 'er:5,0.5'. Any
+    other count raises InputError.
     """
     name, _, argstr = spec.partition(":")
     if directed and name in ("ba", "star", "ring"):
         raise InputError(f"generator {name!r} makes undirected graphs only; "
                          "drop --directed")
+    makers = {
+        "er": lambda n, p: erdos_renyi(int(n), float(p), seed=seed, directed=directed),
+        "ba": lambda n, m: barabasi_albert(int(n), int(m), seed=seed),
+        "star": lambda n: star(int(n)),
+        "ring": lambda n, k: ring_lattice(int(n), int(k)),
+        "scalefree": lambda n, m="2": scale_free_directed(int(n), int(m), seed=seed),
+    }
+    if name not in makers:
+        raise InputError(f"unknown generator {name!r} (use er|ba|star|ring|scalefree)")
     try:
-        args = [a for a in argstr.split(",") if a] if argstr else []
-        if name == "er":
-            n, p = int(args[0]), float(args[1])
-            return erdos_renyi(n, p, seed=seed, directed=directed)
-        if name == "ba":
-            return barabasi_albert(int(args[0]), int(args[1]), seed=seed)
-        if name == "star":
-            return star(int(args[0]))
-        if name == "ring":
-            return ring_lattice(int(args[0]), int(args[1]))
-        if name == "scalefree":
-            m = int(args[1]) if len(args) > 1 else 2
-            return scale_free_directed(int(args[0]), m, seed=seed)
-    except (IndexError, ValueError) as exc:
+        return makers[name](*[a for a in argstr.split(",") if a])
+    except TypeError:  # too few or too many arguments for the generator
+        raise InputError(f"bad generator spec {spec!r}: "
+                         "wrong number of arguments") from None
+    except ValueError as exc:
         raise InputError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise InputError(f"unknown generator {name!r} (use er|ba|star|ring|scalefree)")

@@ -12,6 +12,10 @@ ensembles of entropy.conditioned_pass, so a caller that also ranks (the
 free class pairs, plus 2p - 1 gathered on the observed links among the free
 nodes, plus 1 for each pair that touches a conditioned node.
 `expected_accuracy` scores a ProbMatrix and stays as its oracle.
+
+`solved_pearson` is the one rule for a correlation over the solved nodes:
+a node that is NaN in either vector takes no part, and an undefined
+correlation is None. `AccuracyReport` and the `compare` command both use it.
 """
 from __future__ import annotations
 
@@ -67,6 +71,19 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum() / (sx * sy))
 
 
+def solved_pearson(x, y) -> float | None:
+    """pearson over the entries where neither x nor y is NaN, so a node
+    whose solve failed takes no part; None where that is undefined: fewer
+    than two entries left, or one side constant on them."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ok = ~np.isnan(x + y)
+    try:
+        return pearson(x[ok], y[ok])
+    except (InputError, UndefinedCorrelationError):
+        return None
+
+
 @dataclass
 class AccuracyReport:
     A_benchmark: float
@@ -79,22 +96,17 @@ class AccuracyReport:
               ranks: list[RankVector]) -> "AccuracyReport":
         """Assemble the report from per-node accuracies (NaN where failed).
 
-        Rank vectors with zero variance get a None correlation instead of
-        aborting the report; failed nodes are excluded from the correlations,
-        which are None when fewer than two nodes are left.
+        Each correlation is solved_pearson's: a node that is NaN in either
+        vector takes no part, and it is None where it is undefined, so a
+        rank vector with zero variance does not abort the report.
         """
-        failed = np.isnan(acc)
-        ok = ~failed
-        correlations: dict[str, float | None] = {}
         for rank in ranks:
             if len(rank.rescaled) != len(acc):
                 raise InputError(f"rank vector {rank.index_name!r} has wrong length")
-            try:
-                correlations[rank.index_name] = pearson(acc[ok], rank.rescaled[ok])
-            except (InputError, UndefinedCorrelationError):  # < 2 nodes, or constant
-                correlations[rank.index_name] = None
+        correlations = {rank.index_name: solved_pearson(acc, rank.rescaled)
+                        for rank in ranks}
         return cls(A_benchmark=a_benchmark, A=acc,
-                   correlations=correlations, failed=failed)
+                   correlations=correlations, failed=np.isnan(acc))
 
 
 def accuracy_report(g: Graph, ranks: list[RankVector],

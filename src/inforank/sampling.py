@@ -5,7 +5,8 @@ independent, individually reproducible and safe to generate in parallel. A
 draw streams the probability matrix in blocks of rows, so `class_sample`,
 the `sample` command's draw, builds no n x n array. `adjacency_samples`,
 the risk scorer's draw, fills a caller's stack of n x n matrices, one per
-seed; each holds the same draw from the same seed.
+seed; each holds the same directed draw from the same seed. It has no
+undirected draw: the risk experiment runs on directed networks only.
 
 Every draw takes its uniforms from the stream of default_rng(seed). The
 risk scorer draws thousands of small matrices, and seeding a fresh
@@ -177,26 +178,24 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def adjacency_samples(p: np.ndarray, directed: bool, words: np.ndarray,
+def adjacency_samples(p: np.ndarray, words: np.ndarray,
                       rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Adjacency matrices of the draws from the n x n link probabilities p
-    whose seeds hash to the rows of `words` (see seed_words), as 0.0/1.0
-    floats in the leading slices of `out`, a float (B, n, n) array with
-    B >= len(words); returns those slices.
+    """Adjacency matrices of the directed draws from the n x n link
+    probabilities p whose seeds hash to the rows of `words` (see
+    seed_words), as 0.0/1.0 floats in the leading slices of `out`, a float
+    (B, n, n) array with B >= len(words); returns those slices.
 
     Slice b is filled in place with the (n, n) uniforms of `rng`, a PCG64
     generator set to words[b], which is the stream of default_rng(seed),
-    and then compared with p in place, so a directed draw allocates no
-    n x n array. Each slice holds sample_graph's draw from the same seed.
+    and then compared with p in place, so the draw allocates no n x n
+    array. Each slice holds the directed sample_graph's draw from the same
+    seed.
     """
     out = out[:len(words)]
     for a, row in zip(out, words.tolist()):
         rng.bit_generator.state = _pcg64_state(*row)
         rng.random(out=a)
     np.less(out, p, out=out)
-    if not directed:  # keep j > i, then mirror it
-        upper = np.triu(out, 1)
-        return np.add(upper, upper.transpose(0, 2, 1), out=out)
     diagonal = np.arange(len(p))
     out[:, diagonal, diagonal] = 0.0
     return out

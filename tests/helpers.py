@@ -42,10 +42,11 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 
 
 @st.composite
-def small_graph(draw):
+def small_graph(draw, directed=st.booleans()):
     """A graph with n <= 8 at low, middle or high density: zero degrees,
-    k_out = 0 or k_in = 0 and saturated nodes all occur."""
-    directed = draw(st.booleans())
+    k_out = 0 or k_in = 0 and saturated nodes all occur. `directed` draws
+    whether it is directed."""
+    directed = draw(directed)
     n = draw(st.integers(2, 8))
     density = draw(st.sampled_from([0.15, 0.5, 0.85]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

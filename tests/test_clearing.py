@@ -294,8 +294,8 @@ def test_risk_scorer_matches_validated_clearing():
         errors = np.empty(samples)
         words = seed_words(seed, node, samples)
         for t in range(samples):
-            (a,) = adjacency_samples(cond.p, cond.directed, words[t:t + 1],
-                                     np.random.default_rng(0), np.empty((1, g.n, g.n)))
+            (a,) = adjacency_samples(cond.p, words[t:t + 1], np.random.default_rng(0),
+                                     np.empty((1, g.n, g.n)))
             liab = a * w
             assert np.all(liab >= 0.0) and np.all(np.diagonal(liab) == 0.0)
             prob = ClearingProblem(L=liab, Ae=exp.ae, Le=exp.le,

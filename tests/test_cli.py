@@ -94,10 +94,19 @@ def test_rank_undefined_index_exits_solver(tmp_path):
     assert code == EXIT_SOLVER
 
 
-def test_bad_generator_spec_exits_config(tmp_path):
-    for spec in ("nope:3", "er:-3,0.5", "ba:0,3"):
+def test_bad_generator_spec_exits_config(tmp_path, monkeypatch):
+    # more arguments than the generator takes fail before any solve
+    counts = count_solves(monkeypatch)
+    for spec in ("nope:3", "er:-3,0.5", "ba:0,3", "ba:10,3,99", "star:5,3",
+                 "ring:10,2,5", "er:6,0.5,1", "scalefree:8,2,4", "er:6"):
         code, _ = run(tmp_path, "rank", "--generate", spec)
         assert code == EXIT_CONFIG, spec
+    assert counts["benchmark"] == 0 and counts["nodes"] == []
+    # m of scalefree is optional, and an empty argument is skipped
+    for spec, same in (("scalefree:8", "scalefree:8,2"), ("er:5,0.5,", "er:5,0.5")):
+        assert from_spec(spec, seed=1).edges == from_spec(same, seed=1).edges
+        assert main(["rank", "--generate", spec, "--output",
+                     str(tmp_path / "ok.json")]) == EXIT_OK, spec
 
 
 def test_rank_p4_matches_library(tmp_path):
@@ -402,7 +411,7 @@ def test_sample_of_no_nodes_exits_config(tmp_path):
     assert main(["sample", "--generate", "er:0,0.5"]) == EXIT_CONFIG
 
 
-def test_config_file_defaults_overridden_by_flags(tmp_path):
+def test_config_file_defaults_overridden_by_flags(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 1e-6\nthreads = 2\n")
     out1 = tmp_path / "o1.json"
@@ -415,11 +424,45 @@ def test_config_file_defaults_overridden_by_flags(tmp_path):
     assert json.loads(out1.read_text())["n"] == 10
     assert json.loads(out2.read_text())["n"] == 10
 
+    # a flag beats the file: the file's cap of 1 iteration fails every
+    # solve, and --max-iterations lifts it; the file's last line for a key
+    # counts
+    argv = ["rank", "--generate", "ba:20,2", "--seed", "1", "--config", str(cfg),
+            "--output", str(out1)]
+    cfg.write_text("max_iterations = 500\nmax_iterations = 1\n")
+    assert main(argv) == EXIT_SOLVER
+    assert main(argv + ["--max-iterations", "500"]) == EXIT_OK
+    # the file beats $INFORANK_THREADS, which counts only where neither sets
+    # the thread count
+    monkeypatch.setenv("INFORANK_THREADS", "0")
+    cfg.write_text("threads = 2\n")
+    assert main(argv) == EXIT_OK
+    cfg.write_text("tolerance = 1e-6\n")
+    assert main(argv) == EXIT_CONFIG
+    monkeypatch.delenv("INFORANK_THREADS")
+    # directed = no in the file, and no flag, stays undirected; directed =
+    # yes makes er directed, as --directed does
+    spec = ["rank", "--generate", "er:10,0.4", "--seed", "1", "--config", str(cfg)]
+    for value, directed in (("no", False), ("yes", True)):
+        cfg.write_text(f"directed = {value}\n")
+        assert main(spec + ["--output", str(out1)]) == EXIT_OK
+        assert json.loads(out1.read_text())["directed"] is directed
+    assert main(spec[:-2] + ["--directed", "--output", str(out2)]) == EXIT_OK
+    assert out1.read_bytes() == out2.read_bytes()
+
     for bad in ("threads = x", "threads = 0", "tolerance = abc",
                 "max_iterations = many", "directed = maybe", "tolerence = 1e-6"):
         cfg.write_text(bad + "\n")
         assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
                      "--output", str(out1)]) == EXIT_CONFIG
+    # a value the file cannot cast exits 2 even where a flag sets its key
+    flags = ["--threads", "1", "--tolerance", "1e-8", "--max-iterations", "100",
+             "--directed"]
+    for bad in ("threads = x", "tolerance = abc", "max_iterations = many",
+                "directed = maybe"):
+        cfg.write_text(bad + "\n")
+        assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
+                     "--output", str(out1), *flags]) == EXIT_CONFIG, bad
 
 
 def test_threads_env_var(tmp_path, monkeypatch):

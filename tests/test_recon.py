@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from inforank import (FORCED_OBS, InputError, ProbMatrix, RankVector,
-                      UndefinedCorrelationError, accuracy_report,
+from inforank import (FORCED_OBS, AccuracyReport, InputError, ProbMatrix,
+                      RankVector, UndefinedCorrelationError, accuracy_report,
                       degree_sequence, expected_accuracy, make_graph, pearson,
                       rescale, solve_conditioned_set, solve_ubcm)
 from inforank.generators import erdos_renyi, star
@@ -121,3 +121,18 @@ def test_accuracy_report_constant_rank_flagged_not_fatal():
     assert rep.correlations["degree"] is not None
     assert np.all((rep.A >= 0) & (rep.A <= 1))
     assert 0 <= rep.A_benchmark <= 1
+
+
+def test_accuracy_report_skips_nodes_failed_in_a_rank_vector():
+    # a rank vector that is NaN at a node (its solve failed) correlates over
+    # the other nodes, as accuracy does at its own failed nodes; fewer than
+    # two nodes left give None
+    acc = np.array([0.9, 0.7, 0.8, 0.6, 0.5])
+    scores = np.array([4.0, 2.0, np.nan, 1.0, 0.0])
+    ranked = RankVector("inforank", scores, scores / 4.0)
+    rep = AccuracyReport.build(0.75, acc, [ranked])
+    ok = ~np.isnan(scores)
+    assert rep.correlations["inforank"] == pearson(acc[ok], ranked.rescaled[ok])
+    assert not rep.failed.any()
+    lonely = RankVector("lonely", scores, np.array([1.0] + [np.nan] * 4))
+    assert AccuracyReport.build(0.75, acc, [lonely]).correlations["lonely"] is None

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from inforank import (InputError, ProbMatrix, SampleSpec, degree_sequence,
-                      sample_ensemble, sample_graph, sampling, solve_ubcm)
+                      sample_ensemble, sample_graph, sampling, solve_dbcm,
+                      solve_ubcm)
 from inforank.clearing import RiskExperiment
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
@@ -67,10 +68,10 @@ def test_ensemble_samples_are_independent_draws():
 
 
 def test_adjacency_sample_matches_graph_sample():
-    g = erdos_renyi(15, 0.3, seed=3)
-    _, pm = solve_ubcm(degree_sequence(g))
-    (a,) = adjacency_samples(pm.p, pm.directed, seed_words(4, 0, 1),
-                             _generator(), np.empty((1, 15, 15)))
+    g = erdos_renyi(15, 0.3, seed=3, directed=True)
+    _, pm = solve_dbcm(degree_sequence(g))
+    (a,) = adjacency_samples(pm.p, seed_words(4, 0, 1), _generator(),
+                             np.empty((1, 15, 15)))
     s = sample_graph(pm, seed=(4, 0, 0))
     assert np.array_equal(a, s.adjacency())
 
@@ -115,10 +116,10 @@ def test_forced_entries_copied_exactly():
         assert degree_sequence(s).k.tolist() == [5, 1, 1, 1, 1, 1]
 
 
-def _block_cases():
+def _block_cases(graphs=small_graph()):
     """A small graph, whether to condition on its drawn node, a draw seed
     and the rows per block, from 1 up to a single block of n rows."""
-    return small_graph().flatmap(lambda case: st.tuples(
+    return graphs.flatmap(lambda case: st.tuples(
         st.just(case), st.booleans(), st.integers(0, 2**32 - 1),
         st.integers(1, case[0].n)))
 
@@ -127,37 +128,39 @@ def _block_cases():
 @given(_block_cases(), st.integers(0, 7))
 def test_streamed_draw_matches_dense_oracle(case, spare):
     # blocks of one row, of a few rows, of a count that does not divide n
-    # and of all n rows: every one streams the dense draw's hits
+    # and of all n rows: every one streams the dense draw's hits, and so
+    # does the risk scorer's draw, which is directed only
     (g, node), conditioned, seed, rows = case
     sol = solve_classes(g, [node] if conditioned else None)
     pm = sol.expand()
     hit = dense_draw(pm.p, g.directed, (seed, node, 0))
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
         tails, heads = class_sample(sol, (seed, node, 0))
-        (adjacency,) = adjacency_samples(pm.p, g.directed, seed_words(seed, node, 1),
-                                         _generator(), np.empty((1, g.n, g.n)))
         graph = sample_graph(pm, (seed, node, 0))
+        if g.directed:
+            (adjacency,) = adjacency_samples(pm.p, seed_words(seed, node, 1),
+                                             _generator(), np.empty((1, g.n, g.n)))
+            assert np.array_equal(adjacency, hit)
     i, j = np.nonzero(hit)
     assert np.array_equal(tails, i) and np.array_equal(heads, j)
-    assert np.array_equal(adjacency, hit | hit.T if not g.directed else hit)
     assert sorted(graph.edges) == list(zip(i.tolist(), j.tolist()))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(_block_cases(), st.integers(1, 6), st.integers(0, 3))
+@given(_block_cases(small_graph(directed=st.just(True))), st.integers(1, 6),
+       st.integers(0, 3))
 def test_stacked_draw_matches_dense_oracle(case, count, spare):
-    # a stack of 1 to 6 draws, in an out of `spare` more slices than seeds:
-    # slice t is the dense draw of (seed, node, t), as 0.0/1.0 and mirrored
-    # when undirected, and the slices past the seeds are left as they were
+    # a stack of 1 to 6 directed draws, in an `out` of `spare` more slices
+    # than seeds: slice t is the dense draw of (seed, node, t), as 0.0/1.0,
+    # and the slices past the seeds are left as they were
     (g, node), conditioned, seed, _ = case
     pm = solve_classes(g, [node] if conditioned else None).expand()
     out = np.full((count + spare, g.n, g.n), np.nan)
-    stack = adjacency_samples(pm.p, g.directed, seed_words(seed, node, count),
+    stack = adjacency_samples(pm.p, seed_words(seed, node, count),
                               _generator(), out)
     assert stack.shape == (count, g.n, g.n) and np.shares_memory(stack, out)
     for t, a in enumerate(stack):
-        hit = dense_draw(pm.p, g.directed, (seed, node, t))
-        assert np.array_equal(a, hit | hit.T if not g.directed else hit)
+        assert np.array_equal(a, dense_draw(pm.p, True, (seed, node, t)))
     assert np.isnan(out[count:]).all()
 
 
@@ -219,13 +222,14 @@ def test_seed_states_reject_what_default_rng_rejects(seed):
 @pytest.mark.parametrize("budget", [1, 20, sampling.BLOCK_ELEMENTS])
 @pytest.mark.parametrize("directed", [False, True])
 def test_draw_never_hits_the_diagonal(directed, budget):
-    # the draw clears the diagonal itself, even where p_ii was set to 1
-    # after the matrix was checked
+    # each draw clears the diagonal itself, even where p_ii was set to 1
+    # after the matrix was checked: sample_graph's in both directions, and
+    # the risk scorer's, which is directed only
     pm = _pm(np.ones((9, 9)), directed)
     pm.p[...] = 1.0
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
-        (a,) = adjacency_samples(pm.p, directed, seed_words(1, 0, 1),
-                                 _generator(), np.empty((1, 9, 9)))
+        (a,) = adjacency_samples(pm.p, seed_words(1, 0, 1), _generator(),
+                                 np.empty((1, 9, 9)))
         g = sample_graph(pm, seed=1)
     assert np.array_equal(a, 1.0 - np.eye(9))
     assert g.m == (72 if directed else 36)

@@ -23,14 +23,30 @@ and as CSV, to stdout and to --output; and `sample` to stdout and to
 --output-dir, plain and conditioned on node 0. Two larger `sample` runs,
 BA(400, 3) plain and directed scale-free(300, 2) conditioned on node 0,
 draw more entries than one row block of `sampling.BLOCK_ELEMENTS` holds.
-Four more inputs reach paths the generated graphs do not: `compare` and
-`accuracy` on directed ER(40, .03) with seed 3, whose 13 nodes without
-out-links (5 of them isolated) leave rows of PageRank's transition matrix
-empty; `risk` on WEIGHTED, an edge list with weights on every other
-link, written to OUTDIR; and `risk` on directed scale-free(30, 2) with the
-seeds 2^32 + 1 and 2^64 + 5, which make every sample seed (seed, node, t)
-four and five 32-bit entropy words (the seeds 1 and 2 above make three),
-the latter more than SeedSequence's pool of four.
+More inputs reach paths the generated graphs do not:
+
+- `compare` and `accuracy` on directed ER(40, .03) with seed 3, whose 13
+  nodes without out-links (5 of them isolated) leave rows of PageRank's
+  transition matrix empty;
+- `risk` on WEIGHTED, an edge list with weights on every other link;
+- `risk` on directed scale-free(30, 2) with the seeds 2^32 + 1 and
+  2^64 + 5, which make every sample seed (seed, node, t) four and five
+  32-bit entropy words (the seeds 1 and 2 above make three), the latter
+  more than SeedSequence's pool of four;
+- `rank` and `compare` on star(9), whose conditioned ensembles pin their
+  boundary by max-flow;
+- `rank` on BA(400, 3), whose conditioned systems fill whole stacks of
+  `maxent.STACK_ELEMENTS`;
+- `rank` with a --config file that sets the tolerance and the iteration
+  cap, and with one that sets `directed = yes` on ER(40, .05);
+- `rank --input -`, which reads WEIGHTED on stdin (every run gets it
+  there; only this one reads it);
+- `compare` on ring(10, 2), where every index is constant, so every
+  correlation is null;
+- `risk` on CYCLE, a directed 3-cycle, where every node has the same index
+  and both trend fits fail.
+
+The edge lists and config files are written to OUTDIR.
 """
 from __future__ import annotations
 
@@ -47,7 +63,9 @@ BLOCK_SAMPLES = (("ba-400-3_sample", "ba:400,3", 1, []),
                  ("sf-dir-300-2_sample_cond", "scalefree:300,2", 2,
                   ["--conditioned-on", "0"]))
 WEIGHTED = "weighted.edges"
-# (case, graph options, commands) of the runs on those four inputs
+CYCLE = "cycle.edges"
+TOL_CONFIG, DIRECTED_CONFIG = "tolerance.cfg", "directed.cfg"
+# (case, graph options, commands) of the runs on those inputs
 EXTRA = (("er-dir-40", ["--generate", "er:40,0.03", "--directed", "--seed", "3"],
           ("compare", "accuracy")),
          ("weighted-sf-dir-30", ["--input", f"../{WEIGHTED}", "--directed"],
@@ -55,7 +73,17 @@ EXTRA = (("er-dir-40", ["--generate", "er:40,0.03", "--directed", "--seed", "3"]
          ("two-word-seed-sf-dir-30",
           ["--generate", "scalefree:30,2", "--seed", str(2**32 + 1)], ("risk",)),
          ("wide-seed-sf-dir-30",
-          ["--generate", "scalefree:30,2", "--seed", str(2**64 + 5)], ("risk",)))
+          ["--generate", "scalefree:30,2", "--seed", str(2**64 + 5)], ("risk",)),
+         ("star-9", ["--generate", "star:9"], ("rank", "compare")),
+         ("ba-400-3", ["--generate", "ba:400,3"], ("rank",)),
+         ("config-tolerance-ba-40-3",
+          ["--generate", "ba:40,3", "--seed", "1", "--config", f"../{TOL_CONFIG}"],
+          ("rank",)),
+         ("config-directed-er-40",
+          ["--generate", "er:40,0.05", "--config", f"../{DIRECTED_CONFIG}"], ("rank",)),
+         ("stdin-weighted", ["--input", "-"], ("rank",)),
+         ("ring-10-2", ["--generate", "ring:10,2"], ("compare",)),
+         ("cycle-dir-3", ["--input", f"../{CYCLE}", "--directed"], ("risk",)))
 
 
 def weighted_edges() -> str:
@@ -67,6 +95,13 @@ def weighted_edges() -> str:
     w = np.random.default_rng(0).uniform(0.5, 5.0, g.m)
     return "".join(f"b{i} b{j} {w[t]:.3f}\n" if t % 2 else f"b{i} b{j}\n"
                    for t, (i, j) in enumerate(sorted(g.edges)))
+
+
+def inputs() -> dict[str, str]:
+    """The text of each file the runs read, by name."""
+    return {WEIGHTED: weighted_edges(), CYCLE: "a b\nb c\nc a\n",
+            TOL_CONFIG: "tolerance = 1e-6\nmax_iterations = 400\n",
+            DIRECTED_CONFIG: "directed = yes\n"}
 
 
 def benchmark_iterations(spec: str, seed: int) -> int:
@@ -115,12 +150,15 @@ def main(src: str, outdir: str) -> None:
         sys.exit(f"inforank imported from {cli.__file__}, not from {src}")
     root = Path(outdir).resolve()
     root.mkdir(parents=True, exist_ok=True)
-    (root / WEIGHTED).write_text(weighted_edges())
+    files = inputs()
+    for name, text in files.items():
+        (root / name).write_text(text)
     for case, argv in matrix():
         where = root / case
         where.mkdir(parents=True)
         os.chdir(where)
         out, err = io.StringIO(), io.StringIO()
+        sys.stdin = io.StringIO(files[WEIGHTED])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         (where / "argv").write_text(" ".join(argv) + "\n")
