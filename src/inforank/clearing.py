@@ -33,7 +33,8 @@ from .entropy import conditioned_pass
 from .errors import InputError, SolverError
 from .graphs import Graph
 from .maxent import ClassSolution, SolverOptions
-from .sampling import BLOCK_ELEMENTS, adjacency_samples, seed_words
+from .sampling import (BLOCK_ELEMENTS, SEED_CHUNK, adjacency_samples,
+                       seed_words)
 
 # clear()'s defaults, which the risk experiment clears with
 CLEAR_TOL = 1e-10
@@ -201,10 +202,10 @@ class RiskExperiment:
     n^2)): each stack of up to S samples is drawn into it
     (sampling.adjacency_samples), weighted and cleared (_clear) in place.
     Sample t keeps its seed (seed, node, t); a node's seeds are hashed to
-    one (samples_per_node, 4) array of state words by one
-    sampling.seed_words call, and every stack is drawn on the one PCG64
-    generator made here. Each system clears as it would alone, so the stack
-    size changes no result.
+    state words (sampling.seed_words) in passes of whole stacks, at most
+    sampling.SEED_CHUNK seeds or one stack, and every stack is drawn on the
+    one PCG64 generator made here. Each system clears as it would alone, so
+    the stack size changes no result.
     """
 
     def __init__(self, g: Graph, samples_per_node: int = 100,
@@ -238,17 +239,21 @@ class RiskExperiment:
         prob = cond.rows(0, cond.n)
         exp_links = float(prob.sum())
         w = self.volume / exp_links if exp_links > 0 else 0.0
-        words = seed_words(self.seed, node, self.samples)
         errors = np.empty(self.samples)
-        for t0 in range(0, self.samples, len(self.work)):
-            liab = adjacency_samples(prob, words[t0:t0 + len(self.work)],
-                                     self.rng, self.work)
-            np.multiply(liab, w, out=liab)
-            p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,
-                          CLEAR_TOL, CLEAR_MAX_ITER)
-            d = p - self.p_real  # (1, n) @ (n, 1) per sample: the dot of d_t @ d_t
-            dd = np.matmul(d[:, None], d[:, :, None])[:, 0, 0]
-            errors[t0:t0 + len(p)] = dd / self.norm
+        stack = len(self.work)
+        chunk = stack * max(1, SEED_CHUNK // stack)  # whole stacks per pass
+        for w0 in range(0, self.samples, chunk):
+            words = seed_words(self.seed, node,
+                               min(chunk, self.samples - w0), w0)
+            for t0 in range(0, len(words), stack):
+                liab = adjacency_samples(prob, words[t0:t0 + stack], self.rng,
+                                         self.work)
+                np.multiply(liab, w, out=liab)
+                p, _ = _clear(liab, self.ae, self.le, self.alpha, self.beta,
+                              CLEAR_TOL, CLEAR_MAX_ITER)
+                d = p - self.p_real  # (1, n) @ (n, 1) per sample: d_t @ d_t
+                dd = np.matmul(d[:, None], d[:, :, None])[:, 0, 0]
+                errors[w0 + t0:w0 + t0 + len(p)] = dd / self.norm
         return errors.mean()
 
 

@@ -60,9 +60,16 @@ def _flag(raw: str) -> bool:
     return value in ("1", "true", "yes")
 
 
+def _threads(raw: str) -> int:
+    """A thread count, which must be >= 1."""
+    if int(raw) < 1:
+        raise ValueError(raw)
+    return int(raw)
+
+
 # the keys a config file may set, each with the cast of its value
 _CONFIG_CASTS = {"directed": _flag, "tolerance": float, "max_iterations": int,
-                 "threads": int}
+                 "threads": _threads}
 
 
 def _fmt(x) -> str:
@@ -173,14 +180,14 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _check_threads(args) -> None:
-    """Validate the thread count: flag > config file > $INFORANK_THREADS > 1;
-    below 1 is an error. It has no effect: the conditioned solves run as
-    stacked array operations in one thread."""
-    threads = args.threads
-    if threads is None:
-        threads = _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), int)
-    if threads < 1:
-        raise InputError(f"thread count must be >= 1, got {threads}")
+    """Check the thread count of --threads, or of $INFORANK_THREADS, read only
+    where neither the flag nor the config file (checked as it is read) sets
+    it. It has no effect: the conditioned solves run as stacked array
+    operations in one thread."""
+    if args.threads is None:
+        _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), _threads)
+    else:
+        _cast("--threads", str(args.threads), _threads)
 
 
 def _pagerank_alpha(args) -> float:

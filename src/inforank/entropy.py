@@ -12,8 +12,9 @@ maxent.solve_each_conditioned and hands each to every per-node scorer.
 
 S is a sum of independent pair entropies, so `class_entropy` scores an
 ensemble on its degree classes (maxent.ClassSolution) as a weighted sum over
-class pairs, with no n x n array. `benchmark_entropy` scores a ProbMatrix
-with the same conventions and stays as its oracle.
+class pairs, with no n x n array; `class_contributions` splits the
+benchmark's S into per-node terms. `benchmark_entropy` scores a ProbMatrix
+with the same conventions and stays as their oracle.
 
 Boundary handling: entries pinned by *conditioning* are genuine knowledge and
 carry zero entropy. Entries pinned by the *polytope boundary* (FORCED_LIM,
@@ -45,8 +46,8 @@ DEFAULT_LIMIT_EPS = 1e-10  # regularization distance for boundary-pinned entries
 def _h(p: np.ndarray) -> np.ndarray:
     """Elementwise -[p ln p + (1-p) ln(1-p)] with 0 ln 0 := 0."""
     p = np.asarray(p, dtype=float)
-    return -(p * np.log(np.clip(p, LOG_CLIP, None))
-             + (1.0 - p) * np.log(np.clip(1.0 - p, LOG_CLIP, None)))
+    return -(p * np.log(np.maximum(p, LOG_CLIP))
+             + (1.0 - p) * np.log(np.maximum(1.0 - p, LOG_CLIP)))
 
 
 def _entry_entropies(p: np.ndarray, forced: np.ndarray,
@@ -76,22 +77,28 @@ def benchmark_entropy(pm: ProbMatrix, limit_eps: float = 0.0):
     return s0, contrib
 
 
-def class_entropy(sol: ClassSolution, limit_eps: float = 0.0):
-    """benchmark_entropy of sol.expand(), summed over class pairs.
+def class_entropy(sol: ClassSolution, limit_eps: float = 0.0) -> float:
+    """benchmark_entropy(sol.expand())[0], summed over class pairs.
 
     A free node of class c has partners[c, d] pairs with class d, each of
-    entropy h_cd (and h_dc for its column when directed); pairs that touch
-    a known node are pinned by conditioning and score 0.
+    entropy h_cd; pairs that touch a known node are pinned by conditioning
+    and score 0.
     """
+    h = _entry_entropies(sol.p, sol.forced, limit_eps)
+    s = float(sol.m @ (sol.partners * h).sum(axis=1))
+    return s if sol.directed else s * 0.5
+
+
+def class_contributions(sol: ClassSolution, limit_eps: float = 0.0) -> np.ndarray:
+    """benchmark_entropy(sol.expand())[1], from the class pairs: the row
+    entropy of a free node of class c, plus its column's (h_dc) when
+    directed; a known node contributes 0."""
     h = _entry_entropies(sol.p, sol.forced, limit_eps)
     partners = sol.partners
     row = (partners * h).sum(axis=1)
-    s = float(sol.m @ row)
     if sol.directed:
         row = row + (partners * h.T).sum(axis=1)
-    else:
-        s *= 0.5
-    return s, np.append(row, 0.0)[sol.node_cls]
+    return np.append(row, 0.0)[sol.node_cls]
 
 
 @dataclass
@@ -128,7 +135,7 @@ def _benchmark(g: Graph, opts: SolverOptions | None):
     raises UndefinedIndexError when the benchmark leaves the index
     undefined."""
     sol = solve_classes(g, None, opts)
-    s0, contrib = class_entropy(sol, DEFAULT_LIMIT_EPS)
+    s0 = class_entropy(sol, DEFAULT_LIMIT_EPS)
     if not ((sol.forced == FREE) & (sol.partners > 0)).any():
         raise UndefinedIndexError(
             "benchmark ensemble is fully deterministic (no free entries); "
@@ -136,7 +143,7 @@ def _benchmark(g: Graph, opts: SolverOptions | None):
     if s0 <= 0.0:
         raise UndefinedIndexError(
             "benchmark entropy is zero; the ranking index is undefined")
-    return sol, s0, contrib
+    return sol, s0, class_contributions(sol, DEFAULT_LIMIT_EPS)
 
 
 def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
@@ -148,7 +155,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
     """
     bench, s0, contrib = _benchmark(g, opts)
     s_cond, *extra = conditioned_pass(
-        g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS)[0], *scorers),
+        g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS), *scorers),
         opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
@@ -173,7 +180,7 @@ def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None) -> float
     """
     cond = solve_classes(g, nodes, opts)
     s0 = _benchmark(g, opts)[1]
-    return float(1.0 - class_entropy(cond, DEFAULT_LIMIT_EPS)[0] / s0)
+    return float(1.0 - class_entropy(cond, DEFAULT_LIMIT_EPS) / s0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,54 +1,38 @@
 """Degree-constrained maximum-entropy solvers.
 
 Link probabilities take the fitness form p_ij = x_i x_j / (1 + x_i x_j)
-(undirected) or x_i y_j / (1 + x_i y_j) (directed). Parameters are found by
-fixed-point iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j).
+(undirected) or x_i y_j / (1 + x_i y_j) (directed), found by fixed-point
+iteration on x_i <- k_i / sum_j x_j/(1 + x_i x_j). Nodes with equal degrees
+(equal (k_out, k_in) when directed) share one fitness value and one pin for
+each other class, so a solve runs on the C distinct degrees instead of the
+n nodes (Vallarano et al., Sci. Rep. 11:15227, 2021): an iteration costs
+O(C^2). The class iteration makes the node-level iterates in exact
+arithmetic; in floating point its results can differ from them in the 12th
+significant digit.
 
-Nodes with equal degrees (equal (k_out, k_in) when directed) share one
-fitness value and one pin for each other class, so every solve runs on the
-C distinct degrees instead of the n nodes ("degree reduction", Vallarano et
-al., Sci. Rep. 11:15227, 2021): an iteration costs O(C^2), and n x n arrays
-are built only when the class solution is expanded to a ProbMatrix. The
-class iteration makes the node-level iterates in exact arithmetic; in
-floating point its results can differ from them in the 12th significant
-digit.
-
-Every ensemble of a graph is solved by one route: the ensemble conditioned
-on a node set, whose links are fixed to the observed ones. The benchmark is
-the ensemble conditioned on no node, `solve_classes` solves either, and
-`solve_each_conditioned` conditions on each node in turn. Each system is
-classified once and joins the pending block of its class count, and a full
-block is iterated as one stack, each system to its own convergence: the n
-one-node systems of a ranking pay the per-step call overhead once per block
-instead of once per node, and each result is bit-identical to the one its
-system gives alone. A degree sequence without a graph (`solve_ubcm`,
-`solve_dbcm`) is a block of one. A block iterates in one workspace,
-allocated when the block starts and dropped when its last system stops:
-every step writes its terms there instead of into fresh (B, C, C) arrays,
-which are large enough that the allocator maps and unmaps them, and faults
-their pages in anew, at every step.
-
-Every solve builds a ClassSolution by one constructor. The scorers read it
-in O(C^2 + n + m), `sample` draws from a block of rows at a time, and only
-the ProbMatrix solves and the risk sampler expand it to n x n.
+Every ensemble of a graph is the ensemble conditioned on a node set, whose
+links are fixed to the observed ones; the benchmark conditions on no node.
+`solve_each_conditioned` classifies its n one-node systems in chunks of
+nodes, with a handful of array operations per chunk, and each system waits
+in the block of its class count, holding only its O(C) class arrays. A full
+block is iterated as one stack, each system to its own convergence and
+bit-identical to its result alone, and the blocks of a pass share one
+workspace. A single solve is a chunk and a block of one. Every solve builds
+a ClassSolution, which the scorers read in O(C^2 + n + m); only the
+ProbMatrix solves and the risk sampler expand it to n x n.
 
 The finite solution exists only strictly inside the polytope of expected
-degrees. Degenerate degrees are handled exactly before iterating:
-  * k_i = 0 -> x_i = 0, all incident probabilities are exactly 0;
-  * every pair that takes the same value at all points of the polytope (a
-    boundary face, e.g. a node whose degree equals its available partners)
-    is pinned to that value. An O(n log n) cut test decides whether any
-    pair can be fixed; only then are they found exactly, by one maximum
-    flow on the class network and the strongly connected components of its
-    residual graph. The rest of the system is solved with the degrees left
-    after the pairs pinned to 1.
-
-Pinned entries are tracked in a mask so downstream consumers can tell free
-probabilities from boundary-pinned ones and from entries fixed by
-conditioning on an observed link pattern.
+degrees, so degenerate degrees are handled exactly before iterating: k_i = 0
+gives x_i = 0, and every pair that takes one value at all points of the
+polytope (a boundary face, e.g. a node whose degree equals its available
+partners) is pinned to it. A cut test on the sorted degrees decides whether
+a system has such pairs; only then are they found, by one maximum flow on
+the class network. The forced mask tells free probabilities from
+boundary-pinned ones and from those fixed by conditioning.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,46 +111,48 @@ class ProbMatrix:
 # sequence k is the symmetric case k_out = k_in = k: symmetrising a
 # fractional solution keeps every positive entry, so both fix the same pairs.
 
-def _tight_cut(k_out: np.ndarray, k_in: np.ndarray) -> bool:
-    """Whether some cut of the flow network is tight, i.e. may fix a pair.
+def _tight_cuts(k_out: np.ndarray, k_in: np.ndarray) -> np.ndarray:
+    """Whether some cut of each row's flow network is tight, i.e. may fix a
+    pair, for int64 (B, N) rows of node degrees in descending (k_out, k_in)
+    order.
 
     Only rows R = {k_out > 0} and columns C = {k_in > 0} matter. A row or
     column is tight when its degree equals its available partners. A cut
     through s rows, 1 <= s < |R|, has the largest excess
         E(s) = sum of the s largest (k_out_i + [k_in_i >= s])
                - sum_j min(k_in_j, s),
-    taken by the first s rows in descending (k_out, k_in) order
-    (Fulkerson-Chen-Anstee); E(s) = 0 is tight. Any excess above zero
-    means no feasible point and raises InputError. Takes O(n log n) time
-    (a lexsort) and O(n) memory.
+    taken by the first s rows (Fulkerson-Chen-Anstee); E(s) = 0 is tight.
+    Any excess above zero means no feasible point and raises InputError for
+    the first such row. Takes O(B N) time and memory.
     """
+    b, n = k_out.shape
     rows, cols = k_out > 0, k_in > 0
-    n_r, n_c = int(rows.sum()), int(cols.sum())
-    slack_out = n_c - cols - k_out
+    n_r = rows.sum(axis=1, keepdims=True)
+    slack_out = cols.sum(axis=1, keepdims=True) - cols - k_out
     slack_in = n_r - rows - k_in
-    if np.any(slack_out < 0) or np.any(slack_in < 0):
-        raise InputError("infeasible degree sequence: a node needs more "
-                         "partners than are available")
-    tight = bool(np.any(rows & (slack_out == 0)) or np.any(cols & (slack_in == 0)))
-    if n_r < 2:
-        return tight
-
-    order = np.lexsort((-k_in, -k_out))[:n_r]
-    top = np.cumsum(k_out[order])[:-1]
-    # the row at position p counts towards [k_in >= s] for p <= s <= k_in
-    pos = np.arange(1, n_r + 1)
-    last = np.minimum(k_in[order], n_r - 1)
-    live = last >= pos
-    own = np.cumsum(np.bincount(pos[live], minlength=n_r + 1)
-                    - np.bincount(last[live] + 1, minlength=n_r + 1))[1:n_r]
+    short = (np.minimum(slack_out, slack_in) < 0).any(axis=1)
+    tight = (rows & (slack_out == 0) | cols & (slack_in == 0)).any(axis=1)
+    # E(s) of row b in excess[b, s - 1], s = 1 .. N - 1; the row at position
+    # p counts towards [k_in >= s] for p <= s <= k_in
+    s, at = np.arange(1, n + 1), np.arange(0, b * (n + 1), n + 1)[:, None]
+    last = np.minimum(k_in, n - 1)
+    live = last >= s
+    own = (np.bincount((at + s)[live], minlength=b * (n + 1))
+           - np.bincount((at + last + 1)[live], minlength=b * (n + 1)))
+    own = own.reshape(b, n + 1).cumsum(axis=1)[:, 1:n]
     # sum_j min(k_in_j, s) = sum_{t <= s} #{j : k_in_j >= t}
-    at_least = np.cumsum(np.bincount(k_in, minlength=n_r + 1)[::-1])[::-1]
-    excess = top + own - np.cumsum(at_least[1:n_r])
-    if excess.max() > 0:
-        raise InputError("infeasible degree sequence: the links of the top "
-                         f"{int(np.argmax(excess)) + 1} nodes exceed every "
-                         "realisation")
-    return tight or bool(excess.max() == 0)
+    at_least = np.bincount((at + last).ravel(), minlength=b * (n + 1))
+    at_least = at_least.reshape(b, n + 1)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    excess = k_out.cumsum(axis=1)[:, :-1] + own - at_least[:, 1:n].cumsum(axis=1)
+    excess[s[:-1] >= n_r] = -1
+    worst = excess.max(axis=1, initial=-1)
+    bad = np.flatnonzero(short | (worst > 0))
+    if len(bad):
+        raise InputError("infeasible degree sequence: " + (
+            "a node needs more partners than are available" if short[bad[0]]
+            else f"the links of the top {int(np.argmax(excess[bad[0]])) + 1} "
+            "nodes exceed every realisation"))
+    return tight | (worst == 0)
 
 
 def _partners(m: np.ndarray) -> np.ndarray:
@@ -175,24 +161,30 @@ def _partners(m: np.ndarray) -> np.ndarray:
     return m[..., None, :] - np.eye(m.shape[-1], dtype=np.int64)
 
 
-def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
-    """Class pairs fixed over the polytope, and those among them fixed at 1.
+def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
+    """Pin the class pairs the degree polytope fixes, in a system of class
+    degrees k_out, k_in and class sizes m with a tight cut (_tight_cuts).
 
     Pins are invariant under degree-preserving permutations, so the flow
     network aggregates to classes: source -> c (capacity m_c k_out_c),
     c -> d (the m_c partners[c, d] pairs between them), d -> sink
-    (m_d k_in_d). A class flow spread evenly over its pairs is a node flow,
-    so a class pair is fixed iff its arc's ends fall in different strongly
-    connected components of one maximum flow's residual graph, and then its
-    flow is 0 or its capacity. Only rows with k_out > 0 and columns with
-    k_in > 0 take part.
+    (m_d k_in_d), over the rows with k_out > 0 and the columns with k_in >
+    0. A class pair is fixed iff its arc's ends fall in different strongly
+    connected components of one maximum flow's residual graph, at 1 where
+    it carries flow. Returns (k_out, k_in, free, ones) per class: the
+    degrees left after the pairs fixed at 1, the pairs left to the
+    iteration and those fixed at 1. The pairs not free are FORCED_LIM:
+    every pair fixed at 1, and one fixed at 0 while both of its ends keep a
+    positive degree; one fixed at 0 with a saturated end stays free and
+    comes out as an exact 0 through x = 0 there.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, maximum_flow
 
     c = len(m)
     rows, cols = np.flatnonzero(k_out > 0), np.flatnonzero(k_in > 0)
-    pairs = m[:, None] * _partners(m)
+    partners = _partners(m)
+    pairs = m[:, None] * partners
     arcs = np.outer(k_out > 0, k_in > 0) & (pairs > 0)
     i, j = np.nonzero(arcs)
     # nodes: source 0, out_c = 1 + c, in_d = 1 + C + d, sink 2C + 1
@@ -205,27 +197,7 @@ def _fixed_pairs(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
     _, comp = connected_components((net - flow) > 0, directed=True,
                                    connection="strong")
     fixed = arcs & (comp[1:c + 1, None] != comp[None, c + 1:sink])
-    return fixed, fixed & (flow[1:c + 1, c + 1:sink].toarray() > 0)
-
-
-def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
-    """Pin the class pairs the degree polytope fixes, for either solver.
-
-    Takes the class degrees and class sizes m. Returns (k_out, k_in, free,
-    ones), all per class: the degrees left after the pairs fixed at 1 are
-    removed, the pairs left to the iteration and the pairs fixed at 1. The
-    pairs not free are FORCED_LIM: every pair fixed at 1, and a pair fixed
-    at 0 while both of its ends keep a positive degree; a pair fixed at 0
-    with a saturated end stays free and comes out as an exact 0 through
-    x = 0 there.
-    """
-    c = len(m)
-    if not _tight_cut(np.repeat(k_out, m), np.repeat(k_in, m)):
-        return (k_out, k_in, np.ones((c, c), dtype=bool),
-                np.zeros((c, c), dtype=bool))
-
-    fixed, ones = _fixed_pairs(k_out, k_in, m)
-    partners = _partners(m)
+    ones = fixed & (flow[1:c + 1, c + 1:sink].toarray() > 0)
     k_out = k_out - (ones * partners).sum(axis=1)
     k_in = k_in - (ones * partners.T).sum(axis=0)
     return k_out, k_in, ~(ones | (fixed & np.outer(k_out > 0, k_in > 0))), ones
@@ -245,40 +217,89 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 # in the matrix products and with it the last bits of p.
 #
 # _run calls step(*consts, *xs, work) with the consts and xs of the b
-# systems still iterating and the block's workspace, which it allocates
-# once for all B systems and keeps until the stack is empty, sliced to
-# those b. The step writes every term into the workspace with out=, the
-# next xs too, and returns the residuals. Each operation keeps the operands
-# and the order of the steps in tests/oracles.py, which allocate every
-# array afresh: a sum in another order (einsum, or (w / d * x).sum(-1) for
-# the matmul) moves the last bits of p.
+# systems still iterating and views of the pass's workspace sliced to those
+# b. The step writes every term there with out=, the next xs too, and
+# returns the residuals. Each operation keeps the operands and the order of
+# the steps in tests/oracles.py, which allocate every array afresh: a sum in
+# another order (einsum, or (w / d * x).sum(-1) for the matmul) moves the
+# last bits of p.
 
 # Class-pair entries (B * C^2) of one stacked block of conditioned systems;
 # it bounds the memory of the block's (B, C, C) arrays.
 STACK_ELEMENTS = 1 << 16
 
+# Node entries (B * n) of one chunk of one-node conditioned systems that are
+# classified together; it bounds the memory of the chunk's (B, n) arrays.
+CHUNK_ELEMENTS = 1 << 12
+
 
 class _System(NamedTuple):
-    """One class system ready to iterate: the class of each node, then per
-    class the sizes m and what _pin_boundary returns."""
+    """One class system ready to iterate: per class the sizes m and what
+    _pin_boundary returns, with free and ones None where no cut is tight
+    (every pair free, none fixed at 1)."""
 
-    cls: np.ndarray
     m: np.ndarray
     k_out: np.ndarray
     k_in: np.ndarray
-    free: np.ndarray
-    ones: np.ndarray
+    free: np.ndarray | None
+    ones: np.ndarray | None
 
 
-def _classes(k_out: np.ndarray, k_in: np.ndarray):
-    """Class of each node, class sizes, and the degrees of each class."""
-    key = k_out * (int(k_in.max(initial=0)) + 1) + k_in
-    _, first, cls, m = np.unique(key, return_index=True, return_inverse=True,
-                                 return_counts=True)
-    return cls, m, k_out[first], k_in[first]
+def _key(k_out: np.ndarray, k_in: np.ndarray):
+    """A node key that orders nodes by (k_out, k_in), and its base."""
+    base = int(k_in.max(initial=0)) + 1
+    return k_out * base + k_in, base
 
 
-def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
+def _classify(k_out: np.ndarray, k_in: np.ndarray) -> list[_System]:
+    """The class systems of a chunk: row b of the int64 (B, N) arrays holds
+    the out- and in-degrees of system b's N nodes.
+
+    A row's classes are its distinct (k_out, k_in) in ascending order, as
+    np.unique orders their keys. One row-wise sort finds every row's
+    classes, one cut test (_tight_cuts) runs on every row, and only the
+    rows it flags are pinned, by one maximum flow each. Each system holds
+    its own copies of its O(C) class arrays, no view of the chunk's.
+    """
+    key, base = _key(k_out, k_in)
+    # stable: the sort of np.unique(return_index=True) in node_cls, so that a
+    # pass loads one sort's code (about 0.3 MiB of RSS)
+    key.sort(axis=1, kind="stable")
+    new = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[:, 1:], key[:, :-1], out=new[:, 1:])
+    tight = _tight_cuts(*np.divmod(key[:, ::-1], base)).tolist()
+    first = np.flatnonzero(new)
+    classes = np.stack([np.diff(first, append=key.size),
+                        *np.divmod(key.ravel()[first], base)])
+    ends = np.cumsum(new.sum(axis=1)).tolist()
+    systems = []
+    for pin, lo, hi in zip(tight, [0, *ends], ends):
+        m, k_o, k_i = classes[:, lo:hi].copy()
+        systems.append(_System(m, *(_pin_boundary(k_o, k_i, m) if pin
+                                    else (k_o, k_i, None, None))))
+    return systems
+
+
+class _Workspace:
+    """The float buffer the blocks of a pass iterate in, one after another:
+    it grows to the largest block's need and is kept, so its pages are
+    mapped and faulted in once per pass, not once per block. It is not
+    sized up front: 3 * STACK_ELEMENTS floats, enough for any block of 7
+    to 300 classes, raised the risk command's peak RSS by 0.7 MiB."""
+
+    buf = np.empty(0)
+
+    def take(self, *shapes):
+        """Arrays of these shapes, laid end to end in the buffer."""
+        ends = list(itertools.accumulate(math.prod(s) for s in shapes))
+        if ends[-1] > self.buf.size:
+            self.buf = np.empty(ends[-1])
+        return [self.buf[e - math.prod(s):e].reshape(s)
+                for s, e in zip(shapes, ends)]
+
+
+def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions,
+         work: _Workspace):
     """Iterate a stack of systems, one per leading index, to convergence.
 
     step(*consts, *xs, work) returns each system's residual at xs and
@@ -289,23 +310,22 @@ def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
     after max_iterations keeps xs = 0 and its last residual, which is above
     the tolerance.
 
-    The workspace is allocated once, for the B live systems, and lives
-    until the stack is empty: two (B, C, C) arrays for the pair terms,
-    (B, C) rows for each sum and for the residual terms, and two sets of
-    xs, the current and the next, which swap at every step. The b systems
-    still iterating are kept at the front, so the step gets the contiguous
-    slices [:b] of each, taken again only when b changes, and no step
-    allocates a (B, C, C) array.
+    The B live systems iterate in views of `work`: two (B, C, C) arrays for
+    the pair terms, (B, C) rows for the sums and residual terms, and the
+    current and next xs, which swap at every step. The b systems still
+    iterating are kept at the front, so the step gets the contiguous slices
+    [:b] of each, taken again only when b changes.
     """
     out = [np.zeros_like(x) for x in xs]
     residual = np.zeros(len(live))
     iterations = np.zeros(len(live), dtype=np.int64)
     idx = np.flatnonzero(live)
     consts = [c[idx] for c in consts]
-    cur = np.stack([x[idx] for x in xs])
-    nxt = np.empty_like(cur)
-    nx, size, c = cur.shape
-    pairs, rows = np.empty((2, size, c, c)), np.empty((nx + 1, size, c))
+    nx, size, c = len(xs), len(idx), xs[0].shape[1]
+    pairs, rows, cur, nxt = work.take((2, size, c, c), (nx + 1, size, c),
+                                      (nx, size, c), (nx, size, c))
+    for x, row in zip(xs, cur):
+        row[:] = x[idx]
     res = residual[idx]
     b = -1
     for it in range(1, opts.max_iterations + 1):
@@ -313,9 +333,9 @@ def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions):
             b = len(idx)
             if not b:
                 break
-            work = tuple(pairs[:, :b]), tuple(rows[:, :b])
+            step_work = tuple(pairs[:, :b]), tuple(rows[:, :b])
             xs, xs_next = tuple(cur[:, :b]), tuple(nxt[:, :b])
-        res = step(*consts, *xs, (*work, xs_next))
+        res = step(*consts, *xs, (*step_work, xs_next))
         done = res <= opts.tolerance
         if done.any():
             stop = idx[done]
@@ -378,8 +398,9 @@ def _step_directed(ko, ki, w_out, w_in, x, y, work):
     return np.maximum(_residual(ko, x, sx, r), _residual(ki, y, sy, r))
 
 
-def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
-    """Iterate class systems of one class count together.
+def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions,
+                   work: _Workspace):
+    """Iterate class systems of one class count together, in `work`.
 
     Each system starts where the node-level iteration does, and so makes
     the same iterates in exact arithmetic. Returns their class x, y and p
@@ -389,7 +410,11 @@ def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
     """
     m = np.stack([s.m for s in systems])
     k_out = np.stack([s.k_out for s in systems])
-    free = np.stack([s.free for s in systems])
+    free = np.ones(m.shape + m.shape[1:], dtype=bool)
+    ones = np.zeros_like(free)
+    for b, s in enumerate(systems):
+        if s.free is not None:
+            free[b], ones[b] = s.free, s.ones
     partners = _partners(m)
     total = (m * k_out).sum(axis=1)
     ks = [k_out.astype(float)]
@@ -399,34 +424,38 @@ def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions):
         ws.append((free * partners.transpose(0, 2, 1)).astype(float))
     xs, residual, iterations = _run(
         _step_directed if directed else _step_undirected, (*ks, *ws),
-        [_start(k, total) for k in ks], total > 0, opts)
+        [_start(k, total) for k in ks], total > 0, opts, work)
     x, y = xs[0], xs[-1]  # one x when undirected
 
     xy = x[:, :, None] * y[:, None]
-    p = np.where(free, xy / (1.0 + xy), np.stack([s.ones for s in systems]))
+    p = np.where(free, xy / (1.0 + xy), ones)
     return x, y, p, residual, iterations
 
 
-def _stacks(degrees: Iterable, directed: bool, opts: SolverOptions):
-    """Solve the system of each (tag, k_out, k_in) of `degrees` (int64 node
-    degrees, k_out = k_in = k undirected), classified and pinned once as it
-    arrives. A block of one class count C is iterated as soon as it holds
-    max(1, STACK_ELEMENTS // C^2) systems, the partial blocks at the end.
-    Yields (tag, system, x, y, p, residual, iterations) in block order.
+def _stacks(chunks: Iterable, directed: bool, opts: SolverOptions):
+    """Solve the systems of each chunk (tags, k_out, k_in) of `chunks`: one
+    tag per row of the int64 (B, N) node degrees (k_out = k_in = k
+    undirected), classified and pinned together as the chunk arrives
+    (_classify). A block of one class count C is iterated as soon as it
+    holds max(1, STACK_ELEMENTS // C^2) systems, the partial blocks at the
+    end, all in one workspace. Yields (tag, system, x, y, p, residual,
+    iterations) in block order.
     """
     pending: dict[int, list] = {}
+    work = _Workspace()
 
     def solve(block):
         tags, systems = zip(*block)
         yield from zip(tags, systems,
-                       *_solve_systems(list(systems), directed, opts))
+                       *_solve_systems(list(systems), directed, opts, work))
 
-    for tag, k_out, k_in in degrees:
-        cls, m, k_out, k_in = _classes(k_out, k_in)
-        block = pending.setdefault(len(m), [])
-        block.append((tag, _System(cls, m, *_pin_boundary(k_out, k_in, m))))
-        if len(block) >= max(1, STACK_ELEMENTS // max(len(m) ** 2, 1)):
-            yield from solve(pending.pop(len(m)))
+    for tags, k_out, k_in in chunks:
+        for tag, system in zip(tags, _classify(k_out, k_in)):
+            c = len(system.m)
+            block = pending.setdefault(c, [])
+            block.append((tag, system))
+            if len(block) >= max(1, STACK_ELEMENTS // max(c * c, 1)):
+                yield from solve(pending.pop(c))
     for block in pending.values():
         yield from solve(block)
 
@@ -450,17 +479,18 @@ def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
 
     opts = opts or SolverOptions()
     ((_, s, x, y, p, residual, iterations),) = _stacks(
-        [(None, k_out, k_in)], directed, opts)
+        [((None,), k_out[None], k_in[None])], directed, opts)
     residual, iterations = float(residual), int(iterations)
     if not residual <= opts.tolerance:  # NaN fails too
         raise SolverError("degree-constrained solve did not converge",
                           residual=residual, iterations=iterations)
-    params = ParamVector(directed=directed, x=x[s.cls],
-                         y=y[s.cls] if directed else None,
-                         residual=residual, iterations=iterations)
     no_links = (np.zeros(0, np.int64),) * 2
-    return params, _class_solution(n, directed, no_links, np.zeros(n, bool),
-                                   s, p).expand()
+    sol = _class_solution(n, directed, no_links, (k_out, k_in),
+                          np.zeros(n, bool), s, p)
+    params = ParamVector(directed=directed, x=x[sol.node_cls],
+                         y=y[sol.node_cls] if directed else None,
+                         residual=residual, iterations=iterations)
+    return params, sol.expand()
 
 
 def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
@@ -504,12 +534,23 @@ class ClassSolution:
 
     n: int
     directed: bool
-    links: tuple[np.ndarray, np.ndarray]  # the graph's tails and heads
+    links: tuple[np.ndarray, np.ndarray]    # the graph's tails and heads
+    degrees: tuple[np.ndarray, np.ndarray]  # out- and in-degree per node
     known: np.ndarray     # bool per node
-    node_cls: np.ndarray  # class per node, C for the known nodes
     m: np.ndarray         # free nodes per class
     p: np.ndarray         # (C, C) class probabilities
     forced: np.ndarray    # (C, C) int8 FREE / FORCED_LIM
+
+    @cached_property
+    def node_cls(self) -> np.ndarray:
+        """Class per node, C for the known nodes: the free nodes' degrees
+        left by conditioning, in the classes' (k_out, k_in) order."""
+        (k_out,), (k_in,) = _conditioned_degrees(self.links, self.degrees,
+                                                 self.known[None])
+        node_cls = np.full(self.n, len(self.m))
+        node_cls[~self.known] = np.unique(  # sorts as _classify does
+            _key(k_out, k_in)[0], return_index=True, return_inverse=True)[2]
+        return node_cls
 
     @property
     def partners(self) -> np.ndarray:
@@ -546,14 +587,15 @@ class ClassSolution:
                           p=self.rows(0, self.n), forced=forced)
 
 
-def _class_solution(n: int, directed: bool, links, known: np.ndarray,
-                    s: _System, p: np.ndarray) -> ClassSolution:
+def _class_solution(n: int, directed: bool, links, degrees,
+                    known: np.ndarray, s: _System,
+                    p: np.ndarray) -> ClassSolution:
     """The ClassSolution of system s, solved to class probabilities p, for
-    n nodes with these links, conditioned on the `known` nodes."""
-    node_cls = np.full(n, len(s.m))
-    node_cls[~known] = s.cls
-    forced = np.where(s.free, FREE, FORCED_LIM).astype(np.int8)
-    return ClassSolution(n, directed, links, known, node_cls, s.m, p, forced)
+    n nodes with these links and degrees, conditioned on the `known`
+    nodes."""
+    forced = (np.zeros(p.shape, np.int8) if s.free is None
+              else np.where(s.free, FREE, FORCED_LIM).astype(np.int8))
+    return ClassSolution(n, directed, links, degrees, known, s.m, p, forced)
 
 
 def _known(n: int, cond) -> np.ndarray:
@@ -563,33 +605,46 @@ def _known(n: int, cond) -> np.ndarray:
     return known
 
 
-def _conditioned_degrees(links, known: np.ndarray):
-    """Out- and in-degrees of the nodes left free by conditioning on the
-    `known` nodes: their links into the known nodes are fixed, so only the
-    links among themselves still count."""
+def _conditioned_degrees(links, degrees, known: np.ndarray):
+    """Out- and in-degrees, as (B, N) rows, of the N nodes left free by
+    conditioning on each row of the (B, n) mask `known`: the links of the
+    known nodes are fixed, so only the links among the free nodes count."""
     tail, head = links
-    among = ~(known[tail] | known[head])
-    return (np.bincount(tail[among], minlength=len(known))[~known],
-            np.bincount(head[among], minlength=len(known))[~known])
+    b, n = known.shape
+    rows = []
+    for k, end, other in ((degrees[0], tail, head), (degrees[1], head, tail)):
+        row, link = np.nonzero(known[:, other])
+        k = k - np.bincount(row * n + end[link], minlength=b * n).reshape(b, n)
+        rows.append(k[~known].reshape(b, -1))
+    return rows
 
 
-def _solve_graph(g: Graph, sets: list[list[int]], opts: SolverOptions):
-    """Yield (j, ClassSolution | None, residual, iterations) for every node
-    set sets[j]: g's ensemble conditioned on that set, or None where its
-    solve did not converge.
+def _solve_graph(g: Graph, cond: list[int] | None, opts: SolverOptions):
+    """Yield (nodes, ClassSolution | None, residual, iterations): g's
+    ensemble conditioned on the node set `cond`, or with cond None on each
+    node in turn (nodes is then that node), and None where a solve did not
+    converge.
 
-    The sets' systems go through one stacker, built one at a time as the
-    caller consumes the results; sets come in block order, not in list
-    order. A result does not depend on the block it was solved in.
+    The systems go through one stacker: a set is a chunk of one, and the
+    one-node sets come in chunks of max(1, CHUNK_ELEMENTS // n), each
+    classified as the caller consumes the results. The nodes come in block
+    order; a result does not depend on the block it was solved in.
     """
-    tails_heads = links(g)
-    known = (_known(g.n, nodes) for nodes in sets)
-    degrees = (((j, k), *_conditioned_degrees(tails_heads, k))
-               for j, k in enumerate(known))
-    for (j, k), s, _, _, p, res, its in _stacks(degrees, g.directed, opts):
-        sol = (_class_solution(g.n, g.directed, tails_heads, k, s, p)
+    edges = links(g)
+    degrees = tuple(np.bincount(end, minlength=g.n) for end in edges)
+    if cond is None:
+        step = max(1, CHUNK_ELEMENTS // max(g.n, 1))
+        tags = [range(lo, min(lo + step, g.n)) for lo in range(0, g.n, step)]
+        known = (np.arange(g.n) == np.asarray(nodes)[:, None] for nodes in tags)
+    else:
+        tags, known = [[cond]], [_known(g.n, cond)[None]]
+    chunks = ((nodes, *_conditioned_degrees(edges, degrees, k))
+              for nodes, k in zip(tags, known))
+    for nodes, s, _, _, p, res, its in _stacks(chunks, g.directed, opts):
+        sol = (_class_solution(g.n, g.directed, edges, degrees,
+                               _known(g.n, nodes), s, p)
                if res <= opts.tolerance else None)
-        yield j, sol, float(res), int(its)
+        yield nodes, sol, float(res), int(its)
 
 
 def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:
@@ -616,7 +671,7 @@ def solve_classes(g: Graph, nodes: Iterable[int] | None = None,
     does not converge.
     """
     cond = [] if nodes is None else _conditioning_set(g, nodes)
-    ((_, sol, residual, iterations),) = _solve_graph(g, [cond],
+    ((_, sol, residual, iterations),) = _solve_graph(g, cond,
                                                      opts or SolverOptions())
     if sol is None:
         raise SolverError("degree-constrained solve did not converge",
@@ -647,6 +702,7 @@ def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
     conditioned on that node alone, equal to solve_classes(g, [node]) bit
     for bit, or None where its solve did not converge. Nodes come in the
     block order of the stacked solve, not in index order."""
-    sets = [_conditioning_set(g, [i]) for i in range(g.n)]
-    for i, sol, _, _ in _solve_graph(g, sets, opts or SolverOptions()):
+    if g.n == 1:  # raises: one node has no proper one-node set
+        _conditioning_set(g, [0])
+    for i, sol, _, _ in _solve_graph(g, None, opts or SolverOptions()):
         yield i, sol

@@ -29,6 +29,9 @@ from .maxent import ClassSolution, ProbMatrix
 # Entries (rows x n) of one block of a draw; it bounds the block's memory.
 BLOCK_ELEMENTS = 1 << 16
 
+# Seeds a caller hashes in one seed_words pass; it bounds the pass's memory.
+SEED_CHUNK = 4096
+
 # numpy's SeedSequence hash and mix constants, and PCG64's multiplier
 INIT_A, MULT_A = 0x43b0d7e5, 0x931e8875
 INIT_B, MULT_B = 0x8b51f9dd, 0x58f38ded
@@ -149,22 +152,23 @@ def _state_words(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << 32  # little-endian word pairs
 
 
-def seed_words(seed: int, node: int, samples: int) -> np.ndarray:
+def seed_words(seed: int, node: int, samples: int, start: int = 0) -> np.ndarray:
     """SeedSequence((seed, node, t)).generate_state(4, np.uint64), the words
-    default_rng seeds its PCG64 from, for each t < samples, as a uint64
-    (samples, 4) array; seed is a non-negative int, node and t lie below
-    2^32.
+    default_rng seeds its PCG64 from, for each t of start .. start + samples
+    - 1, as a uint64 (samples, 4) array; seed is a non-negative int, node and
+    t lie below 2^32.
 
     Every row hashes the same entropy length: seed's little-endian 32-bit
     words (0 as one word), then node, then t, as SeedSequence coerces them.
-    A node's risk samples should go through one call: the pass costs about
-    as much for a hundred seeds as for a few.
+    A pass costs about as much for a hundred seeds as for a few, and its
+    temporaries take about 100 bytes per seed, so a caller hashes a node's
+    seeds in passes of up to SEED_CHUNK.
     """
     words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.empty((samples, len(words) + 2), np.uint32)
     entropy[:, :-2] = words
     entropy[:, -2] = node
-    entropy[:, -1] = np.arange(samples)
+    entropy[:, -1] = np.arange(start, start + samples)
     return _state_words(entropy)
 
 

@@ -298,6 +298,60 @@ def pair_ranges(k_out, k_in=None):
 
 
 # ---------------------------------------------------------------------------
+# per-system classification and cut test
+# ---------------------------------------------------------------------------
+#
+# The package classifies and cut-tests a chunk of systems at once; these do
+# one system, as the package did before.
+
+def classes(k_out, k_in):
+    """Class of each node, class sizes, and the degrees of each class, in
+    ascending (k_out, k_in) order."""
+    key = k_out * (int(k_in.max(initial=0)) + 1) + k_in
+    _, first, cls, m = np.unique(key, return_index=True, return_inverse=True,
+                                 return_counts=True)
+    return cls, m, k_out[first], k_in[first]
+
+
+def tight_cut(k_out, k_in):
+    """Whether some cut of the flow network of the node degrees k_out, k_in
+    is tight, i.e. may fix a pair; InputError where no feasible point exists.
+
+    A cut through s rows, 1 <= s < |R|, has the largest excess
+        E(s) = sum of the s largest (k_out_i + [k_in_i >= s])
+               - sum_j min(k_in_j, s),
+    taken by the first s rows in descending (k_out, k_in) order.
+    """
+    from inforank import InputError
+
+    rows, cols = k_out > 0, k_in > 0
+    n_r, n_c = int(rows.sum()), int(cols.sum())
+    slack_out = n_c - cols - k_out
+    slack_in = n_r - rows - k_in
+    if np.any(slack_out < 0) or np.any(slack_in < 0):
+        raise InputError("infeasible degree sequence: a node needs more "
+                         "partners than are available")
+    tight = bool(np.any(rows & (slack_out == 0)) or np.any(cols & (slack_in == 0)))
+    if n_r < 2:
+        return tight
+
+    order = np.lexsort((-k_in, -k_out))[:n_r]
+    top = np.cumsum(k_out[order])[:-1]
+    pos = np.arange(1, n_r + 1)
+    last = np.minimum(k_in[order], n_r - 1)
+    live = last >= pos
+    own = np.cumsum(np.bincount(pos[live], minlength=n_r + 1)
+                    - np.bincount(last[live] + 1, minlength=n_r + 1))[1:n_r]
+    at_least = np.cumsum(np.bincount(k_in, minlength=n_r + 1)[::-1])[::-1]
+    excess = top + own - np.cumsum(at_least[1:n_r])
+    if excess.max() > 0:
+        raise InputError("infeasible degree sequence: the links of the top "
+                         f"{int(np.argmax(excess)) + 1} nodes exceed every "
+                         "realisation")
+    return tight or bool(excess.max() == 0)
+
+
+# ---------------------------------------------------------------------------
 # dense node-level maximum-entropy solves
 # ---------------------------------------------------------------------------
 #

@@ -10,7 +10,7 @@ from inforank import (ClearingProblem, ExternalsConfig, InputError,
                       sample_ensemble, solve_conditioned_set, solve_dbcm)
 from inforank.clearing import (CLEAR_MAX_ITER, CLEAR_TOL, RiskExperiment,
                                _clear)
-from inforank import SampleSpec
+from inforank import SampleSpec, clearing
 from inforank.generators import erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
 from inforank.sampling import adjacency_samples, seed_words
@@ -303,6 +303,19 @@ def test_risk_scorer_matches_validated_clearing():
             diff = clear(prob).p - exp.p_real
             errors[t] = float(diff @ diff) / exp.norm
         assert res.mse[node] == errors.mean()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 6, 4096])
+def test_risk_scorer_hashes_seeds_in_chunks(monkeypatch, chunk):
+    # passes of whole stacks of 2 samples, below or at the chunk, or one
+    # pass, give the same errors
+    g = scale_free_directed(12, 2, seed=5)
+    monkeypatch.setattr(clearing, "BLOCK_ELEMENTS", 2 * g.n ** 2)
+    exp = RiskExperiment(g, samples_per_node=11, seed=7)
+    cond = solve_classes(g, [3])
+    expect = exp(3, cond)
+    monkeypatch.setattr(clearing, "SEED_CHUNK", chunk)
+    assert exp(3, cond) == expect
 
 
 def test_risk_scorer_memory_does_not_grow_per_sample():

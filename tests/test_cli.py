@@ -26,12 +26,12 @@ def run(tmp_path, *argv):
 
 def count_solves(monkeypatch):
     """Count benchmark solves wherever inforank calls them, the class
-    systems built and those that reach the fixed-point loops (one each per
-    solve), and the nodes whose conditioned ensembles the conditioned pass
-    hands out."""
+    systems classified (the rows of maxent._classify's chunks) and those
+    that reach the fixed-point loops (one each per solve), and the nodes
+    whose conditioned ensembles the conditioned pass hands out."""
     counts = {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
     real_bench, real_each = maxent.solve_classes, maxent.solve_each_conditioned
-    real_systems, real_classes = maxent._solve_systems, maxent._classes
+    real_systems, real_classify = maxent._solve_systems, maxent._classify
 
     def bench(g, nodes=None, *args, **kwargs):
         counts["benchmark"] += nodes is None
@@ -46,9 +46,9 @@ def count_solves(monkeypatch):
         counts["systems"] += len(stack)
         return real_systems(stack, *args, **kwargs)
 
-    def classes(*args):
-        counts["classes"] += 1
-        return real_classes(*args)
+    def classify(k_out, k_in):
+        counts["classes"] += len(k_out)
+        return real_classify(k_out, k_in)
 
     modules = [m for name, m in sys.modules.items()
                if name == "inforank" or name.startswith("inforank.")]
@@ -58,7 +58,7 @@ def count_solves(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(mod, key, fake)
     monkeypatch.setattr(maxent, "_solve_systems", systems)
-    monkeypatch.setattr(maxent, "_classes", classes)
+    monkeypatch.setattr(maxent, "_classify", classify)
     return counts
 
 
@@ -455,11 +455,12 @@ def test_config_file_defaults_overridden_by_flags(tmp_path, monkeypatch):
         cfg.write_text(bad + "\n")
         assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
                      "--output", str(out1)]) == EXIT_CONFIG
-    # a value the file cannot cast exits 2 even where a flag sets its key
+    # a value the file cannot cast, or a thread count below 1, exits 2 even
+    # where a flag sets its key
     flags = ["--threads", "1", "--tolerance", "1e-8", "--max-iterations", "100",
              "--directed"]
-    for bad in ("threads = x", "tolerance = abc", "max_iterations = many",
-                "directed = maybe"):
+    for bad in ("threads = x", "threads = 0", "tolerance = abc",
+                "max_iterations = many", "directed = maybe"):
         cfg.write_text(bad + "\n")
         assert main(["rank", "--generate", "er:10,0.4", "--config", str(cfg),
                      "--output", str(out1), *flags]) == EXIT_CONFIG, bad

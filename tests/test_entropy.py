@@ -9,8 +9,8 @@ from inforank import (ProbMatrix, SolverOptions, UndefinedIndexError,
                       degree_sequence, expected_accuracy, inforank,
                       inforank_subset, make_graph, maxent,
                       solve_conditioned_set, solve_dbcm, solve_ubcm)
-from inforank.entropy import (DEFAULT_LIMIT_EPS, _h, class_entropy,
-                              conditioned_pass)
+from inforank.entropy import (DEFAULT_LIMIT_EPS, _h, class_contributions,
+                              class_entropy, conditioned_pass)
 from inforank.graphs import DegreeSeq
 from inforank.generators import (barabasi_albert, erdos_renyi, ring_lattice,
                                  scale_free_directed, star)
@@ -138,11 +138,11 @@ def test_stacked_pass_matches_single_solves(case, budget):
     g, _ = case
     with mock.patch.object(maxent, "STACK_ELEMENTS", budget):
         s_cond, acc = conditioned_pass(
-            g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS)[0],
+            g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS),
                 lambda i, sol: class_accuracy(sol)))
     for i in range(g.n):
         sol = maxent.solve_classes(g, [i])
-        assert s_cond[i] == class_entropy(sol, DEFAULT_LIMIT_EPS)[0]
+        assert s_cond[i] == class_entropy(sol, DEFAULT_LIMIT_EPS)
         assert acc[i] == class_accuracy(sol)
 
 
@@ -188,7 +188,7 @@ def test_class_scoring_matches_dense_scoring(case, draw_seed, eps):
     for nodes in (None, [node], big.tolist()):
         sol = maxent.solve_classes(g, nodes)
         pm = sol.expand()
-        s, contrib = class_entropy(sol, eps)
+        s, contrib = class_entropy(sol, eps), class_contributions(sol, eps)
         s_dense, contrib_dense = benchmark_entropy(pm, eps)
         np.testing.assert_allclose(s, s_dense, rtol=1e-12, atol=0)
         np.testing.assert_allclose(contrib, contrib_dense, rtol=1e-12, atol=0)

@@ -11,9 +11,10 @@ from inforank.graphs import DegreeSeq
 from inforank.generators import barabasi_albert, erdos_renyi, star
 
 from helpers import col_sums, relabel, row_sums, small_graph
-from oracles import (dbcm_fixed_point, dense_dbcm, dense_ubcm, p4_bisection,
-                     pair_ranges, reduced_131_bisection, step_directed,
-                     step_undirected)
+from oracles import (classes, dbcm_fixed_point, dense_dbcm, dense_ubcm,
+                     node_pins, p4_bisection, pair_ranges,
+                     reduced_131_bisection, step_directed, step_undirected,
+                     tight_cut)
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -230,12 +231,118 @@ def test_conditioned_set_validation(monkeypatch):
                                erdos_renyi(30, 0.15, seed=2, directed=True)],
                          ids=["ba-40-3", "er-dir-30"])
 def test_each_conditioned_system_classified_once(monkeypatch, g):
-    calls = []
-    real = maxent._classes
-    monkeypatch.setattr(maxent, "_classes",
-                        lambda *args: calls.append(1) or real(*args))
-    assert len(list(maxent.solve_each_conditioned(g))) == g.n
-    assert len(calls) == g.n
+    # n rows classified in chunks of at most CHUNK_ELEMENTS // n, one per
+    # node, and each node's solution handed out once
+    chunks = []
+    real = maxent._classify
+    monkeypatch.setattr(maxent, "_classify", lambda k_out, k_in:
+                        chunks.append(len(k_out)) or real(k_out, k_in))
+    nodes = [i for i, _ in maxent.solve_each_conditioned(g)]
+    assert sorted(nodes) == list(range(g.n))
+    assert sum(chunks) == g.n
+    assert max(chunks) <= max(1, maxent.CHUNK_ELEMENTS // g.n)
+
+
+def assert_classified_as_oracles(k_out, k_in):
+    """maxent._classify on the (B, N) degree rows against the per-system
+    oracles: each row's classes, its tight flag (free is None where no cut
+    is tight), its pins against the node-level flow where its degree sums
+    match, and the first infeasible row's InputError."""
+    expect = []
+    for ko, ki in zip(k_out, k_in):
+        cls, m, c_out, c_in = classes(ko, ki)
+        try:
+            expect.append((cls, m, c_out, c_in,
+                           tight_cut(np.repeat(c_out, m), np.repeat(c_in, m))))
+        except InputError as exc:
+            expect.append(str(exc))
+    errors = [e for e in expect if isinstance(e, str)]
+    if errors:
+        with pytest.raises(InputError) as exc:
+            maxent._classify(k_out, k_in)
+        assert str(exc.value) == errors[0]
+        return
+    systems = maxent._classify(k_out, k_in)
+    assert len(systems) == len(expect)
+    for s, (cls, m, c_out, c_in, tight), ko, ki in zip(systems, expect,
+                                                      k_out, k_in):
+        assert np.array_equal(s.m, m)
+        assert (s.free is None) == (not tight) == (s.ones is None)
+        if s.free is None:
+            assert np.array_equal(s.k_out, c_out) and np.array_equal(s.k_in, c_in)
+        if ko.sum() != ki.sum():
+            continue
+        c = len(m)
+        free = np.ones((c, c), bool) if s.free is None else s.free
+        ones = np.zeros((c, c), bool) if s.ones is None else s.ones
+        n_out, n_in, n_free, n_ones, _ = node_pins(ko, ki)
+        off = ~np.eye(len(ko), dtype=bool)
+        assert np.array_equal(free[np.ix_(cls, cls)][off], n_free[off])
+        assert np.array_equal(ones[np.ix_(cls, cls)][off], n_ones[off])
+        assert np.array_equal(s.k_out[cls], n_out)
+        assert np.array_equal(s.k_in[cls], n_in)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(1, 5), st.integers(0, 9),
+       st.sampled_from([0.15, 0.5, 0.85, 1.0]), st.integers(0, 2**32 - 1),
+       st.integers(0, 2))
+def test_classifier_matches_oracles_on_degree_rows(directed, b, n, density,
+                                                   seed, moved):
+    # the degrees of random graphs, some with `moved` entries moved by one,
+    # which breaks many rows' feasibility; undirected rows have k_out = k_in
+    rng = np.random.default_rng(seed)
+    a = rng.random((b, n, n)) < density
+    a[:, np.arange(n), np.arange(n)] = False
+    if not directed:
+        a = np.triu(a, 1)
+        a |= a.transpose(0, 2, 1)
+    k_out, k_in = a.sum(axis=2), a.sum(axis=1)
+    for _ in range(moved if n else 0):
+        row, node = rng.integers(b), rng.integers(n)
+        for k in (k_out, k_in) if directed else (k_out,):
+            k[row, node] = min(max(k[row, node] + rng.choice([-1, 1]), 0), n - 1)
+    assert_classified_as_oracles(k_out, k_out if not directed else k_in)
+
+
+def _complete(n, directed):
+    return make_graph(n, [(i, j) for i in range(n) for j in range(n)
+                          if i != j and (directed or i < j)], directed=directed)
+
+
+@pytest.mark.parametrize("g", [
+    star(8), _complete(6, False), _complete(5, True),
+    # a hub saturated by its links, with isolated nodes 7 and 8
+    make_graph(9, [(0, j) for j in range(1, 7)] + [(1, 2), (3, 4)]),
+    make_graph(9, [(0, j) for j in range(1, 7)] + [(j, 0) for j in (1, 2)]
+               + [(1, 2), (3, 4), (5, 3)], directed=True),
+    barabasi_albert(40, 3, seed=1), erdos_renyi(30, 0.15, seed=2, directed=True),
+], ids=["star-8", "complete-6", "complete-dir-5", "hub-isolated",
+        "hub-isolated-dir", "ba-40-3", "er-dir-30"])
+def test_classifier_matches_oracles_on_conditioned_systems(monkeypatch, g):
+    # every chunk of one-node systems, and every node's classes in its
+    # ClassSolution, against the oracles on the degrees left when that node
+    # is conditioned on; chunks of 7 nodes split the pass
+    chunks = []
+    real = maxent._classify
+    monkeypatch.setattr(maxent, "_classify", lambda k_out, k_in:
+                        chunks.append((k_out, k_in)) or real(k_out, k_in))
+    monkeypatch.setattr(maxent, "CHUNK_ELEMENTS", 7 * g.n)
+    a = g.adjacency().astype(np.int64)
+    for i, sol in maxent.solve_each_conditioned(g):
+        rest = np.delete(np.delete(a, i, axis=0), i, axis=1)
+        cls = classes(rest.sum(axis=1), rest.sum(axis=0))[0]
+        assert np.array_equal(np.delete(sol.node_cls, i), cls)
+        assert sol.node_cls[i] == len(sol.m)
+    monkeypatch.setattr(maxent, "_classify", real)
+    assert [len(k_out) for k_out, _ in chunks] == [
+        min(7, g.n - lo) for lo in range(0, g.n, 7)]
+    for i, (k_out, k_in) in enumerate(zip(*map(np.concatenate, zip(*chunks)))):
+        rest = np.delete(np.delete(a, i, axis=0), i, axis=1)
+        assert np.array_equal(k_out, rest.sum(axis=1))
+        assert np.array_equal(k_in, rest.sum(axis=0))
+    for k_out, k_in in chunks:
+        assert_classified_as_oracles(k_out, k_in)
 
 
 def test_conditioned_nonconvergence_names_node():

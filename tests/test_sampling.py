@@ -205,6 +205,18 @@ def test_seed_states_match_default_rng(seed, node, samples, n):
         assert np.array_equal(rng.random((n, n)), oracle.random((n, n)))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**96 - 1), st.integers(0, 2**32 - 1),
+       st.integers(1, 60), st.integers(1, 9))
+def test_seed_words_chunked_as_unchunked(seed, node, samples, chunk):
+    # hashed in passes of `chunk` seeds from their start t, the last pass
+    # short, the rows are those of one pass over all the seeds
+    whole = seed_words(seed, node, samples)
+    parts = [seed_words(seed, node, min(chunk, samples - t0), t0)
+             for t0 in range(0, samples, chunk)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 @pytest.mark.parametrize("seed", [
     -1, -2**70, (3, -1), (3, [1, -1]), np.array([1, -1]),
     1.5, (3, 0.5), (3, np.float64(2.0)), np.array([1.0]), (3, None),

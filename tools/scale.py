@@ -26,12 +26,16 @@ Every round runs every point on each tree; the tree that runs first
 alternates from round to round. The JSON on stdout holds the machine, every
 point, and per (model, n, stack elements) the median of each side, the
 change/base ratio of the medians and whether every run of both trees gave
-the same hash. Progress goes to stderr.
+the same hash. Per model and stack elements with two sizes or more, it also
+holds each side's fitted exponent: the least-squares slope of log(median
+wall_s) against log(n), so that the wall time grows as n^exponent.
+Progress goes to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -94,6 +98,15 @@ def run_point(src: str, model: str, n: int, seed: int, stack: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def exponent(ns: list[int], walls: list[float]) -> float:
+    """Least-squares slope of log(wall) against log(n)."""
+    x = [math.log(n) for n in ns]
+    y = [math.log(w) for w in walls]
+    mx, my = statistics.fmean(x), statistics.fmean(y)
+    return (sum((a - mx) * (b - my) for a, b in zip(x, y))
+            / sum((a - mx) ** 2 for a in x))
+
+
 def ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -148,8 +161,19 @@ def main() -> None:
             row["wall_ratio"] = round(row["change"]["wall_s"]
                                       / row["base"]["wall_s"], 3)
         summary.append(row)
+    exponents = []
+    for model, stack in dict.fromkeys((r["model"], r["stack_elements"])
+                                      for r in summary):
+        rows = [r for r in summary
+                if (r["model"], r["stack_elements"]) == (model, stack)]
+        if len(rows) >= 2:
+            exponents.append({"model": model, "stack_elements": stack, **{
+                side: round(exponent([r["n"] for r in rows],
+                                     [r[side]["wall_s"] for r in rows]), 3)
+                for side in trees}})
     json.dump({"machine": machine(), "rounds": args.rounds, "seed": args.seed,
-               "summary": summary, "points": points}, sys.stdout, indent=1)
+               "summary": summary, "exponents": exponents, "points": points},
+              sys.stdout, indent=1)
     print()
 
 
