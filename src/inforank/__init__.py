@@ -19,8 +19,7 @@ from .errors import (GraphError, InfoRankError, InputError, ParseError,
 from .graphs import (DegreeSeq, Graph, degree_sequence, load_edge_list,
                      make_graph)
 from .maxent import (FORCED_LIM, FORCED_OBS, FREE, ParamVector, ProbMatrix,
-                     SolverOptions, solve_benchmark, solve_conditioned_set,
-                     solve_dbcm, solve_ubcm)
+                     SolverOptions, solve_benchmark, solve_dbcm, solve_ubcm)
 from .recon import AccuracyReport, accuracy_report, expected_accuracy, pearson
 from .sampling import SampleSpec, sample_ensemble, sample_graph
 
@@ -39,5 +38,5 @@ __all__ = [
     "inforank", "inforank_subset", "load_edge_list", "make_graph",
     "pagerank", "pearson", "rescale", "risk_error_experiment",
     "sample_ensemble", "sample_graph",
-    "solve_benchmark", "solve_conditioned_set", "solve_dbcm", "solve_ubcm",
+    "solve_benchmark", "solve_dbcm", "solve_ubcm",
 ]

@@ -24,9 +24,9 @@ from the boundary. This keeps the ratio well defined on graphs whose
 benchmark is exactly deterministic apart from saturated hubs (a star graph
 being the canonical case: the center scores 1, a leaf scores 1/(n-1)).
 Fully pinned or zero-entropy benchmarks have no free structure left to
-explain and raise UndefinedIndexError. The standalone entropy functions
-default to the strict convention (limit_eps = 0) in which boundary entries
-contribute nothing.
+explain and raise UndefinedIndexError. The class scorers always use
+DEFAULT_LIMIT_EPS; `benchmark_entropy` defaults to the strict convention
+(limit_eps = 0) in which boundary entries contribute nothing.
 """
 from __future__ import annotations
 
@@ -77,23 +77,24 @@ def benchmark_entropy(pm: ProbMatrix, limit_eps: float = 0.0):
     return s0, contrib
 
 
-def class_entropy(sol: ClassSolution, limit_eps: float = 0.0) -> float:
-    """benchmark_entropy(sol.expand())[0], summed over class pairs.
+def class_entropy(sol: ClassSolution) -> float:
+    """benchmark_entropy(sol.expand(), DEFAULT_LIMIT_EPS)[0], summed over
+    class pairs.
 
     A free node of class c has partners[c, d] pairs with class d, each of
     entropy h_cd; pairs that touch a known node are pinned by conditioning
     and score 0.
     """
-    h = _entry_entropies(sol.p, sol.forced, limit_eps)
+    h = _entry_entropies(sol.p, sol.forced, DEFAULT_LIMIT_EPS)
     s = float(sol.m @ (sol.partners * h).sum(axis=1))
     return s if sol.directed else s * 0.5
 
 
-def class_contributions(sol: ClassSolution, limit_eps: float = 0.0) -> np.ndarray:
-    """benchmark_entropy(sol.expand())[1], from the class pairs: the row
-    entropy of a free node of class c, plus its column's (h_dc) when
-    directed; a known node contributes 0."""
-    h = _entry_entropies(sol.p, sol.forced, limit_eps)
+def class_contributions(sol: ClassSolution) -> np.ndarray:
+    """benchmark_entropy(sol.expand(), DEFAULT_LIMIT_EPS)[1], from the class
+    pairs: the row entropy of a free node of class c, plus its column's
+    (h_dc) when directed; a known node contributes 0."""
+    h = _entry_entropies(sol.p, sol.forced, DEFAULT_LIMIT_EPS)
     partners = sol.partners
     row = (partners * h).sum(axis=1)
     if sol.directed:
@@ -135,7 +136,7 @@ def _benchmark(g: Graph, opts: SolverOptions | None):
     raises UndefinedIndexError when the benchmark leaves the index
     undefined."""
     sol = solve_classes(g, None, opts)
-    s0 = class_entropy(sol, DEFAULT_LIMIT_EPS)
+    s0 = class_entropy(sol)
     if not ((sol.forced == FREE) & (sol.partners > 0)).any():
         raise UndefinedIndexError(
             "benchmark ensemble is fully deterministic (no free entries); "
@@ -143,7 +144,7 @@ def _benchmark(g: Graph, opts: SolverOptions | None):
     if s0 <= 0.0:
         raise UndefinedIndexError(
             "benchmark entropy is zero; the ranking index is undefined")
-    return sol, s0, class_contributions(sol, DEFAULT_LIMIT_EPS)
+    return sol, s0, class_contributions(sol)
 
 
 def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
@@ -155,8 +156,7 @@ def ranking_pass(g: Graph, scorers=(), opts: SolverOptions | None = None):
     """
     bench, s0, contrib = _benchmark(g, opts)
     s_cond, *extra = conditioned_pass(
-        g, (lambda i, sol: class_entropy(sol, DEFAULT_LIMIT_EPS), *scorers),
-        opts)
+        g, (lambda i, sol: class_entropy(sol), *scorers), opts)
     report = EntropyReport(
         n=g.n, directed=g.directed, S0=s0, S0_contrib=contrib,
         S_cond=s_cond, I=1.0 - s_cond / s0, failed=np.isnan(s_cond))
@@ -180,7 +180,7 @@ def inforank_subset(g: Graph, nodes, opts: SolverOptions | None = None) -> float
     """
     cond = solve_classes(g, nodes, opts)
     s0 = _benchmark(g, opts)[1]
-    return float(1.0 - class_entropy(cond, DEFAULT_LIMIT_EPS) / s0)
+    return float(1.0 - class_entropy(cond) / s0)
 
 
 # ---------------------------------------------------------------------------

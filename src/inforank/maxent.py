@@ -11,7 +11,9 @@ arithmetic; in floating point its results can differ from them in the 12th
 significant digit.
 
 Every ensemble of a graph is the ensemble conditioned on a node set, whose
-links are fixed to the observed ones; the benchmark conditions on no node.
+links are fixed to the observed ones; the benchmark conditions on no node,
+and a degree sequence (solve_ubcm, solve_dbcm) is solved as the benchmark of
+a graph with no links, so every solve takes one route (_solve_graph).
 `solve_each_conditioned` classifies its n one-node systems in chunks of
 nodes, with a handful of array operations per chunk, and each system waits
 in the block of its class count, holding only its O(C) class arrays. A full
@@ -461,64 +463,14 @@ def _stacks(chunks: Iterable, directed: bool, opts: SolverOptions):
 
 
 # ---------------------------------------------------------------------------
-# public solves
-# ---------------------------------------------------------------------------
-
-def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
-    """Check a degree sequence, solve it on classes, expand it to nodes."""
-    k_out = np.asarray(k_out, dtype=np.int64)
-    k_in = np.asarray(k_in, dtype=np.int64)
-    n = len(k_out)
-    for arr in (k_out, k_in):
-        if np.any(arr < 0) or (n > 0 and np.any(arr > n - 1)):
-            raise InputError("degrees must lie in [0, n-1]")
-    if int(k_out.sum()) != int(k_in.sum()):
-        raise InputError("sum of out-degrees must equal sum of in-degrees")
-    if not directed and int(k_out.sum()) % 2 != 0:
-        raise InputError("undirected degree sum must be even")
-
-    opts = opts or SolverOptions()
-    ((_, s, x, y, p, residual, iterations),) = _stacks(
-        [((None,), k_out[None], k_in[None])], directed, opts)
-    residual, iterations = float(residual), int(iterations)
-    if not residual <= opts.tolerance:  # NaN fails too
-        raise SolverError("degree-constrained solve did not converge",
-                          residual=residual, iterations=iterations)
-    no_links = (np.zeros(0, np.int64),) * 2
-    sol = _class_solution(n, directed, no_links, (k_out, k_in),
-                          np.zeros(n, bool), s, p)
-    params = ParamVector(directed=directed, x=x[sol.node_cls],
-                         y=y[sol.node_cls] if directed else None,
-                         residual=residual, iterations=iterations)
-    return params, sol.expand()
-
-
-def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
-    """Solve the undirected configuration model for a degree sequence.
-
-    Returns (ParamVector, ProbMatrix) with max_i |k_i - sum_j p_ij| within
-    opts.tolerance.
-    """
-    if deg.directed:
-        raise InputError("solve_ubcm needs an undirected degree sequence")
-    return _solve(deg.k, deg.k, False, opts)
-
-
-def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
-    """Directed analogue of solve_ubcm, constraining out- and in-degrees."""
-    if not deg.directed:
-        raise InputError("solve_dbcm needs a directed degree sequence")
-    return _solve(deg.k_out, deg.k_in, True, opts)
-
-
-# ---------------------------------------------------------------------------
 # graph solves
 # ---------------------------------------------------------------------------
 #
 # Every ensemble of a graph g is g's ensemble conditioned on a node set: the
 # links of the set's nodes are fixed to the observed ones, and the other
 # nodes form a plain configuration model on the degrees left among
-# themselves. The empty set gives the benchmark.
+# themselves. The empty set gives the benchmark, and a degree sequence is
+# solved as the benchmark of a graph with no links.
 
 @dataclass
 class ClassSolution:
@@ -587,24 +539,6 @@ class ClassSolution:
                           p=self.rows(0, self.n), forced=forced)
 
 
-def _class_solution(n: int, directed: bool, links, degrees,
-                    known: np.ndarray, s: _System,
-                    p: np.ndarray) -> ClassSolution:
-    """The ClassSolution of system s, solved to class probabilities p, for
-    n nodes with these links and degrees, conditioned on the `known`
-    nodes."""
-    forced = (np.zeros(p.shape, np.int8) if s.free is None
-              else np.where(s.free, FREE, FORCED_LIM).astype(np.int8))
-    return ClassSolution(n, directed, links, degrees, known, s.m, p, forced)
-
-
-def _known(n: int, cond) -> np.ndarray:
-    """Mask of the conditioned nodes."""
-    known = np.zeros(n, dtype=bool)
-    known[cond] = True
-    return known
-
-
 def _conditioned_degrees(links, degrees, known: np.ndarray):
     """Out- and in-degrees, as (B, N) rows, of the N nodes left free by
     conditioning on each row of the (B, n) mask `known`: the links of the
@@ -619,32 +553,55 @@ def _conditioned_degrees(links, degrees, known: np.ndarray):
     return rows
 
 
-def _solve_graph(g: Graph, cond: list[int] | None, opts: SolverOptions):
-    """Yield (nodes, ClassSolution | None, residual, iterations): g's
-    ensemble conditioned on the node set `cond`, or with cond None on each
-    node in turn (nodes is then that node), and None where a solve did not
-    converge.
+def _solve_graph(n: int, directed: bool, edges, degrees, cond: list[int] | None,
+                 opts: SolverOptions):
+    """Yield (nodes, x, y, ClassSolution | None, residual, iterations) of the
+    ensemble of n nodes with these links and out- and in-degrees conditioned
+    on the node set `cond`, or with cond None on each node in turn (nodes is
+    then that node): the class fitnesses x and y (y is x when undirected),
+    and None where the solve did not converge.
 
     The systems go through one stacker: a set is a chunk of one, and the
     one-node sets come in chunks of max(1, CHUNK_ELEMENTS // n), each
     classified as the caller consumes the results. The nodes come in block
     order; a result does not depend on the block it was solved in.
     """
-    edges = links(g)
-    degrees = tuple(np.bincount(end, minlength=g.n) for end in edges)
     if cond is None:
-        step = max(1, CHUNK_ELEMENTS // max(g.n, 1))
-        tags = [range(lo, min(lo + step, g.n)) for lo in range(0, g.n, step)]
-        known = (np.arange(g.n) == np.asarray(nodes)[:, None] for nodes in tags)
+        step = max(1, CHUNK_ELEMENTS // max(n, 1))
+        tags = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        known = (np.arange(n) == np.asarray(nodes)[:, None] for nodes in tags)
     else:
-        tags, known = [[cond]], [_known(g.n, cond)[None]]
+        tags, known = [[cond]], [np.isin(np.arange(n), cond)[None]]
     chunks = ((nodes, *_conditioned_degrees(edges, degrees, k))
               for nodes, k in zip(tags, known))
-    for nodes, s, _, _, p, res, its in _stacks(chunks, g.directed, opts):
-        sol = (_class_solution(g.n, g.directed, edges, degrees,
-                               _known(g.n, nodes), s, p)
-               if res <= opts.tolerance else None)
-        yield nodes, sol, float(res), int(its)
+    for nodes, s, x, y, p, res, its in _stacks(chunks, directed, opts):
+        sol = None
+        if res <= opts.tolerance:  # NaN fails too
+            mask = np.zeros(n, dtype=bool)
+            mask[nodes] = True
+            forced = (np.zeros(p.shape, np.int8) if s.free is None
+                      else np.where(s.free, FREE, FORCED_LIM).astype(np.int8))
+            sol = ClassSolution(n, directed, edges, degrees, mask, s.m, p, forced)
+        yield nodes, x, y, sol, float(res), int(its)
+
+
+def _converged(sol: ClassSolution | None, residual: float, iterations: int,
+               cond: list[int]) -> ClassSolution:
+    """sol, or SolverError, naming the node of a one-node set `cond`, where
+    the solve did not converge (sol None)."""
+    if sol is None:
+        raise SolverError("degree-constrained solve did not converge",
+                          residual=residual, iterations=iterations,
+                          node=cond[0] if len(cond) == 1 else None)
+    return sol
+
+
+def _graph(g: Graph):
+    """g's node count, direction, links and out- and in-degrees, the first
+    arguments of _solve_graph."""
+    edges = links(g)
+    return g.n, g.directed, edges, tuple(np.bincount(end, minlength=g.n)
+                                         for end in edges)
 
 
 def _conditioning_set(g: Graph, nodes: Iterable[int]) -> list[int]:
@@ -671,30 +628,15 @@ def solve_classes(g: Graph, nodes: Iterable[int] | None = None,
     does not converge.
     """
     cond = [] if nodes is None else _conditioning_set(g, nodes)
-    ((_, sol, residual, iterations),) = _solve_graph(g, cond,
-                                                     opts or SolverOptions())
-    if sol is None:
-        raise SolverError("degree-constrained solve did not converge",
-                          residual=residual, iterations=iterations,
-                          node=cond[0] if len(cond) == 1 else None)
-    return sol
+    ((_, _, _, sol, residual, iterations),) = _solve_graph(
+        *_graph(g), cond, opts or SolverOptions())
+    return _converged(sol, residual, iterations, cond)
 
 
 def solve_benchmark(g: Graph, opts: SolverOptions | None = None) -> ProbMatrix:
     """Configuration-model probabilities for g's own degree sequence: the
     ensemble conditioned on no node."""
     return solve_classes(g, None, opts).expand()
-
-
-def solve_conditioned_set(g: Graph, nodes: Iterable[int],
-                          opts: SolverOptions | None = None) -> ProbMatrix:
-    """Solve the ensemble conditioned on the exact link patterns of `nodes`.
-
-    Every entry incident to a conditioned node is pinned to the observed
-    adjacency value; the remaining nodes are solved with degrees reduced by
-    their (now known) links into the conditioned set.
-    """
-    return solve_classes(g, nodes, opts).expand()
 
 
 def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
@@ -704,5 +646,48 @@ def solve_each_conditioned(g: Graph, opts: SolverOptions | None = None):
     block order of the stacked solve, not in index order."""
     if g.n == 1:  # raises: one node has no proper one-node set
         _conditioning_set(g, [0])
-    for i, sol, _, _ in _solve_graph(g, None, opts or SolverOptions()):
+    for i, _, _, sol, _, _ in _solve_graph(*_graph(g), None,
+                                           opts or SolverOptions()):
         yield i, sol
+
+
+def _solve(k_out, k_in, directed: bool, opts: SolverOptions | None):
+    """Check a degree sequence and solve it as a graph with no links,
+    conditioned on no node; expand the solution to nodes."""
+    k_out = np.asarray(k_out, dtype=np.int64)
+    k_in = np.asarray(k_in, dtype=np.int64)
+    n = len(k_out)
+    for arr in (k_out, k_in):
+        if np.any(arr < 0) or (n > 0 and np.any(arr > n - 1)):
+            raise InputError("degrees must lie in [0, n-1]")
+    if int(k_out.sum()) != int(k_in.sum()):
+        raise InputError("sum of out-degrees must equal sum of in-degrees")
+    if not directed and int(k_out.sum()) % 2 != 0:
+        raise InputError("undirected degree sum must be even")
+
+    no_links = (np.zeros(0, np.int64),) * 2
+    ((_, x, y, sol, residual, iterations),) = _solve_graph(
+        n, directed, no_links, (k_out, k_in), [], opts or SolverOptions())
+    sol = _converged(sol, residual, iterations, [])
+    params = ParamVector(directed=directed, x=x[sol.node_cls],
+                         y=y[sol.node_cls] if directed else None,
+                         residual=residual, iterations=iterations)
+    return params, sol.expand()
+
+
+def solve_ubcm(deg: DegreeSeq, opts: SolverOptions | None = None):
+    """Solve the undirected configuration model for a degree sequence.
+
+    Returns (ParamVector, ProbMatrix) with max_i |k_i - sum_j p_ij| within
+    opts.tolerance.
+    """
+    if deg.directed:
+        raise InputError("solve_ubcm needs an undirected degree sequence")
+    return _solve(deg.k, deg.k, False, opts)
+
+
+def solve_dbcm(deg: DegreeSeq, opts: SolverOptions | None = None):
+    """Directed analogue of solve_ubcm, constraining out- and in-degrees."""
+    if not deg.directed:
+        raise InputError("solve_dbcm needs a directed degree sequence")
+    return _solve(deg.k_out, deg.k_in, True, opts)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from inforank import (ClearingProblem, ExternalsConfig, InputError,
                       SolverError, build_liabilities, clear, degree_sequence,
                       fit_trend, make_graph, risk_error_experiment,
-                      sample_ensemble, solve_conditioned_set, solve_dbcm)
+                      sample_ensemble, solve_dbcm)
 from inforank.clearing import (CLEAR_MAX_ITER, CLEAR_TOL, RiskExperiment,
                                _clear)
 from inforank import SampleSpec, clearing
@@ -289,7 +289,7 @@ def test_risk_scorer_matches_validated_clearing():
     res = risk_error_experiment(g, samples_per_node=samples, seed=seed)
     exp = RiskExperiment(g, samples_per_node=samples, seed=seed)
     for node in range(g.n):
-        cond = solve_conditioned_set(g, [node])
+        cond = solve_classes(g, [node]).expand()
         w = exp.volume / float(cond.p.sum())
         errors = np.empty(samples)
         words = seed_words(seed, node, samples)

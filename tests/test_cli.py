@@ -376,7 +376,7 @@ def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
     spec = argv[argv.index("--generate") + 1]
     seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
     g = from_spec(spec, seed=seed, directed="--directed" in argv)
-    pm = (maxent.solve_conditioned_set(g, [int(argv[-1])])
+    pm = (maxent.solve_classes(g, [int(argv[-1])]).expand()
           if "--conditioned-on" in argv else maxent.solve_benchmark(g))
     draws = sample_ensemble(pm, SampleSpec(count=4, seed=seed))
     expect = "".join(f"# seed={seed} sample={t}\n"

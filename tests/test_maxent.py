@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, ProbMatrix,
                       SolverError, SolverOptions, UndefinedIndexError,
                       degree_sequence, inforank, inforank_subset, make_graph,
-                      maxent, solve_benchmark, solve_conditioned_set,
-                      solve_dbcm, solve_ubcm)
+                      maxent, solve_benchmark, solve_dbcm, solve_ubcm)
 from inforank.graphs import DegreeSeq
 from inforank.generators import barabasi_albert, erdos_renyi, star
 
@@ -178,7 +177,7 @@ def test_dbcm_residuals_and_sum_mismatch():
 
 def test_conditioned_star_center_deterministic_remainder():
     g = star(5)
-    pm = solve_conditioned_set(g, [0])
+    pm = maxent.solve_classes(g, [0]).expand()
     assert np.all(pm.p[0, 1:] == 1.0)
     sub = pm.p[1:, 1:]
     assert np.all(sub == 0.0)
@@ -189,7 +188,7 @@ def test_conditioned_star_center_deterministic_remainder():
 def test_conditioned_isolated_node_equals_restricted_benchmark():
     g = erdos_renyi(20, 0.3, seed=2)
     g_iso = make_graph(21, sorted(g.edges))
-    pm_cond = solve_conditioned_set(g_iso, [20])
+    pm_cond = maxent.solve_classes(g_iso, [20]).expand()
     _, pm_bench = solve_ubcm(degree_sequence(g))
     assert np.abs(pm_cond.p[:20, :20] - pm_bench.p).max() < 1e-8
     assert np.all(pm_cond.p[20, :] == 0.0)
@@ -198,7 +197,7 @@ def test_conditioned_isolated_node_equals_restricted_benchmark():
 def test_conditioned_p4_end_matches_reduced_oracle():
     p_em, p_ee = reduced_131_bisection()
     assert abs(p_em - 1.0) < 1e-8 and abs(p_ee - 0.0) < 1e-8
-    pm = solve_conditioned_set(P4, [0])
+    pm = maxent.solve_classes(P4, [0]).expand()
     # remaining system (nodes 1,2,3 with reduced degrees 1,2,1) saturates
     assert pm.p[2, 1] == 1.0 and pm.p[2, 3] == 1.0
     assert pm.p[1, 3] == 0.0
@@ -210,7 +209,7 @@ def test_conditioned_forced_entries_match_adjacency_bit_exact():
         g = erdos_renyi(15, 0.25, seed=4, directed=directed)
         a = g.adjacency()
         for node in (0, 7):
-            pm = solve_conditioned_set(g, [node])
+            pm = maxent.solve_classes(g, [node]).expand()
             assert np.all(pm.p[node, :] == a[node, :])
             assert np.all(pm.p[:, node] == a[:, node])
 
@@ -222,7 +221,7 @@ def test_conditioned_set_validation(monkeypatch):
     monkeypatch.setattr(maxent, "_solve_systems", solve)
     for bad in ([], [0, 1, 2, 3], [9]):
         with pytest.raises(InputError):
-            solve_conditioned_set(P4, bad)
+            maxent.solve_classes(P4, bad)
         with pytest.raises(InputError):
             inforank_subset(P4, bad)
 
@@ -348,7 +347,7 @@ def test_classifier_matches_oracles_on_conditioned_systems(monkeypatch, g):
 def test_conditioned_nonconvergence_names_node():
     g = erdos_renyi(30, 0.2, seed=8)
     with pytest.raises(SolverError) as exc:
-        solve_conditioned_set(g, [3], SolverOptions(tolerance=1e-10, max_iterations=2))
+        maxent.solve_classes(g, [3], SolverOptions(tolerance=1e-10, max_iterations=2))
     assert exc.value.node == 3
 
 

@@ -4,8 +4,9 @@ import pytest
 from inforank import (FORCED_OBS, AccuracyReport, InputError, ProbMatrix,
                       RankVector, UndefinedCorrelationError, accuracy_report,
                       degree_sequence, expected_accuracy, make_graph, pearson,
-                      rescale, solve_conditioned_set, solve_ubcm)
+                      rescale, solve_ubcm)
 from inforank.generators import erdos_renyi, star
+from inforank.maxent import solve_classes
 
 from helpers import relabel
 from oracles import pearson_two_pass
@@ -63,7 +64,7 @@ def test_accuracy_invariant_under_relabeling():
 
 def test_node_accuracy_star_center_is_one():
     g = star(5)
-    assert expected_accuracy(solve_conditioned_set(g, [0]), g) == 1.0
+    assert expected_accuracy(solve_classes(g, [0]).expand(), g) == 1.0
 
 
 def test_node_accuracy_isolated_appended():
@@ -74,17 +75,17 @@ def test_node_accuracy_isolated_appended():
     _, pm = solve_ubcm(degree_sequence(g))
     inner = expected_accuracy(pm, g)
     expect = (inner * (15 * 14) + 2 * 15) / (16 * 15)
-    got = expected_accuracy(solve_conditioned_set(g_iso, [15]), g_iso)
+    got = expected_accuracy(solve_classes(g_iso, [15]).expand(), g_iso)
     assert abs(got - expect) < 1e-8
 
 
 def test_node_accuracy_p4_end_fully_determined():
-    assert expected_accuracy(solve_conditioned_set(P4, [0]), P4) == 1.0
+    assert expected_accuracy(solve_classes(P4, [0]).expand(), P4) == 1.0
 
 
 def test_forced_entries_contribute_exactly_their_count():
     g = erdos_renyi(12, 0.3, seed=7)
-    pm = solve_conditioned_set(g, [4])
+    pm = solve_classes(g, [4]).expand()
     a = g.adjacency()
     obs = pm.forced == FORCED_OBS
     terms = a * pm.p + (1 - a) * (1 - pm.p)

@@ -108,9 +108,8 @@ def test_pair_frequency_calibration():
 
 def test_forced_entries_copied_exactly():
     from inforank.generators import star
-    from inforank import solve_conditioned_set
     g = star(6)
-    pm = solve_conditioned_set(g, [0])
+    pm = solve_classes(g, [0]).expand()
     for s in sample_ensemble(pm, SampleSpec(count=20, seed=9)):
         assert all((0, i) in s.edges for i in range(1, 6))
         assert degree_sequence(s).k.tolist() == [5, 1, 1, 1, 1, 1]

@@ -5,15 +5,17 @@ interpreter per point.
 Usage:
 
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
-        [--ba 200,400,800,1600] [--sf 200,400,800] [--risk 60,120,240,300]
-        [--stack-elements 8192,65536] [--seed 1] > scale.json
+        [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
+        [--risk 60,120,240,300] [--stack-elements 8192,65536] [--seed 1]
+        > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
-`src`). Each point is BA(n, 3) (`--ba`) or directed scale-free(n, 2)
-(`--sf`) from that tree's own generators with `--seed`, ranked by
+`src`). Each point is BA(n, 3) (`--ba`), directed scale-free(n, 2)
+(`--sf`) or star(n) (`--star`), whose every conditioned system pins its
+boundary, from that tree's own generators with `--seed`, ranked by
 `inforank()` with default options in a new `python3` process, or directed
 scale-free(n, 2) run through `risk_error_experiment()` with 100 samples
-per node and its other defaults (`--risk`). With none of the three
+per node and its other defaults (`--risk`). With none of the four
 options, the BA and scale-free defaults shown above run. The child
 reports the wall time of the `inforank()` or `risk_error_experiment()`
 call, the minor page faults it took (`ru_minflt` after minus before), the
@@ -49,13 +51,16 @@ src, model, n, seed, stack = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
 from inforank import inforank, maxent, risk_error_experiment
-from inforank.generators import barabasi_albert, scale_free_directed
+from inforank.generators import barabasi_albert, scale_free_directed, star
 if not maxent.__file__.startswith(src):
     sys.exit(f"inforank imported from {maxent.__file__}, not from {src}")
 if stack != "default":
     maxent.STACK_ELEMENTS = int(stack)
-make = barabasi_albert if model == "ba" else scale_free_directed
-g = make(int(n), 3 if model == "ba" else 2, seed=int(seed))
+if model == "star":
+    g = star(int(n))
+else:
+    make = barabasi_albert if model == "ba" else scale_free_directed
+    g = make(int(n), 3 if model == "ba" else 2, seed=int(seed))
 before = resource.getrusage(resource.RUSAGE_SELF)
 t0 = time.perf_counter()
 if model == "risk":
@@ -118,11 +123,12 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--ba", type=ints)
     ap.add_argument("--sf", type=ints)
+    ap.add_argument("--star", type=ints)
     ap.add_argument("--risk", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
-    if args.ba is args.sf is args.risk is None:
+    if args.ba is args.sf is args.star is args.risk is None:
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
@@ -131,7 +137,7 @@ def main() -> None:
     stacks = [str(v) for v in args.stack_elements] if args.stack_elements else ["default"]
     cases = [(model, n, stack) for stack in stacks
              for model, sizes in (("ba", args.ba), ("sf", args.sf),
-                                  ("risk", args.risk))
+                                  ("star", args.star), ("risk", args.risk))
              for n in sizes or ()]
     points = []
     for rnd in range(args.rounds):
