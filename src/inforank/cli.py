@@ -42,7 +42,7 @@ from .generators import from_spec
 from .graphs import degree_sequence, load_edge_list
 from .maxent import SolverOptions, solve_classes
 from .recon import AccuracyReport, class_accuracy, solved_pearson
-from .sampling import SampleSpec, class_sample
+from .sampling import SampleSpec, class_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -297,21 +297,21 @@ def cmd_sample(args) -> int:
     nodes = None if args.conditioned_on is None else [args.conditioned_on]
     sol = solve_classes(g, nodes, opts)
     labels = np.array([g.label(i) for i in range(g.n)], dtype=object)
+    draws = class_samples(sol, [(spec.seed, t) for t in range(spec.count)])
 
-    def sample_text(t: int) -> str:  # the header, then one line per edge
-        tails, heads = class_sample(sol, (spec.seed, t))
+    def sample_text(t: int, tails, heads) -> str:  # a header, then the edges
         lines = (labels[tails] + " " + labels[heads]).tolist()
         return (f"# seed={args.seed} sample={t}\n"
                 + ("\n".join(lines) + "\n" if lines else ""))
 
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-        for t in range(spec.count):
-            (outdir / f"sample_{t:05d}.edges").write_text(sample_text(t))
+        for t, draw in enumerate(draws):
+            (outdir / f"sample_{t:05d}.edges").write_text(sample_text(t, *draw))
         sys.stdout.write(f"wrote {spec.count} samples to {outdir}\n")
     else:
-        for t in range(spec.count):
-            sys.stdout.write(sample_text(t))
+        for t, draw in enumerate(draws):
+            sys.stdout.write(sample_text(t, *draw))
     return EXIT_OK
 
 

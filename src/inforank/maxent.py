@@ -194,6 +194,9 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
     tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + c + cols])
     head = np.concatenate([1 + rows, 1 + c + j, np.full(len(cols), sink)])
     cap = np.concatenate([m[rows] * k_out[rows], pairs[i, j], m[cols] * k_in[cols]])
+    if cap.max(initial=0) > np.iinfo(np.int32).max:  # maximum_flow's dtype
+        raise InputError(f"a class total of {cap.max()} links is past the "
+                         "int32 capacities of the boundary's max flow")
     net = csr_matrix((cap.astype(np.int32), (tail, head)), shape=(sink + 1,) * 2)
     flow = maximum_flow(net, 0, sink).flow
     _, comp = connected_components((net - flow) > 0, directed=True,

@@ -1,12 +1,19 @@
 """Bernoulli sampling of graphs from an ensemble's link probabilities.
 
 Sample t of a run uses the derived seed (seed, t), so samples are mutually
-independent, individually reproducible and safe to generate in parallel. A
-draw streams the probability matrix in blocks of rows, so `class_sample`,
-the `sample` command's draw, builds no n x n array. `adjacency_samples`,
-the risk scorer's draw, fills a caller's stack of n x n matrices, one per
-seed; each holds the same directed draw from the same seed. It has no
-undirected draw: the risk experiment runs on directed networks only.
+independent, individually reproducible and safe to generate in parallel.
+`_edges` is the one graph draw, behind `sample_graph`, `sample_ensemble`
+and `class_samples`, the `sample` command's draw. It streams the
+probability matrix in blocks of rows and draws its seeds in passes: a pass
+gathers each block once and compares it with each of its seeds' uniforms in
+turn, so `class_samples` builds no n x n array and gathers each block once
+per pass, not once per sample. An undirected draw compares only the columns
+right of a block's first row. A pass holds its seeds' hits until each seed
+is yielded, so its size falls with the expected edge count, and peak memory
+does not grow as n^2. `adjacency_samples`, the risk scorer's draw, fills a
+caller's stack of n x n matrices, one per seed; each holds the same
+directed draw from the same seed. It has no undirected draw: the risk
+experiment runs on directed networks only.
 
 Every draw takes its uniforms from the stream of default_rng(seed). The
 risk scorer draws thousands of small matrices, and seeding a fresh
@@ -52,56 +59,92 @@ class SampleSpec:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
-def _edges(rows, n: int, directed: bool, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of one draw's edges, in row-major order; an entry is
-    a hit when its uniform is below p_ij.
+def _pass_shape(n: int, edges: int) -> tuple[int, int]:
+    """Rows per block and seeds per pass of a draw of n nodes with `edges`
+    expected edges per draw (see _edges)."""
+    step = min(BLOCK_ELEMENTS // n or 1, n)
+    return step, min(BLOCK_ELEMENTS // max(4 * edges, 1), step) or 1
+
+
+def _edges(rows, n: int, directed: bool, seeds, edges: int):
+    """Yield the tails and heads of one draw's edges per seed of the list
+    `seeds`, in order, each in row-major order; an entry is a hit when its
+    uniform is below p_ij.
 
     rows(block) returns p[block] for a slice of rows of the n x n p. Each
     block of at most BLOCK_ELEMENTS entries takes the next rows of one
-    default_rng(seed).random((n, n)), so the draw does not depend on the
-    block size. The diagonal is cleared, and an undirected draw keeps j > i
-    only.
+    default_rng(seed).random((n, n)), so a draw does not depend on the block
+    size. The diagonal is cleared, and an undirected draw compares the
+    columns j >= r0 of a block only and keeps j > i.
+
+    The seeds are drawn in passes that share each block's gather: a pass
+    gathers every block once and fills it with each of its seeds' uniforms
+    in turn. A pass holds each of its seeds' hits until that seed is
+    yielded, so it takes at most BLOCK_ELEMENTS // (4 * edges) seeds for
+    `edges` expected edges per draw, and no more seeds than a block has
+    rows, which bounds the generators it holds.
     """
-    rng = np.random.default_rng(seed)
-    step = BLOCK_ELEMENTS // n or 1
-    tails, heads = [], []
-    for r0 in range(0, n, step):
-        p = rows(slice(r0, r0 + step))
-        hit = rng.random(p.shape) < p
-        if directed:
-            hit.ravel()[r0::n + 1] = False  # (i, i); hit is contiguous
-        else:  # j <= i lies in the columns up to r0 and the block's square
-            hit[:, :r0] = False
-            square = hit[:, r0:r0 + len(hit)]
-            square[...] = np.triu(square, 1)
-        i, j = divmod(np.flatnonzero(hit), n)
-        tails.append(i + r0)
-        heads.append(j)
-    return np.concatenate(tails), np.concatenate(heads)
+    step, per_pass = _pass_shape(n, edges)
+    uniforms = np.empty((step, n))
+    hit_buffer = np.empty(step * n, bool)
+    upper = np.triu(np.ones((step, step), bool), 1)  # j > i in a block's square
+    blocks = [(r0, 0 if directed else r0) for r0 in range(0, n, step)]
+    for s0 in range(0, len(seeds), per_pass):
+        rngs = [np.random.default_rng(seed) for seed in seeds[s0:s0 + per_pass]]
+        held = [[] for _ in rngs]  # per seed, the flat hits of each block
+        for r0, c0 in blocks:
+            p = rows(slice(r0, r0 + step))
+            b, width = len(p), n - c0
+            u, hit = uniforms[:b], hit_buffer[:b * width].reshape(b, width)
+            for rng, hits in zip(rngs, held):
+                rng.random(out=u)
+                np.less(u[:, c0:], p[:, c0:], out=hit)
+                if directed:
+                    hit.ravel()[r0::n + 1] = False  # (i, i); hit is contiguous
+                else:  # j <= i of the compared columns lies in the square
+                    hit[:, :b] &= upper[:b, :b]
+                hits.append(np.flatnonzero(hit))
+            del p  # before the next block's gather
+        for hits in held:
+            tails, heads = [], []
+            for (r0, c0), flat in zip(blocks, hits):
+                i, j = divmod(flat, n - c0)
+                tails.append(i + r0)
+                heads.append(j + c0)
+            yield np.concatenate(tails), np.concatenate(heads)
+
+
+def _graphs(pm: ProbMatrix, seeds):
+    """Yield the graph of one draw per seed of the list `seeds`."""
+    edges = int(pm.p.sum()) // (1 if pm.directed else 2)
+    for tails, heads in _edges(pm.p.__getitem__, pm.n, pm.directed, seeds, edges):
+        yield make_graph(pm.n, zip(tails.tolist(), heads.tolist()),
+                         directed=pm.directed)
 
 
 def sample_graph(pm: ProbMatrix, seed) -> Graph:
     """One graph draw: each entry is an independent Bernoulli(p_ij), one
     per unordered pair when undirected."""
-    tails, heads = _edges(pm.p.__getitem__, pm.n, pm.directed, seed)
-    return make_graph(pm.n, zip(tails.tolist(), heads.tolist()),
-                      directed=pm.directed)
+    (g,) = _graphs(pm, [seed])
+    return g
 
 
 def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
     """Yield spec.count independent draws with per-sample derived seeds."""
-    for t in range(spec.count):
-        yield sample_graph(pm, seed=(spec.seed, t))
+    return _graphs(pm, [(spec.seed, t) for t in range(spec.count)])
 
 
-def class_sample(sol: ClassSolution, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads, in row-major order, of the edges of
-    sample_graph(sol.expand(), seed), drawn from the classes with no n x n
-    array. Like expand, it rejects an ensemble of no nodes."""
+def class_samples(sol: ClassSolution, seeds):
+    """Yield, per seed of the list `seeds`, the tails and heads, in
+    row-major order, of the edges of sample_graph(sol.expand(), seed),
+    drawn from the classes with no n x n array. The graph's edge count,
+    which the ensemble's expected count matches, sizes the passes. Like
+    expand, it rejects an ensemble of no nodes."""
     if sol.n == 0:
         raise InputError("probability matrix must have at least one node")
+    edges = len(sol.links[0]) // (1 if sol.directed else 2)
     return _edges(lambda block: sol.rows(block.start, block.stop),
-                  sol.n, sol.directed, seed)
+                  sol.n, sol.directed, seeds, edges)
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:

@@ -392,6 +392,29 @@ def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
     assert "".join(p.read_text() for p in sorted(outdir.iterdir())) == expect
 
 
+def test_sample_gathers_each_row_block_once_per_pass(tmp_path, monkeypatch):
+    # ER(60, .03) in blocks of 1000 entries: 16 rows, so 4 blocks, and
+    # passes of 1000 // (4 * 60 edges) = 4 seeds, so 10 samples take 3
+    # passes, the last of 2 seeds, and 12 gathers of ClassSolution.rows,
+    # where a gather per block and sample would make 40
+    monkeypatch.setattr(sampling, "BLOCK_ELEMENTS", 1000)
+    gathers = []
+    rows = maxent.ClassSolution.rows
+
+    def counted(sol, r0, r1):
+        gathers.append((r0, r1))
+        return rows(sol, r0, r1)
+
+    monkeypatch.setattr(maxent.ClassSolution, "rows", counted)
+    g = from_spec("er:60,0.03", seed=4)
+    assert (g.n, g.m) == (60, 60)
+    assert main(["sample", "--generate", "er:60,0.03", "--seed", "4",
+                 "--samples", "10", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert len(list(tmp_path.iterdir())) == 10
+    blocks = [(0, 16), (16, 32), (32, 48), (48, 64)]
+    assert gathers == blocks * 3
+
+
 @pytest.mark.parametrize("flags", [
     ["--output", "x.txt"], ["--output=x.txt"], ["--format", "csv"],
     ["--format", "csv", "--output", "x.txt"],

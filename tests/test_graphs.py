@@ -8,7 +8,7 @@ from inforank.generators import (barabasi_albert, erdos_renyi, from_spec,
                                  scale_free_directed)
 from inforank.graphs import Graph
 from inforank.maxent import solve_classes
-from inforank.sampling import class_sample
+from inforank.sampling import class_samples
 
 from helpers import relabel
 from oracles import (barabasi_albert_choice, dense_matrix, erdos_renyi_loops,
@@ -102,8 +102,8 @@ def test_round_trip_identity(tmp_path):
         assert len(files) == 3
         sol = solve_classes(g, nodes)
         pair = tuple if g.directed else frozenset
-        for t, f in enumerate(files):
-            tails, heads = class_sample(sol, (seed, t))
+        draws = class_samples(sol, [(seed, t) for t in range(3)])
+        for f, (tails, heads) in zip(files, draws, strict=True):
             drawn = {pair((g.label(i), g.label(j))) for i, j in zip(tails, heads)}
             h = load_edge_list(f.read_text(), directed=g.directed)
             assert {pair((h.label(i), h.label(j))) for i, j in h.edges} == drawn

@@ -477,6 +477,15 @@ def test_star_pins_on_classes():
     assert np.abs(row_sums(pm) - k).max() <= 1e-10
 
 
+def test_pin_boundary_rejects_totals_past_int32():
+    # one class of m = 50 000 nodes of degree 49 999, a complete graph:
+    # its source arc's m * k = 2 499 950 000 would wrap in maximum_flow's
+    # int32 capacities, so the pinning refuses it before the cast
+    m, k = np.array([50_000]), np.array([49_999])
+    with pytest.raises(InputError, match="int32"):
+        maxent._pin_boundary(k, k, m)
+
+
 def assert_class_core_matches_dense(k_out, k_in, directed):
     """The class solve against the dense node-level oracle: p, FORCED_LIM,
     iteration counts, and SolverError at max_iterations=1."""

@@ -10,8 +10,8 @@ from inforank import (InputError, ProbMatrix, SampleSpec, degree_sequence,
 from inforank.clearing import RiskExperiment
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
-from inforank.sampling import (_pcg64_state, adjacency_samples, class_sample,
-                               seed_words)
+from inforank.sampling import (_pass_shape, _pcg64_state, adjacency_samples,
+                               class_samples, seed_words)
 
 from helpers import small_graph
 from oracles import dense_draw
@@ -134,7 +134,7 @@ def test_streamed_draw_matches_dense_oracle(case, spare):
     pm = sol.expand()
     hit = dense_draw(pm.p, g.directed, (seed, node, 0))
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
-        tails, heads = class_sample(sol, (seed, node, 0))
+        ((tails, heads),) = class_samples(sol, [(seed, node, 0)])
         graph = sample_graph(pm, (seed, node, 0))
         if g.directed:
             (adjacency,) = adjacency_samples(pm.p, seed_words(seed, node, 1),
@@ -167,15 +167,64 @@ def test_stacked_draw_matches_dense_oracle(case, count, spare):
 def test_streamed_draw_matches_dense_oracle_on_large_graphs(budget):
     # BA(300, 3) and directed SF(200, 2) conditioned on node 0, in blocks
     # of one row, of 7 and 11 rows (which divide neither n) and of the
-    # default size
+    # default size, over one pass of seeds and one more seed: at the
+    # default size, a pass of 18 and 20 seeds over two blocks and one
     for g, nodes in ((barabasi_albert(300, 3, seed=1), None),
                      (scale_free_directed(200, 2, seed=2), [0])):
         sol = solve_classes(g, nodes)
-        hit = dense_draw(sol.expand().p, g.directed, (5, 1))
+        p = sol.expand().p
         with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
-            tails, heads = class_sample(sol, (5, 1))
-        i, j = np.nonzero(hit)
-        assert np.array_equal(tails, i) and np.array_equal(heads, j)
+            seeds = [(5, t) for t in range(_pass_shape(g.n, g.m)[1] + 1)]
+            draws = list(class_samples(sol, seeds))
+        assert len(draws) == len(seeds)
+        for (tails, heads), seed in zip(draws, seeds):
+            i, j = np.nonzero(dense_draw(p, g.directed, seed))
+            assert np.array_equal(tails, i) and np.array_equal(heads, j)
+
+
+@st.composite
+def _sparse_graph(draw):
+    """ER(n, 2 / n), n from 9 to 40: few edges per row, so that a pass
+    of several seeds spans several blocks."""
+    n = draw(st.integers(9, 40))
+    g = erdos_renyi(n, 2 / n, seed=draw(st.integers(0, 2**16)),
+                    directed=draw(st.booleans()))
+    return g, draw(st.integers(0, n - 1))
+
+
+def _pass_cases():
+    """A small graph and its drawn node, whether to condition on it, the
+    draw's BLOCK_ELEMENTS and how many seeds to draw, as a function of the
+    pass size: one seed, exactly one pass, or a pass and a remainder."""
+    def budgets(case):
+        (g, _), _ = case
+        return st.sampled_from([1, g.n - 1, g.n + 1, 8 * g.m + g.n,
+                                sampling.BLOCK_ELEMENTS])
+    graphs = st.tuples(small_graph() | _sparse_graph(), st.booleans())
+    return graphs.flatmap(lambda case: st.tuples(
+        st.just(case), budgets(case), st.sampled_from(["one", "pass", "more"]),
+        st.integers(1, 5), st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_pass_cases())
+def test_class_samples_match_sample_graph_seed_for_seed(case):
+    # directed and undirected, plain and conditioned on one node, in blocks
+    # of one row, of n - 1 or n + 1 entries, of a few rows shared by a pass
+    # of several seeds, and of the default size: each draw yields the
+    # sorted edges of sample_graph's draw from the expanded ensemble
+    ((g, node), conditioned), budget, count, more, seed = case
+    sol = solve_classes(g, [node] if conditioned else None)
+    pm = sol.expand()
+    with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
+        per_pass = _pass_shape(g.n, g.m)[1]
+        seeds = [(seed, t) for t in range(
+            {"one": 1, "pass": per_pass, "more": per_pass + more}[count])]
+        draws = list(class_samples(sol, seeds))
+    assert len(draws) == len(seeds)
+    for (tails, heads), s in zip(draws, seeds):
+        drawn = list(zip(tails.tolist(), heads.tolist()))
+        assert drawn == sorted(sample_graph(pm, s).edges)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -6,7 +6,8 @@ Usage:
 
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
         [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
-        [--risk 60,120,240,300] [--stack-elements 8192,65536] [--seed 1]
+        [--risk 60,120,240,300] [--sample 600,1200,2400]
+        [--stack-elements 8192,65536] [--seed 1]
         > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
@@ -15,12 +16,16 @@ SRC is the directory that holds the `inforank` package (a checkout's
 boundary, from that tree's own generators with `--seed`, ranked by
 `inforank()` with default options in a new `python3` process, or directed
 scale-free(n, 2) run through `risk_error_experiment()` with 100 samples
-per node and its other defaults (`--risk`). With none of the four
-options, the BA and scale-free defaults shown above run. The child
-reports the wall time of the `inforank()` or `risk_error_experiment()`
-call, the minor page faults it took (`ru_minflt` after minus before), the
-process's peak RSS (`ru_maxrss`) and a sha256 of S0, S_cond, S0_contrib,
-I and the failed flags, or of the risk experiment's mse. With
+per node and its other defaults (`--risk`), or the CLI's `sample
+--generate ba:N,3 --samples 100 --seed SEED --output-dir DIR` through
+`inforank.cli.main` (`--sample`), so that every tree runs the command
+through its own code. With none of the five options, the BA and
+scale-free defaults shown above run. The child reports the wall time of
+the `inforank()`, `risk_error_experiment()` or `main()` call, the minor
+page faults it took (`ru_minflt` after minus before), the process's peak
+RSS (`ru_maxrss`) and a sha256 of S0, S_cond, S0_contrib, I and the
+failed flags, of the risk experiment's mse, or of the names and bytes of
+the sample files, in name order. With
 `--stack-elements`, the child sets `maxent.STACK_ELEMENTS` to each value
 in turn before the call.
 
@@ -46,11 +51,12 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import hashlib, json, resource, sys, time
+import hashlib, json, pathlib, resource, sys, tempfile, time
 src, model, n, seed, stack = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
 from inforank import inforank, maxent, risk_error_experiment
+from inforank.cli import main
 from inforank.generators import barabasi_albert, scale_free_directed, star
 if not maxent.__file__.startswith(src):
     sys.exit(f"inforank imported from {maxent.__file__}, not from {src}")
@@ -58,6 +64,8 @@ if stack != "default":
     maxent.STACK_ELEMENTS = int(stack)
 if model == "star":
     g = star(int(n))
+elif model == "sample":
+    out = tempfile.TemporaryDirectory()
 else:
     make = barabasi_albert if model == "ba" else scale_free_directed
     g = make(int(n), 3 if model == "ba" else 2, seed=int(seed))
@@ -65,14 +73,23 @@ before = resource.getrusage(resource.RUSAGE_SELF)
 t0 = time.perf_counter()
 if model == "risk":
     r = risk_error_experiment(g, samples_per_node=100)
+elif model == "sample":
+    if main(["sample", "--generate", f"ba:{n},3", "--samples", "100",
+             "--seed", seed, "--output-dir", out.name]):
+        sys.exit("sample failed")
 else:
     r = inforank(g)
 wall = time.perf_counter() - t0
 after = resource.getrusage(resource.RUSAGE_SELF)
 h = hashlib.sha256()
-for a in ((r.mse,) if model == "risk" else
-          (r.S0, r.S_cond, r.S0_contrib, r.I, r.failed)):
-    h.update(np.ascontiguousarray(a).tobytes())
+if model == "sample":
+    for f in sorted(pathlib.Path(out.name).iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    out.cleanup()
+else:
+    for a in ((r.mse,) if model == "risk" else
+              (r.S0, r.S_cond, r.S0_contrib, r.I, r.failed)):
+        h.update(np.ascontiguousarray(a).tobytes())
 print(json.dumps({"wall_s": round(wall, 4),
                   "minflt": after.ru_minflt - before.ru_minflt,
                   "maxrss_mb": round(after.ru_maxrss / 1024, 1),
@@ -125,10 +142,11 @@ def main() -> None:
     ap.add_argument("--sf", type=ints)
     ap.add_argument("--star", type=ints)
     ap.add_argument("--risk", type=ints)
+    ap.add_argument("--sample", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
-    if args.ba is args.sf is args.star is args.risk is None:
+    if args.ba is args.sf is args.star is args.risk is args.sample is None:
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
@@ -137,7 +155,8 @@ def main() -> None:
     stacks = [str(v) for v in args.stack_elements] if args.stack_elements else ["default"]
     cases = [(model, n, stack) for stack in stacks
              for model, sizes in (("ba", args.ba), ("sf", args.sf),
-                                  ("star", args.star), ("risk", args.risk))
+                                  ("star", args.star), ("risk", args.risk),
+                                  ("sample", args.sample))
              for n in sizes or ()]
     points = []
     for rnd in range(args.rounds):
