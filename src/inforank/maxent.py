@@ -28,9 +28,9 @@ degrees, so degenerate degrees are handled exactly before iterating: k_i = 0
 gives x_i = 0, and every pair that takes one value at all points of the
 polytope (a boundary face, e.g. a node whose degree equals its available
 partners) is pinned to it. A cut test on the sorted degrees decides whether
-a system has such pairs; only then are they found, by one maximum flow on
-the class network. The forced mask tells free probabilities from
-boundary-pinned ones and from those fixed by conditioning.
+a system has such pairs; only then are they read in closed form from the
+minimum cuts of its flow network. The forced mask tells free probabilities
+from boundary-pinned ones and from those fixed by conditioning.
 """
 from __future__ import annotations
 
@@ -107,11 +107,24 @@ class ProbMatrix:
 # directed polytope is the set of flows in the network
 #   source -> out_i (capacity k_out_i), out_i -> in_j (1, i != j),
 #   in_j -> sink (capacity k_in_j)
-# that saturate the source and the sink. A pair is fixed iff its arc lies on
-# no cycle of the residual graph of one such flow, i.e. its ends fall in
-# different strongly connected components (Regin, AAAI 1994). An undirected
-# sequence k is the symmetric case k_out = k_in = k: symmetrising a
-# fractional solution keeps every positive entry, so both fix the same pairs.
+# that saturate the source and the sink. A pair is fixed iff a minimum cut
+# separates its arc (where a residual graph fixes the arc, Regin, AAAI 1994,
+# the source and all that one end reaches is one). These cuts have a closed
+# form (Brualdi, Linear Algebra Appl. 33:159-231, 1980, with the forbidden
+# diagonal of Fulkerson-Chen-Anstee). With a set A of a rows (k_out > 0) on
+# the source side, column j goes to the sink side iff k_in_j >= a - [j in
+# A], either way on equality, and the cut is minimum iff
+#   sum_{i in A} w_i = sum_j min(k_in_j, a),   w = k_out + [k_in >= a].
+# Feasibility bounds the left side by the right, and descending (k_out,
+# k_in) order sorts w: such an A holds every row whose w is above theta, the
+# a-th largest, none below, and `need` of the tied rows, leaving `room` out.
+# Two tied rows are in A together iff need >= 2, out together iff room >= 2.
+# Between consecutive values p < p' of k_in and of the cumulative row
+# counts, both sides are linear in a on [p + 1, p' - 1], so the ends are
+# minimum cut sizes if any inside are; inside, no k_in is a or a - 1 and only
+# room changes, falling with a. So the sizes p - 1, p, p + 1 and 1 find
+# every fixed pair. An undirected k fixes the pairs of k_out = k_in = k, as
+# symmetrising a fractional solution keeps every positive entry.
 
 def _tight_cuts(k_out: np.ndarray, k_in: np.ndarray) -> np.ndarray:
     """Whether some cut of each row's flow network is tight, i.e. may fix a
@@ -120,10 +133,9 @@ def _tight_cuts(k_out: np.ndarray, k_in: np.ndarray) -> np.ndarray:
 
     Only rows R = {k_out > 0} and columns C = {k_in > 0} matter. A row or
     column is tight when its degree equals its available partners. A cut
-    through s rows, 1 <= s < |R|, has the largest excess
-        E(s) = sum of the s largest (k_out_i + [k_in_i >= s])
-               - sum_j min(k_in_j, s),
-    taken by the first s rows (Fulkerson-Chen-Anstee); E(s) = 0 is tight.
+    through s rows, 1 <= s < |R|, has the largest excess E(s), the sum of
+    the s largest w less sum_j min(k_in_j, s) (as above, with a = s), taken
+    by the first s rows (Fulkerson-Chen-Anstee); E(s) = 0 is tight.
     Any excess above zero means no feasible point and raises InputError for
     the first such row. Takes O(B N) time and memory.
     """
@@ -164,45 +176,33 @@ def _partners(m: np.ndarray) -> np.ndarray:
 
 
 def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
-    """Pin the class pairs the degree polytope fixes, in a system of class
-    degrees k_out, k_in and class sizes m with a tight cut (_tight_cuts).
-
-    Pins are invariant under degree-preserving permutations, so the flow
-    network aggregates to classes: source -> c (capacity m_c k_out_c),
-    c -> d (the m_c partners[c, d] pairs between them), d -> sink
-    (m_d k_in_d), over the rows with k_out > 0 and the columns with k_in >
-    0. A class pair is fixed iff its arc's ends fall in different strongly
-    connected components of one maximum flow's residual graph, at 1 where
-    it carries flow. Returns (k_out, k_in, free, ones) per class: the
-    degrees left after the pairs fixed at 1, the pairs left to the
-    iteration and those fixed at 1. The pairs not free are FORCED_LIM:
-    every pair fixed at 1, and one fixed at 0 while both of its ends keep a
-    positive degree; one fixed at 0 with a saturated end stays free and
-    comes out as an exact 0 through x = 0 there.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, maximum_flow
-
-    c = len(m)
-    rows, cols = np.flatnonzero(k_out > 0), np.flatnonzero(k_in > 0)
+    """Pin the pairs that the cuts above fix in a tight class system, of
+    class degrees k_out, k_in and sizes m (ascending). Returns (k_out, k_in,
+    free, ones) per class: the degrees left after the pairs fixed at 1, the
+    pairs left to the iteration and those fixed at 1. The others are
+    FORCED_LIM, but one fixed at 0 with a saturated end stays free (x = 0)."""
+    rows, ends = k_out > 0, np.cumsum(m[::-1])[::-1]  # c's last place, descending
+    a = np.concatenate([k_in, ends[rows]]) + np.array([[-1], [0], [1]])
+    a = np.unique(np.clip(np.append(a, 1), 1, m @ rows))[:, None]
+    w = k_out + (k_in >= a)
+    theta = np.take_along_axis(w, (ends >= a).sum(axis=1, keepdims=True) - 1, 1)
+    up, tie = rows & (w > theta), rows & (w == theta)
+    need = a - up @ m[:, None]
+    cut = ((up * w) @ m)[:, None] + need * theta == np.minimum(k_in, a) @ m[:, None]
+    a, w, theta, up, tie, need = (v[cut[:, 0]] for v in (a, w, theta, up, tie, need))
+    room = tie @ m[:, None] - need
+    inside, out_tie = up | tie, tie & (room > 0)
+    out = ~rows | (w < theta) | out_tie
+    # hits(p, q)[c, d]: how many cut sizes have p[., c] and q[., d]; the
+    # second hits take back those where two tied rows find need (room) < 2
+    hits = lambda p, q: p.T.astype(float) @ q  # exact: counts below 2^53
+    one = (hits(inside, (k_in >= a) | inside & (k_in == a - 1))
+           > hits(tie, tie & (k_in == a - 1) & (need < 2)))
+    zero = (hits(out, (k_in < a) | out & (k_in == a))
+            > hits(out_tie, out_tie & (k_in == a) & (room < 2)))
     partners = _partners(m)
-    pairs = m[:, None] * partners
-    arcs = np.outer(k_out > 0, k_in > 0) & (pairs > 0)
-    i, j = np.nonzero(arcs)
-    # nodes: source 0, out_c = 1 + c, in_d = 1 + C + d, sink 2C + 1
-    sink = 2 * c + 1
-    tail = np.concatenate([np.zeros(len(rows), np.int64), 1 + i, 1 + c + cols])
-    head = np.concatenate([1 + rows, 1 + c + j, np.full(len(cols), sink)])
-    cap = np.concatenate([m[rows] * k_out[rows], pairs[i, j], m[cols] * k_in[cols]])
-    if cap.max(initial=0) > np.iinfo(np.int32).max:  # maximum_flow's dtype
-        raise InputError(f"a class total of {cap.max()} links is past the "
-                         "int32 capacities of the boundary's max flow")
-    net = csr_matrix((cap.astype(np.int32), (tail, head)), shape=(sink + 1,) * 2)
-    flow = maximum_flow(net, 0, sink).flow
-    _, comp = connected_components((net - flow) > 0, directed=True,
-                                   connection="strong")
-    fixed = arcs & (comp[1:c + 1, None] != comp[None, c + 1:sink])
-    ones = fixed & (flow[1:c + 1, c + 1:sink].toarray() > 0)
+    arcs = np.outer(rows, k_in > 0) & (partners > 0)
+    fixed, ones = arcs & (one | zero), arcs & one
     k_out = k_out - (ones * partners).sum(axis=1)
     k_in = k_in - (ones * partners.T).sum(axis=0)
     return k_out, k_in, ~(ones | (fixed & np.outer(k_out > 0, k_in > 0))), ones
@@ -263,7 +263,7 @@ def _classify(k_out: np.ndarray, k_in: np.ndarray) -> list[_System]:
     A row's classes are its distinct (k_out, k_in) in ascending order, as
     np.unique orders their keys. One row-wise sort finds every row's
     classes, one cut test (_tight_cuts) runs on every row, and only the
-    rows it flags are pinned, by one maximum flow each. Each system holds
+    rows it flags are pinned (_pin_boundary). Each system holds
     its own copies of its O(C) class arrays, no view of the chunk's.
     """
     key, base = _key(k_out, k_in)

@@ -54,3 +54,31 @@ def small_graph(draw, directed=st.booleans()):
     edges = [(i, j) for i in range(n) for j in range(n)
              if hit[i, j] and i != j and (directed or i < j)]
     return make_graph(n, edges, directed=directed), draw(st.integers(0, n - 1))
+
+
+FACES = ("er", "threshold", "hubs")
+
+
+def face_adjacency(rng: np.random.Generator, b: int, n: int, directed: bool,
+                   density: float, face: str) -> np.ndarray:
+    """b random (n, n) adjacency rows, symmetric when undirected, with no
+    self-links. "er" links each pair with probability density. "threshold"
+    links i to j where x_i + y_j passes a threshold, for small integer
+    weights (y = x undirected): a nested split graph or digraph, whose
+    degrees fix the most pairs and tie many classes of different (k_out,
+    k_in) at equal cut weight. "hubs" adds 2-3 saturated hubs, linked to and
+    from every other node, to an "er" row."""
+    if face == "threshold":
+        x = rng.integers(0, 4, (b, n))
+        y = rng.integers(0, 4, (b, n)) if directed else x
+        a = x[:, :, None] + y[:, None] > rng.integers(1, 7, (b, 1, 1))
+    else:
+        a = rng.random((b, n, n)) < density
+        if face == "hubs":
+            hubs = rng.permutation(n)[:rng.integers(2, 4)]
+            a[:, hubs] = a[:, :, hubs] = True
+    a[:, np.arange(n), np.arange(n)] = False
+    if not directed:
+        a = np.triu(a, 1)
+        a |= a.transpose(0, 2, 1)
+    return a

@@ -598,21 +598,28 @@ def test_twelve_significant_digit_output(tmp_path):
 
 SCIPY_PROBE = """
 import sys
+from inforank import maxent
 from inforank.cli import main
+pinned, real = [], maxent._pin_boundary
+maxent._pin_boundary = lambda *args: pinned.append(1) or real(*args)
 code = main(sys.argv[1:])
-print(code, any(m.split(".")[0] == "scipy" for m in sys.modules))
+print(code, bool(pinned), any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("spec, loaded", [("er:40,0.1", False), ("star:5", True)])
-def test_scipy_loads_only_for_boundary_pins(tmp_path, spec, loaded):
-    # scipy's maximum flow runs only on a tight cut: an ER ranking has none,
-    # a star's saturated center does
+@pytest.mark.parametrize("argv, pins", [
+    (["rank", "--generate", "star:5"], True),
+    (["rank", "--generate", "er:40,0.1"], False),
+    (["accuracy", "--generate", "star:9"], True),
+], ids=["rank-star-5", "rank-er-40", "accuracy-star-9"])
+def test_scipy_never_loads(tmp_path, argv, pins):
+    # the boundary pins come in closed form: a star's saturated center pins
+    # its leaves' pairs, an ER ranking pins none, and neither loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, "rank", "--generate", spec,
+        [sys.executable, "-c", SCIPY_PROBE, *argv,
          "--output", str(tmp_path / "out.json")],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.stdout.split() == [str(EXIT_OK), str(loaded)], proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), str(pins), "False"], proc.stderr

@@ -6,10 +6,12 @@ from inforank import (FORCED_LIM, FORCED_OBS, FREE, InputError, ProbMatrix,
                       SolverError, SolverOptions, UndefinedIndexError,
                       degree_sequence, inforank, inforank_subset, make_graph,
                       maxent, solve_benchmark, solve_dbcm, solve_ubcm)
+from inforank.cli import EXIT_CONFIG, main
 from inforank.graphs import DegreeSeq
 from inforank.generators import barabasi_albert, erdos_renyi, star
 
-from helpers import col_sums, relabel, row_sums, small_graph
+from helpers import (FACES, col_sums, face_adjacency, relabel, row_sums,
+                     small_graph)
 from oracles import (classes, dbcm_fixed_point, dense_dbcm, dense_ubcm,
                      node_pins, p4_bisection, pair_ranges,
                      reduced_131_bisection, step_directed, step_undirected,
@@ -285,17 +287,14 @@ def assert_classified_as_oracles(k_out, k_in):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.booleans(), st.integers(1, 5), st.integers(0, 9),
        st.sampled_from([0.15, 0.5, 0.85, 1.0]), st.integers(0, 2**32 - 1),
-       st.integers(0, 2))
+       st.integers(0, 2), st.sampled_from(FACES))
 def test_classifier_matches_oracles_on_degree_rows(directed, b, n, density,
-                                                   seed, moved):
-    # the degrees of random graphs, some with `moved` entries moved by one,
-    # which breaks many rows' feasibility; undirected rows have k_out = k_in
+                                                   seed, moved, face):
+    # the degrees of random, threshold and hub graphs, some with `moved`
+    # entries moved by one, which breaks many rows' feasibility; undirected
+    # rows have k_out = k_in
     rng = np.random.default_rng(seed)
-    a = rng.random((b, n, n)) < density
-    a[:, np.arange(n), np.arange(n)] = False
-    if not directed:
-        a = np.triu(a, 1)
-        a |= a.transpose(0, 2, 1)
+    a = face_adjacency(rng, b, n, directed, density, face)
     k_out, k_in = a.sum(axis=2), a.sum(axis=1)
     for _ in range(moved if n else 0):
         row, node = rng.integers(b), rng.integers(n)
@@ -309,6 +308,12 @@ def _complete(n, directed):
                           if i != j and (directed or i < j)], directed=directed)
 
 
+def _face(n, directed, face, seed):
+    a = face_adjacency(np.random.default_rng(seed), 1, n, directed, 0.2, face)[0]
+    return make_graph(n, [tuple(e) for e in np.argwhere(a)
+                          if directed or e[0] < e[1]], directed=directed)
+
+
 @pytest.mark.parametrize("g", [
     star(8), _complete(6, False), _complete(5, True),
     # a hub saturated by its links, with isolated nodes 7 and 8
@@ -316,8 +321,11 @@ def _complete(n, directed):
     make_graph(9, [(0, j) for j in range(1, 7)] + [(j, 0) for j in (1, 2)]
                + [(1, 2), (3, 4), (5, 3)], directed=True),
     barabasi_albert(40, 3, seed=1), erdos_renyi(30, 0.15, seed=2, directed=True),
+    _face(16, False, "threshold", 1), _face(16, True, "threshold", 2),
+    _face(20, False, "hubs", 3), _face(20, True, "hubs", 4),
 ], ids=["star-8", "complete-6", "complete-dir-5", "hub-isolated",
-        "hub-isolated-dir", "ba-40-3", "er-dir-30"])
+        "hub-isolated-dir", "ba-40-3", "er-dir-30", "threshold-16",
+        "threshold-dir-16", "hubs-20", "hubs-dir-20"])
 def test_classifier_matches_oracles_on_conditioned_systems(monkeypatch, g):
     # every chunk of one-node systems, and every node's classes in its
     # ClassSolution, against the oracles on the degrees left when that node
@@ -342,6 +350,32 @@ def test_classifier_matches_oracles_on_conditioned_systems(monkeypatch, g):
         assert np.array_equal(k_in, rest.sum(axis=0))
     for k_out, k_in in chunks:
         assert_classified_as_oracles(k_out, k_in)
+
+
+def _rank_capped_at_zero(tmp_path):
+    return main(["rank", "--generate", "er:10,0.3", "--max-iterations", "0",
+                 "--output", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("call", [
+    lambda _: SolverOptions(max_iterations=0),
+    _rank_capped_at_zero,
+    lambda _: solve_ubcm(DegreeSeq(directed=True, L=1, k_out=np.array([1, 0]),
+                                   k_in=np.array([0, 1]))),
+    lambda _: solve_dbcm(DegreeSeq(directed=False, L=1, k=np.array([1, 1]))),
+    lambda _: solve_ubcm(DegreeSeq(directed=False, L=3, k=np.array([3, 2, 1]))),
+    lambda _: list(maxent.solve_each_conditioned(make_graph(1, []))),
+], ids=["options-max-iterations-0", "cli-max-iterations-0", "ubcm-directed",
+        "dbcm-undirected", "degree-past-n-1", "each-conditioned-one-node"])
+def test_invalid_solver_input_fails_at_once(monkeypatch, tmp_path, call):
+    # InputError before any system is iterated; the CLI exits 2 on it
+    monkeypatch.setattr(maxent, "_solve_systems", None)
+    try:
+        code = call(tmp_path)
+    except InputError:
+        code = EXIT_CONFIG
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_conditioned_nonconvergence_names_node():
@@ -406,15 +440,21 @@ def solve_sequence(k_out, k_in, directed):
 
 @st.composite
 def graph_and_sequence(draw):
-    """A graph with n <= 6, a permutation of its nodes, and a degree sequence
-    on n nodes that may have no realisation: k_out drawn in [0, n-1], k_in a
-    permutation of it (the largest degree lowered by one if an undirected
-    sum is odd)."""
+    """A graph with n <= 6, random or a threshold or hub graph (FACES), a
+    permutation of its nodes, and a degree sequence on n nodes that may have
+    no realisation: k_out drawn in [0, n-1], k_in a permutation of it (the
+    largest degree lowered by one if an undirected sum is odd)."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 6))
     pairs = [(i, j) for i in range(n) for j in range(n)
              if i != j and (directed or i < j)]
-    edges = [e for e in pairs if draw(st.booleans())]
+    face = draw(st.sampled_from(FACES))
+    if face == "er":
+        edges = [e for e in pairs if draw(st.booleans())]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = face_adjacency(rng, 1, n, directed, 0.5, face)[0]
+        edges = [e for e in pairs if a[e]]
     k_out = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     if directed:
         k_in = k_out[draw(st.permutations(range(n)))]
@@ -477,13 +517,14 @@ def test_star_pins_on_classes():
     assert np.abs(row_sums(pm) - k).max() <= 1e-10
 
 
-def test_pin_boundary_rejects_totals_past_int32():
-    # one class of m = 50 000 nodes of degree 49 999, a complete graph:
-    # its source arc's m * k = 2 499 950 000 would wrap in maximum_flow's
-    # int32 capacities, so the pinning refuses it before the cast
+def test_pin_boundary_fixes_a_complete_class_past_int32():
+    # one class of m = 50 000 nodes of degree 49 999, a complete graph of
+    # m * k = 2 499 950 000 link ends, past int32: every pair is fixed at 1,
+    # and no degree is left
     m, k = np.array([50_000]), np.array([49_999])
-    with pytest.raises(InputError, match="int32"):
-        maxent._pin_boundary(k, k, m)
+    k_out, k_in, free, ones = maxent._pin_boundary(k, k, m)
+    assert np.array_equal(ones, [[True]]) and not free.any()
+    assert np.array_equal(k_out, [0]) and np.array_equal(k_in, [0])
 
 
 def assert_class_core_matches_dense(k_out, k_in, directed):

@@ -34,7 +34,7 @@ More inputs reach paths the generated graphs do not:
   32-bit entropy words (the seeds 1 and 2 above make three), the latter
   more than SeedSequence's pool of four;
 - `rank` and `compare` on star(9), whose conditioned ensembles pin their
-  boundary by max-flow;
+  boundary (`maxent._pin_boundary`);
 - `rank` on BA(400, 3), whose conditioned systems fill whole stacks of
   `maxent.STACK_ELEMENTS`;
 - `rank` with a --config file that sets the tolerance and the iteration

@@ -6,20 +6,22 @@ Usage:
 
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
         [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
-        [--risk 60,120,240,300] [--sample 600,1200,2400]
+        [--hub 300,600] [--risk 60,120,240,300] [--sample 600,1200,2400]
         [--stack-elements 8192,65536] [--seed 1]
         > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
 `src`). Each point is BA(n, 3) (`--ba`), directed scale-free(n, 2)
-(`--sf`) or star(n) (`--star`), whose every conditioned system pins its
-boundary, from that tree's own generators with `--seed`, ranked by
-`inforank()` with default options in a new `python3` process, or directed
-scale-free(n, 2) run through `risk_error_experiment()` with 100 samples
-per node and its other defaults (`--risk`), or the CLI's `sample
---generate ba:N,3 --samples 100 --seed SEED --output-dir DIR` through
-`inforank.cli.main` (`--sample`), so that every tree runs the command
-through its own code. With none of the five options, the BA and
+(`--sf`), star(n) (`--star`) or ER(n, 3/n) plus node 0 linked to all
+others (`--hub`), from that tree's own generators with `--seed`, ranked by
+`inforank()` with default options in a new `python3` process (star and
+hub graphs pin the boundary of every conditioned system, but node 0's in
+the hub graph), or directed scale-free(n, 2) run through
+`risk_error_experiment()` with 100 samples per node and its other
+defaults (`--risk`), or the CLI's `sample --generate ba:N,3 --samples
+100 --seed SEED --output-dir DIR` through `inforank.cli.main`
+(`--sample`), so that every tree runs the command
+through its own code. With none of the six options, the BA and
 scale-free defaults shown above run. The child reports the wall time of
 the `inforank()`, `risk_error_experiment()` or `main()` call, the minor
 page faults it took (`ru_minflt` after minus before), the process's peak
@@ -57,13 +59,18 @@ sys.path.insert(0, src)
 import numpy as np
 from inforank import inforank, maxent, risk_error_experiment
 from inforank.cli import main
-from inforank.generators import barabasi_albert, scale_free_directed, star
+from inforank.generators import (barabasi_albert, erdos_renyi,
+                                  scale_free_directed, star)
+from inforank.graphs import make_graph
 if not maxent.__file__.startswith(src):
     sys.exit(f"inforank imported from {maxent.__file__}, not from {src}")
 if stack != "default":
     maxent.STACK_ELEMENTS = int(stack)
 if model == "star":
     g = star(int(n))
+elif model == "hub":
+    g = erdos_renyi(int(n), 3 / int(n), seed=int(seed))
+    g = make_graph(g.n, g.edges | {(0, j) for j in range(1, g.n)})
 elif model == "sample":
     out = tempfile.TemporaryDirectory()
 else:
@@ -141,12 +148,14 @@ def main() -> None:
     ap.add_argument("--ba", type=ints)
     ap.add_argument("--sf", type=ints)
     ap.add_argument("--star", type=ints)
+    ap.add_argument("--hub", type=ints)
     ap.add_argument("--risk", type=ints)
     ap.add_argument("--sample", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
-    if args.ba is args.sf is args.star is args.risk is args.sample is None:
+    if all(v is None for v in (args.ba, args.sf, args.star, args.hub,
+                               args.risk, args.sample)):
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
@@ -155,7 +164,8 @@ def main() -> None:
     stacks = [str(v) for v in args.stack_elements] if args.stack_elements else ["default"]
     cases = [(model, n, stack) for stack in stacks
              for model, sizes in (("ba", args.ba), ("sf", args.sf),
-                                  ("star", args.star), ("risk", args.risk),
+                                  ("star", args.star), ("hub", args.hub),
+                                  ("risk", args.risk),
                                   ("sample", args.sample))
              for n in sizes or ()]
     points = []
