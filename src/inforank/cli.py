@@ -15,6 +15,11 @@ count falls back to $INFORANK_THREADS when neither sets it. `compare` and
 `accuracy` correlate over the solved nodes only (recon.solved_pearson), on
 one InfoRank rank vector (_inforank_vector).
 
+The module loads only what the parser and every command use (errors,
+graphs, maxent); each command imports the layers it runs, and `generators`
+loads only for --generate. Edge lists and config files are read, and
+artifacts and samples written, as UTF-8 whatever the locale (_utf8, _emit).
+
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
 """
@@ -32,17 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .centrality import (RankVector, closeness_centrality, degree_centrality,
-                         pagerank, rescale)
-from .clearing import ExternalsConfig, RiskExperiment, fit_trend
-from .entropy import inforank, ranking_pass
 from .errors import (GraphError, InfoRankError, InputError, ParseError,
                      SolverError, UndefinedIndexError)
-from .generators import from_spec
 from .graphs import degree_sequence, load_edge_list
-from .maxent import SolverOptions, solve_classes
-from .recon import AccuracyReport, class_accuracy, solved_pearson
-from .sampling import SampleSpec, class_samples
+from .maxent import SolverOptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,19 +121,42 @@ def _write(args, payload: dict, rows: list[dict], comments: list[str]) -> int:
         writer.writerow(list(rows[0]))
         writer.writerows([_fmt(v) for v in row.values()] for row in rows)
         text = buf.getvalue()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.output)
     failed = any(v is None for row in rows for v in row.values())
     return EXIT_SOLVER if failed else EXIT_OK
 
 
+def _emit(text: str, path=None) -> None:
+    """Write a CLI text as UTF-8, whatever the locale, to the file `path` or
+    else to stdout; a text-only stdout (io.StringIO) takes the text as is."""
+    if path:
+        Path(path).write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
+
+
+def _utf8(data: bytes) -> str:
+    """`data` decoded as UTF-8, whatever the locale; an undecodable byte
+    raises ParseError with its line number."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                         len(data[:exc.start + 1].splitlines())) from None
+
+
 def _load_config_file(path: str) -> dict:
-    """The cast values of a key=value config file; an unknown key or a bad
-    value raises InputError."""
+    """The cast values of a key=value config file; an undecodable byte, an
+    unknown key or a bad value raises InputError."""
+    try:
+        text = _utf8(Path(path).read_bytes())
+    except ParseError as exc:
+        raise InputError(f"config {exc}") from None
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -159,16 +180,14 @@ def _cast(name: str, raw: str, cast):
 def _get_graph(args):
     directed = bool(args.directed)
     if args.generate:
-        g = from_spec(args.generate, seed=args.seed, directed=directed)
-    elif args.input:
-        if args.input == "-":
-            g = load_edge_list(sys.stdin, directed=directed)
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                g = load_edge_list(fh, directed=directed)
-    else:
+        from .generators import from_spec
+        return from_spec(args.generate, seed=args.seed, directed=directed)
+    if not args.input:
         raise InputError("provide --input FILE or --generate SPEC")
-    return g
+    data = (sys.stdin.buffer.read() if args.input == "-"
+            else Path(args.input).read_bytes())
+    # universal newlines, as a file opened for text reads them
+    return load_edge_list(io.StringIO(_utf8(data), newline=None), directed=directed)
 
 
 def _solver_options(args) -> SolverOptions:
@@ -199,9 +218,10 @@ def _pagerank_alpha(args) -> float:
     return alpha
 
 
-def _inforank_vector(report) -> RankVector:
+def _inforank_vector(report):
     """InfoRank as a rank vector. A failed node scores NaN, rescaled too, and
     takes no part in the rescaling."""
+    from .centrality import RankVector, rescale
     ok = ~report.failed
     rescaled = np.full(len(ok), np.nan)
     if ok.any():
@@ -214,6 +234,7 @@ def _inforank_vector(report) -> RankVector:
 # ---------------------------------------------------------------------------
 
 def cmd_rank(args) -> int:
+    from .entropy import inforank
     g = _get_graph(args)
     report = inforank(g, _solver_options(args))
 
@@ -234,6 +255,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .centrality import closeness_centrality, degree_centrality, pagerank
+    from .entropy import inforank
+    from .recon import solved_pearson
     g = _get_graph(args)
     opts = _solver_options(args)
     alpha = _pagerank_alpha(args)
@@ -262,6 +286,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
+    from .centrality import closeness_centrality, degree_centrality, pagerank
+    from .entropy import ranking_pass
+    from .recon import AccuracyReport, class_accuracy
     g = _get_graph(args)
     opts = _solver_options(args)
     alpha = _pagerank_alpha(args)
@@ -287,6 +314,8 @@ def cmd_accuracy(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .maxent import solve_classes
+    from .sampling import SampleSpec, class_samples
     outdir = Path(args.output_dir) if args.output_dir else None
     if outdir is not None and any(outdir.glob("sample_*.edges")):
         raise InputError(f"output directory {outdir} already holds sample_*.edges "
@@ -307,15 +336,17 @@ def cmd_sample(args) -> int:
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
         for t, draw in enumerate(draws):
-            (outdir / f"sample_{t:05d}.edges").write_text(sample_text(t, *draw))
-        sys.stdout.write(f"wrote {spec.count} samples to {outdir}\n")
+            _emit(sample_text(t, *draw), outdir / f"sample_{t:05d}.edges")
+        _emit(f"wrote {spec.count} samples to {outdir}\n")
     else:
         for t, draw in enumerate(draws):
-            sys.stdout.write(sample_text(t, *draw))
+            _emit(sample_text(t, *draw))
     return EXIT_OK
 
 
 def cmd_risk(args) -> int:
+    from .clearing import ExternalsConfig, RiskExperiment, fit_trend
+    from .entropy import ranking_pass
     g = _get_graph(args)
     if not g.directed:
         raise InputError("the risk experiment needs a directed network")
@@ -351,8 +382,8 @@ def cmd_risk(args) -> int:
         else:
             comments.append(f"{name} error={fit['error']}")
     if args.format == "csv" and args.output:
-        Path(args.output).with_suffix(".fits.json").write_text(
-            _json({"seed": args.seed, **fits}))
+        _emit(_json({"seed": args.seed, **fits}),
+              Path(args.output).with_suffix(".fits.json"))
     return _write(args, payload, rows, comments)
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -575,14 +576,22 @@ def test_commands_build_no_prob_matrix(tmp_path, monkeypatch, argv):
     (["sample", "--generate", "ba:60,3", "--samples", "0"], EXIT_CONFIG),
     (["sample", "--generate", "er:10,0.4", "--conditioned-on", "2",
       "--samples", "-1"], EXIT_CONFIG),
+    (["rank", "--input", "NOT_UTF8"], EXIT_PARSE),
+    (["sample", "--input", "NOT_UTF8"], EXIT_PARSE),
+    (["rank", "--input", "EDGES", "--config", "NOT_UTF8_CONFIG"], EXIT_CONFIG),
 ])
 def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     weights = tmp_path / "weights.txt"
     weights.write_text("a b 1.0\nb c nan\nc a 2.0\n")
     edges = tmp_path / "edges.txt"
     edges.write_text("a b\nb c\nc a\na d\nd b\n")
+    not_utf8 = tmp_path / "latin1.edges"
+    not_utf8.write_bytes(b"a b\n\xff c\n")
+    not_utf8_config = tmp_path / "latin1.cfg"
+    not_utf8_config.write_bytes(b"tolerance = 1e-6\n# r\xe9glages\n")
     counts = count_solves(monkeypatch)
-    files = {"WEIGHTS": str(weights), "EDGES": str(edges)}
+    files = {"WEIGHTS": str(weights), "EDGES": str(edges),
+             "NOT_UTF8": str(not_utf8), "NOT_UTF8_CONFIG": str(not_utf8_config)}
     argv = [files.get(arg, arg) for arg in argv]
     assert run(tmp_path, *argv)[0] == code
     assert counts == {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
@@ -603,23 +612,141 @@ from inforank.cli import main
 pinned, real = [], maxent._pin_boundary
 maxent._pin_boundary = lambda *args: pinned.append(1) or real(*args)
 code = main(sys.argv[1:])
-print(code, bool(pinned), any(m.split(".")[0] == "scipy" for m in sys.modules))
+print(code, bool(pinned), any(m.split(".")[0] == "scipy" for m in sys.modules),
+      *sorted(m for m in sys.modules if m.startswith("inforank.")))
+"""
+
+# the inforank modules a command loads: the parser's, then the layers it runs
+PARSER = ("cli", "errors", "graphs", "maxent")
+RANKING = (*PARSER, "entropy")
+ACCURACY = (*RANKING, "centrality", "recon")
+
+
+def probe_env() -> dict:
+    """The environment of a child interpreter that imports inforank from
+    this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.mark.parametrize("argv, pins, modules", [
+    (["rank", "--generate", "star:5"], True, (*RANKING, "generators")),
+    (["rank", "--generate", "er:40,0.1"], False, (*RANKING, "generators")),
+    (["accuracy", "--generate", "star:9"], True, (*ACCURACY, "generators")),
+    (["rank", "--input", "EDGES"], False, RANKING),
+    (["compare", "--input", "EDGES"], False, ACCURACY),
+    (["accuracy", "--input", "EDGES"], False, ACCURACY),
+    (["sample", "--input", "EDGES"], False, (*PARSER, "sampling")),
+    (["risk", "--input", "EDGES", "--directed", "--samples", "2"], False,
+     (*RANKING, "clearing", "sampling")),
+], ids=["rank-star-5", "rank-er-40", "accuracy-star-9", "rank-input",
+        "compare-input", "accuracy-input", "sample-input", "risk-input"])
+def test_scipy_never_loads(tmp_path, argv, pins, modules):
+    # the boundary pins come in closed form: a star's saturated center pins
+    # its leaves' pairs, an ER ranking pins none, and neither loads scipy;
+    # each command loads the layers it runs and no other inforank module
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {j}\n" for i, j in
+                             sorted(from_spec("er:40,0.1", seed=0).edges)))
+    out = (["--output-dir", str(tmp_path / "samples")] if argv[0] == "sample"
+           else ["--output", str(tmp_path / "out.json")])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE,
+         *[str(edges) if arg == "EDGES" else arg for arg in argv], *out],
+        capture_output=True, text=True, env=probe_env(), timeout=120)
+    loaded = sorted(f"inforank.{m}" for m in modules)
+    assert proc.stdout.splitlines()[-1].split() == [
+        str(EXIT_OK), str(pins), "False", *loaded], proc.stderr
+
+
+PACKAGE_PROBE = """
+import sys
+import inforank
+print(*sorted(m for m in sys.modules if m.startswith("inforank.")))
+"""
+
+# the module that defines each public name of the package
+PUBLIC = {
+    "centrality": ["RankVector", "closeness_centrality", "degree_centrality",
+                   "pagerank", "rescale"],
+    "clearing": ["ClearingProblem", "ExternalsConfig", "PaymentVector",
+                 "build_liabilities", "clear", "fit_trend",
+                 "risk_error_experiment"],
+    "entropy": ["EntropyReport", "approx_meanfield", "approx_sparse",
+                "benchmark_entropy", "inforank", "inforank_subset"],
+    "errors": ["GraphError", "InfoRankError", "InputError", "ParseError",
+               "SolverError", "UndefinedCorrelationError",
+               "UndefinedIndexError"],
+    "graphs": ["DegreeSeq", "Graph", "degree_sequence", "load_edge_list",
+               "make_graph"],
+    "maxent": ["FORCED_LIM", "FORCED_OBS", "FREE", "ParamVector", "ProbMatrix",
+               "SolverOptions", "solve_benchmark", "solve_dbcm", "solve_ubcm"],
+    "recon": ["AccuracyReport", "accuracy_report", "expected_accuracy",
+              "pearson"],
+    "sampling": ["SampleSpec", "sample_ensemble", "sample_graph"],
+}
+
+
+def test_package_loads_each_name_on_first_use():
+    # a fresh import loads no submodule; every public name is its defining
+    # module's object, and `import *` binds all of them
+    import inforank
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE],
+                          capture_output=True, text=True, env=probe_env(),
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == [], proc.stderr
+    names = sorted(name for names in PUBLIC.values() for name in names)
+    assert len(names) == 46 and inforank.__all__ == names
+    for module, public in PUBLIC.items():
+        home = importlib.import_module(f"inforank.{module}")
+        assert getattr(inforank, module) is home
+        for name in public:
+            assert getattr(inforank, name) is getattr(home, name)
+            assert name in dir(inforank)
+    bound = {}
+    exec("from inforank import *", bound)
+    assert sorted(set(bound) - {"__builtins__"}) == names
+    with pytest.raises(AttributeError, match="no_such_name"):
+        inforank.no_such_name
+
+
+CLI_PROBE = """
+import sys
+from inforank.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(sys.stdout.encoding)
+sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, pins", [
-    (["rank", "--generate", "star:5"], True),
-    (["rank", "--generate", "er:40,0.1"], False),
-    (["accuracy", "--generate", "star:9"], True),
-], ids=["rank-star-5", "rank-er-40", "accuracy-star-9"])
-def test_scipy_never_loads(tmp_path, argv, pins):
-    # the boundary pins come in closed form: a star's saturated center pins
-    # its leaves' pairs, an ER ranking pins none, and neither loads scipy
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv,
-         "--output", str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.stdout.split() == [str(EXIT_OK), str(pins), "False"], proc.stderr
+@pytest.mark.parametrize("argv", [
+    ["rank", "--format", "csv", "--output", "out.csv"],
+    ["rank", "--format", "csv"],
+    ["sample", "--samples", "3", "--output-dir", "samples"],
+], ids=["csv-file", "csv-stdout", "sample-files"])
+def test_cli_texts_are_utf8_whatever_the_locale(tmp_path, argv):
+    # a label and a config comment outside ASCII are read and written as
+    # UTF-8 under an ASCII locale, byte for byte as under a UTF-8 one
+    edges = "a b\nb \u00e9\n\u00e9 a\na d\nd b\nb e\ne \u00e9\n"
+    (tmp_path / "edges.txt").write_bytes(edges.encode("utf-8"))
+    (tmp_path / "run.cfg").write_bytes("# r\u00e9glages\nmax_iterations = 500\n"
+                                       .encode("utf-8"))
+    locales = {"utf-8": {"PYTHONUTF8": "1"},
+               "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                         "PYTHONUTF8": "0"}}
+    made = {}
+    for encoding, env in locales.items():
+        where = tmp_path / encoding
+        where.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_PROBE, *argv, "--input", "../edges.txt",
+             "--config", "../run.cfg"],
+            capture_output=True, cwd=where, env={**probe_env(), **env},
+            timeout=120)
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_OK, encoding)
+        made[encoding] = (proc.stdout, {str(p.relative_to(where)): p.read_bytes()
+                                        for p in where.rglob("*") if p.is_file()})
+    assert made["ascii"] == made["utf-8"]
+    stdout, files = made["utf-8"]
+    assert "\u00e9".encode("utf-8") in stdout + b"".join(files.values())

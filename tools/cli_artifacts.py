@@ -158,7 +158,8 @@ def main(src: str, outdir: str) -> None:
         where.mkdir(parents=True)
         os.chdir(where)
         out, err = io.StringIO(), io.StringIO()
-        sys.stdin = io.StringIO(files[WEIGHTED])
+        sys.stdin = io.TextIOWrapper(io.BytesIO(files[WEIGHTED].encode()),
+                                     encoding="utf-8")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         (where / "argv").write_text(" ".join(argv) + "\n")

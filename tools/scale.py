@@ -7,7 +7,7 @@ Usage:
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
         [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
         [--hub 300,600] [--risk 60,120,240,300] [--sample 600,1200,2400]
-        [--stack-elements 8192,65536] [--seed 1]
+        [--stack-elements 8192,65536] [--imports R] [--seed 1]
         > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
@@ -38,7 +38,15 @@ change/base ratio of the medians and whether every run of both trees gave
 the same hash. Per model and stack elements with two sizes or more, it also
 holds each side's fitted exponent: the least-squares slope of log(median
 wall_s) against log(n), so that the wall time grows as n^exponent.
-Progress goes to stderr.
+
+`--imports R` adds the import axis: each CLI command (`rank`, `compare`,
+`accuracy`, `sample`, `risk`) runs with `--input` on one fixed edge list,
+directed ER(60, .08) from numpy seed `--seed`, in R fresh interpreters per
+tree with PYTHONDONTWRITEBYTECODE=1, so that every run compiles the modules
+it loads; the tree that runs first alternates from round to round. Per
+command and tree, "imports" holds the median time of `import inforank.cli`,
+the median time of `main`, the exit codes and the `inforank.*` modules
+loaded after `main`. Progress goes to stderr.
 """
 from __future__ import annotations
 
@@ -50,6 +58,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CHILD = r"""
@@ -105,6 +114,32 @@ print(json.dumps({"wall_s": round(wall, 4),
 """
 
 
+IMPORT_CHILD = r"""
+import json, sys, tempfile, time
+src, edges, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+sys.path.insert(0, src)
+t0 = time.perf_counter()
+import inforank.cli as cli
+t1 = time.perf_counter()
+if not cli.__file__.startswith(src):
+    sys.exit(f"inforank imported from {cli.__file__}, not from {src}")
+with tempfile.TemporaryDirectory() as out:
+    output = ["--output-dir", f"{out}/samples"] if argv[0] == "sample" else [
+        "--output", f"{out}/artifact"]
+    code = cli.main([*argv, "--input", edges, *output])
+    t2 = time.perf_counter()
+print(json.dumps({"import_s": round(t1 - t0, 5), "main_s": round(t2 - t1, 5),
+                  "exit": code, "modules": sorted(
+                      m for m in sys.modules if m.startswith("inforank."))}))
+"""
+
+# each command of the import axis, with its options but --input and output
+IMPORT_COMMANDS = {"rank": ["rank"], "compare": ["compare"],
+                   "accuracy": ["accuracy"],
+                   "sample": ["sample", "--samples", "10"],
+                   "risk": ["risk", "--directed", "--samples", "10"]}
+
+
 def machine() -> dict:
     import numpy
     info = {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -125,6 +160,43 @@ def run_point(src: str, model: str, n: int, seed: int, stack: str) -> dict:
                           str(seed), stack], capture_output=True, text=True,
                          check=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def imports(trees: dict, rounds: int, seed: int) -> dict:
+    """The import axis (see the module docstring)."""
+    import numpy as np
+    hit = np.random.default_rng(seed).random((60, 60)) < 0.08
+    np.fill_diagonal(hit, False)
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = Path(tmp) / "er-dir-60.edges"
+        edges.write_text("".join(f"{i} {j}\n" for i, j in zip(*np.nonzero(hit))))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        runs = []
+        for rnd in range(rounds):
+            for command, argv in IMPORT_COMMANDS.items():
+                for side in sorted(trees, reverse=rnd % 2 == 1):
+                    out = subprocess.run(
+                        [sys.executable, "-c", IMPORT_CHILD, trees[side],
+                         str(edges), *argv], capture_output=True, text=True,
+                        check=True, env=env)
+                    run = json.loads(out.stdout.splitlines()[-1])
+                    runs.append(dict(run, command=command, side=side))
+                    print(f"round {rnd} {side:6} {command}: import "
+                          f"{run['import_s']:.4f} s, main {run['main_s']:.4f} s, "
+                          f"{len(run['modules'])} modules", file=sys.stderr)
+    summary = {}
+    for command in IMPORT_COMMANDS:
+        summary[command] = {}
+        for side in trees:
+            mine = [r for r in runs if (r["command"], r["side"]) == (command, side)]
+            summary[command][side] = {
+                "import_s": statistics.median(r["import_s"] for r in mine),
+                "main_s": statistics.median(r["main_s"] for r in mine),
+                "exits": sorted({r["exit"] for r in mine}),
+                "modules": sorted({m for r in mine for m in r["modules"]}),
+                "same_modules_every_run": len({tuple(r["modules"]) for r in mine}) == 1}
+    return {"rounds": rounds, "input": "directed ER(60, .08) from "
+            f"numpy default_rng({seed})", "summary": summary, "runs": runs}
 
 
 def exponent(ns: list[int], walls: list[float]) -> float:
@@ -152,10 +224,11 @@ def main() -> None:
     ap.add_argument("--risk", type=ints)
     ap.add_argument("--sample", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
+    ap.add_argument("--imports", type=int, metavar="R")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     if all(v is None for v in (args.ba, args.sf, args.star, args.hub,
-                               args.risk, args.sample)):
+                               args.risk, args.sample, args.imports)):
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
@@ -206,9 +279,11 @@ def main() -> None:
                 side: round(exponent([r["n"] for r in rows],
                                      [r[side]["wall_s"] for r in rows]), 3)
                 for side in trees}})
-    json.dump({"machine": machine(), "rounds": args.rounds, "seed": args.seed,
-               "summary": summary, "exponents": exponents, "points": points},
-              sys.stdout, indent=1)
+    result = {"machine": machine(), "rounds": args.rounds, "seed": args.seed,
+              "summary": summary, "exponents": exponents, "points": points}
+    if args.imports:
+        result["imports"] = imports(trees, args.imports, args.seed)
+    json.dump(result, sys.stdout, indent=1)
     print()
 
 
