@@ -3,9 +3,8 @@
 Public surface: graph ingestion, degree-constrained maximum-entropy solvers,
 the uncertainty-reduction ranking index and its approximations, baseline
 centralities, reconstruction accuracy, ensemble sampling, and interbank
-clearing experiments. `_PUBLIC` names the module that defines each public
-name; a module loads when one of its names is first read (PEP 562), so
-`import inforank` loads none.
+clearing experiments. Each name loads from its module, as `_PUBLIC` lists
+them, when it is first read (PEP 562), so `import inforank` loads none.
 """
 import importlib
 
@@ -29,7 +28,6 @@ _PUBLIC = {
     "sampling": ("SampleSpec", "sample_ensemble", "sample_graph"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
-
 __all__ = sorted(_HOME)
 
 

@@ -7,18 +7,15 @@ significant digits. Every command but `sample` writes one artifact, its
 payload as JSON or its node table as CSV, to --output or stdout; a node
 whose solve failed shows as null (an empty CSV field), and the command
 exits 4. `sample` writes its draws to stdout or to --output-dir, which
-must not hold sample files of an earlier run.
+must not hold sample files of an earlier run. Every text is read and
+written as UTF-8, whatever the locale.
 
 Options come from one place: `main` sets each option that no flag set from
 the --config file, once, and the commands read `args` alone. The thread
 count falls back to $INFORANK_THREADS when neither sets it. `compare` and
 `accuracy` correlate over the solved nodes only (recon.solved_pearson), on
-one InfoRank rank vector (_inforank_vector).
-
-The module loads only what the parser and every command use (errors,
-graphs, maxent); each command imports the layers it runs, and `generators`
-loads only for --generate. Edge lists and config files are read, and
-artifacts and samples written, as UTF-8 whatever the locale (_utf8, _emit).
+one InfoRank rank vector (_inforank_vector). Each command imports the
+layers it runs; `generators` loads only for --generate.
 
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
@@ -117,9 +114,8 @@ def _write(args, payload: dict, rows: list[dict], comments: list[str]) -> int:
     else:
         buf = io.StringIO()
         buf.writelines(f"# {line}\n" for line in comments)
-        writer = csv.writer(buf)
-        writer.writerow(list(rows[0]))
-        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+        cells = [[_fmt(v) for v in row.values()] for row in rows]
+        csv.writer(buf).writerows([list(rows[0]), *cells])
         text = buf.getvalue()
     _emit(text, args.output)
     failed = any(v is None for row in rows for v in row.values())
@@ -127,35 +123,29 @@ def _write(args, payload: dict, rows: list[dict], comments: list[str]) -> int:
 
 
 def _emit(text: str, path=None) -> None:
-    """Write a CLI text as UTF-8, whatever the locale, to the file `path` or
-    else to stdout; a text-only stdout (io.StringIO) takes the text as is."""
+    """Write `text` as UTF-8 to the file `path`, or else to stdout."""
     if path:
         Path(path).write_bytes(text.encode("utf-8"))
-    elif hasattr(sys.stdout, "buffer"):
+    else:
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
 
 
-def _utf8(data: bytes) -> str:
-    """`data` decoded as UTF-8, whatever the locale; an undecodable byte
-    raises ParseError with its line number."""
+def _utf8(data: bytes, name: str, error=ParseError) -> str:
+    """`data` decoded as UTF-8; an undecodable byte raises `error`, naming
+    `name` and the byte's line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}",
-                         len(data[:exc.start + 1].splitlines())) from None
+        line = len(data[:exc.start + 1].splitlines())
+        raise error(f"{name} line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def _load_config_file(path: str) -> dict:
     """The cast values of a key=value config file; an undecodable byte, an
     unknown key or a bad value raises InputError."""
-    try:
-        text = _utf8(Path(path).read_bytes())
-    except ParseError as exc:
-        raise InputError(f"config {exc}") from None
     cfg = {}
+    text = _utf8(Path(path).read_bytes(), "config", InputError)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -184,25 +174,25 @@ def _get_graph(args):
         return from_spec(args.generate, seed=args.seed, directed=directed)
     if not args.input:
         raise InputError("provide --input FILE or --generate SPEC")
-    data = (sys.stdin.buffer.read() if args.input == "-"
-            else Path(args.input).read_bytes())
-    # universal newlines, as a file opened for text reads them
-    return load_edge_list(io.StringIO(_utf8(data), newline=None), directed=directed)
+    binary = io.BytesIO(sys.stdin.buffer.read()) if args.input == "-" else open(args.input, "rb")
+    with io.TextIOWrapper(binary, encoding="utf-8") as text:  # universal newlines
+        try:  # decoded line by line as it is parsed
+            return load_edge_list(text, directed=directed)
+        except UnicodeDecodeError:  # read again, to name the undecodable byte's line
+            binary.seek(0)
+            _utf8(binary.read(), "input")
 
 
 def _solver_options(args) -> SolverOptions:
     """SolverOptions with the values a flag or the config file set; the
     others keep SolverOptions' defaults."""
-    keys = ("tolerance", "max_iterations")
-    return SolverOptions(**{key: getattr(args, key) for key in keys
+    return SolverOptions(**{key: getattr(args, key) for key in ("tolerance", "max_iterations")
                             if getattr(args, key) is not None})
 
 
 def _check_threads(args) -> None:
-    """Check the thread count of --threads, or of $INFORANK_THREADS, read only
-    where neither the flag nor the config file (checked as it is read) sets
-    it. It has no effect: the conditioned solves run as stacked array
-    operations in one thread."""
+    """Check --threads, or $INFORANK_THREADS where neither it nor the config
+    file sets the count; it has no effect, as every solve runs in one thread."""
     if args.threads is None:
         _cast(THREADS_ENV, os.environ.get(THREADS_ENV, "1"), _threads)
     else:
@@ -228,10 +218,6 @@ def _inforank_vector(report):
         rescaled[ok] = rescale(report.I[ok])
     return RankVector(index_name="inforank", scores=report.I, rescaled=rescaled)
 
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 def cmd_rank(args) -> int:
     from .entropy import inforank
@@ -268,10 +254,8 @@ def cmd_compare(args) -> int:
     vectors = [make() for name, make in measures.items()
                if args.measure in ("all", name)]
 
-    columns = {}
-    for v in vectors:
-        columns[v.index_name] = v.scores
-        columns[f"{v.index_name}_rescaled"] = v.rescaled
+    columns = {f"{v.index_name}{end}": col for v in vectors
+               for end, col in (("", v.scores), ("_rescaled", v.rescaled))}
     rows = _rows(g, k_total=degree_sequence(g).total(), **columns)
 
     correlations = {f"{va.index_name}~{vb.index_name}":
@@ -301,12 +285,9 @@ def cmd_accuracy(args) -> int:
 
     rows = _rows(g, accuracy=rep.A)
     payload = {
-        "command": "accuracy", "seed": args.seed, "n": g.n,
-        "directed": g.directed,
-        "benchmark_accuracy": rep.A_benchmark,
-        "per_node": rows,
-        "correlations": rep.correlations,
-        "failed_nodes": np.flatnonzero(rep.failed),
+        "command": "accuracy", "seed": args.seed, "n": g.n, "directed": g.directed,
+        "benchmark_accuracy": rep.A_benchmark, "per_node": rows,
+        "correlations": rep.correlations, "failed_nodes": np.flatnonzero(rep.failed),
     }
     return _write(args, payload, rows, [
         f"seed={args.seed}", f"benchmark_accuracy={_fmt(rep.A_benchmark)}"] + [
@@ -360,12 +341,15 @@ def cmd_risk(args) -> int:
 
     ok = ~report.failed  # one solve per node feeds both the index and the error
     fits = {}
+    comments = [f"seed={args.seed}", f"alpha={args.alpha} beta={args.beta}"]
     for degree, name in ((1, "fit_linear"), (2, "fit_quadratic")):
         try:
             coeffs, rss = fit_trend(report.I[ok], mse[ok], degree=degree)
             fits[name] = {"coefficients_highest_first": list(coeffs), "rss": rss}
+            comments.append(f"{name} coeffs={' '.join(map(_fmt, coeffs))} rss={_fmt(rss)}")
         except InputError as exc:
             fits[name] = {"error": str(exc)}
+            comments.append(f"{name} error={exc}")
 
     rows = _rows(g, inforank=report.I, mse=mse)
     payload = {"command": "risk", "seed": args.seed, "n": g.n,
@@ -374,22 +358,11 @@ def cmd_risk(args) -> int:
                "externals": {"mu_a": args.mu_a, "sigma_a": args.sigma_a,
                              "mu_l": args.mu_l, "sigma_l": args.sigma_l},
                "nodes": rows, **fits}
-    comments = [f"seed={args.seed}", f"alpha={args.alpha} beta={args.beta}"]
-    for name, fit in fits.items():
-        if "coefficients_highest_first" in fit:
-            coeffs = " ".join(_fmt(c) for c in fit["coefficients_highest_first"])
-            comments.append(f"{name} coeffs={coeffs} rss={_fmt(fit['rss'])}")
-        else:
-            comments.append(f"{name} error={fit['error']}")
     if args.format == "csv" and args.output:
         _emit(_json({"seed": args.seed, **fits}),
               Path(args.output).with_suffix(".fits.json"))
     return _write(args, payload, rows, comments)
 
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-# ---------------------------------------------------------------------------
 
 def _add_common(sub, artifact: bool = True):
     sub.add_argument("--input", help="edge-list file path, or - for stdin")
@@ -476,15 +449,12 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise InputError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ParseError, GraphError, OSError) as exc:
+    except (InfoRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SolverError, UndefinedIndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except InfoRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, (ParseError, GraphError, OSError)):
+            return EXIT_PARSE
+        solver = isinstance(exc, (SolverError, UndefinedIndexError))
+        return EXIT_SOLVER if solver else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -73,10 +73,7 @@ def ring_lattice(n: int, k: int) -> Graph:
     """Regular ring where each node links to its k/2 nearest neighbors per side."""
     if k % 2 != 0 or k < 2 or k >= n:
         raise InputError(f"ring lattice needs even k with 2 <= k < n, got k={k}, n={n}")
-    edges = []
-    for i in range(n):
-        for d in range(1, k // 2 + 1):
-            edges.append((i, (i + d) % n))
+    edges = [(i, (i + d) % n) for i in range(n) for d in range(1, k // 2 + 1)]
     return make_graph(n, edges, directed=False)
 
 

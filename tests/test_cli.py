@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -597,6 +598,23 @@ def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     assert counts == {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
 
 
+@pytest.mark.parametrize("where", ["file", "stdin", "config"])
+def test_undecodable_text_names_its_line(tmp_path, monkeypatch, capsys, where):
+    # the bad byte sits on line 3001, past the first chunks a decoder reads
+    lines = [f"n{i} n{i + 1}\n".encode() for i in range(3000)]
+    data = b"".join(lines) + b"n0 \xe9t\xe9\n"
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"# r\xe9glages\n" if where == "config" else data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    argv = {"file": ["--input", str(bad)], "stdin": ["--input", "-"],
+            "config": ["--generate", "er:5,0.5", "--config", str(bad)]}[where]
+    code = main(["rank", *argv, "--output", str(tmp_path / "out.json")])
+    name, line = ("config", 1) if where == "config" else ("input", 3001)
+    assert (code, capsys.readouterr().err) == (
+        EXIT_CONFIG if where == "config" else EXIT_PARSE,
+        f"error: {name} line {line}: byte 0xe9 is not UTF-8\n")
+
+
 def test_twelve_significant_digit_output(tmp_path):
     code, out = run(tmp_path, "rank", "--generate", "er:10,0.4", "--seed", "3")
     assert code == EXIT_OK
@@ -655,9 +673,11 @@ def test_scipy_never_loads(tmp_path, argv, pins, modules):
         [sys.executable, "-c", SCIPY_PROBE,
          *[str(edges) if arg == "EDGES" else arg for arg in argv], *out],
         capture_output=True, text=True, env=probe_env(), timeout=120)
-    loaded = sorted(f"inforank.{m}" for m in modules)
-    assert proc.stdout.splitlines()[-1].split() == [
-        str(EXIT_OK), str(pins), "False", *loaded], proc.stderr
+    lines = ([f"wrote 1 samples to {tmp_path / 'samples'}"] if argv[0] == "sample"
+             else [])
+    lines.append(" ".join([str(EXIT_OK), str(pins), "False",
+                           *sorted(f"inforank.{m}" for m in modules)]))
+    assert proc.stdout == "".join(f"{line}\n" for line in lines), proc.stderr
 
 
 PACKAGE_PROBE = """

@@ -157,14 +157,17 @@ def main(src: str, outdir: str) -> None:
         where = root / case
         where.mkdir(parents=True)
         os.chdir(where)
-        out, err = io.StringIO(), io.StringIO()
+        # stdin and stdout are byte streams under a UTF-8 text layer, as a
+        # process's own are
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         sys.stdin = io.TextIOWrapper(io.BytesIO(files[WEIGHTED].encode()),
                                      encoding="utf-8")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
+        out.flush()
         (where / "argv").write_text(" ".join(argv) + "\n")
         (where / "exit").write_text(f"{code}\n")
-        (where / "stdout").write_text(out.getvalue())
+        (where / "stdout").write_bytes(out.buffer.getvalue())
         (where / "stderr").write_text(err.getvalue())
         print(f"{case}: exit {code}")
 
