@@ -15,7 +15,9 @@ the --config file, once, and the commands read `args` alone. The thread
 count falls back to $INFORANK_THREADS when neither sets it. `compare` and
 `accuracy` correlate over the solved nodes only (recon.solved_pearson), on
 one InfoRank rank vector (_inforank_vector). Each command imports the
-layers it runs; `generators` loads only for --generate.
+layers it runs; `generators` loads only for --generate. Loaded before
+numpy, this module holds OpenBLAS to one thread unless the caller set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS (see README).
 
 Exit codes: 0 success, 2 configuration error, 3 parse/input error,
 4 solver error.
@@ -32,6 +34,9 @@ import os
 import sys
 from pathlib import Path
 
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
 
 from .errors import (GraphError, InfoRankError, InputError, ParseError,

@@ -217,17 +217,19 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
 # (out-)partners in class d, and free[d, c] * partners[c, d] free
 # in-partners there. One loop (_run) drives the step of either model
 # (_step_undirected, _step_directed) on a stack of B systems of one class
-# count C as (B, C) and (B, C, C) arrays; a single solve is a stack of one.
+# count C: the degree targets and iterates as (nx, B, C) stacks, x (and y),
+# and the pair terms as (B, C, C) arrays; a single solve is a stack of one.
 # Stacking never pads a system: a padded class changes the order of the sums
 # in the matrix products and with it the last bits of p.
 #
-# _run calls step(*consts, *xs, work) with the consts and xs of the b
-# systems still iterating and views of the pass's workspace sliced to those
-# b. The step writes every term there with out=, the next xs too, and
+# _run calls step(k, *ws, xs, work) with the targets, weights and xs of the
+# b systems still iterating and views of the pass's workspace sliced to
+# those b. The step writes every term there with out=, the next xs too, and
 # returns the residuals. Each operation keeps the operands and the order of
 # the steps in tests/oracles.py, which allocate every array afresh: a sum in
 # another order (einsum, or (w / d * x).sum(-1) for the matmul) moves the
-# last bits of p.
+# last bits of p. einsum's outer product sums nothing: it rounds each entry
+# once, as the broadcast multiply does, in about half its time.
 
 # Class-pair entries (B * C^2) of one stacked block of conditioned systems;
 # it bounds the memory of the block's (B, C, C) arrays.
@@ -286,11 +288,12 @@ def _classify(k_out: np.ndarray, k_in: np.ndarray) -> list[_System]:
 
 
 class _Workspace:
-    """The float buffer the blocks of a pass iterate in, one after another:
-    it grows to the largest block's need and is kept, so its pages are
-    mapped and faulted in once per pass, not once per block. It is not
-    sized up front: 3 * STACK_ELEMENTS floats, enough for any block of 7
-    to 300 classes, raised the risk command's peak RSS by 0.7 MiB."""
+    """The float buffer the blocks of a pass iterate in, one after another
+    (_run lays two (B, C, C) arrays and three (nx, B, C) stacks in it): it
+    grows to the largest block's need and is kept, so its pages are mapped
+    and faulted in once per pass, not once per block. It is not sized up
+    front: 3 * STACK_ELEMENTS floats, enough for any block of 6 to 300
+    classes, raised the risk command's peak RSS by 0.7 MiB."""
 
     buf = np.empty(0)
 
@@ -303,34 +306,32 @@ class _Workspace:
                 for s, e in zip(shapes, ends)]
 
 
-def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions,
-         work: _Workspace):
-    """Iterate a stack of systems, one per leading index, to convergence.
+def _run(step, k: np.ndarray, ws: list, xs: np.ndarray, live: np.ndarray,
+         opts: SolverOptions, work: _Workspace):
+    """Iterate a stack of systems to convergence, system b from its
+    targets k[:, b], start xs[:, b] and weights w[b] for each w in ws.
 
-    step(*consts, *xs, work) returns each system's residual at xs and
-    writes the next xs into work. A system leaves the stack at its first
-    iteration with residual <= tolerance and keeps the xs of that
-    iteration; systems not `live` never enter and keep xs = 0 and residual
-    0. Returns (xs, residual, iterations). A system still in the stack
-    after max_iterations keeps xs = 0 and its last residual, which is above
-    the tolerance.
+    step(k, *ws, xs, work) returns each system's residual at xs and writes
+    the next xs into work. A system leaves the stack at its first iteration
+    with residual <= tolerance and keeps the xs of that iteration; systems
+    not `live` never enter and keep xs = 0 and residual 0. Returns (xs,
+    residual, iterations). A system still in the stack after max_iterations
+    keeps xs = 0 and its last residual, which is above the tolerance.
 
     The B live systems iterate in views of `work`: two (B, C, C) arrays for
-    the pair terms, (B, C) rows for the sums and residual terms, and the
-    current and next xs, which swap at every step. The b systems still
-    iterating are kept at the front, so the step gets the contiguous slices
-    [:b] of each, taken again only when b changes.
+    the pair terms, and (nx, B, C) stacks for the sums and the current and
+    next xs, which swap at every step. The b systems still iterating are
+    kept at the front, so the step gets the slices [:, :b] of each, taken
+    again only when b changes.
     """
-    out = [np.zeros_like(x) for x in xs]
+    out = np.zeros_like(xs)
     residual = np.zeros(len(live))
     iterations = np.zeros(len(live), dtype=np.int64)
     idx = np.flatnonzero(live)
-    consts = [c[idx] for c in consts]
-    nx, size, c = len(xs), len(idx), xs[0].shape[1]
-    pairs, rows, cur, nxt = work.take((2, size, c, c), (nx + 1, size, c),
-                                      (nx, size, c), (nx, size, c))
-    for x, row in zip(xs, cur):
-        row[:] = x[idx]
+    k, ws = k[:, idx], [w[idx] for w in ws]
+    nx, size, c = len(xs), len(idx), xs.shape[2]
+    pairs, sums, cur, nxt = work.take((2, size, c, c), *[(nx, size, c)] * 3)
+    cur[:] = xs[:, idx]
     res = residual[idx]
     b = -1
     for it in range(1, opts.max_iterations + 1):
@@ -338,19 +339,18 @@ def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions,
             b = len(idx)
             if not b:
                 break
-            step_work = tuple(pairs[:, :b]), tuple(rows[:, :b])
-            xs, xs_next = tuple(cur[:, :b]), tuple(nxt[:, :b])
-        res = step(*consts, *xs, (*step_work, xs_next))
+            step_work = tuple(pairs[:, :b]), sums[:, :b]
+            xs, xs_next = cur[:, :b], nxt[:, :b]
+        res = step(k, *ws, xs, (*step_work, xs_next))
         done = res <= opts.tolerance
         if done.any():
             stop = idx[done]
-            for o, x in zip(out, xs):
-                o[stop] = x[done]
+            out[:, stop] = xs[:, done]
             residual[stop] = res[done]
             iterations[stop] = it
             left = ~done
             idx, res = idx[left], res[left]
-            consts = [c[left] for c in consts]
+            k, ws = k[:, left], [w[left] for w in ws]
             nxt[:, :len(idx)] = nxt[:, :b][:, left]
         cur, nxt, xs, xs_next = nxt, cur, xs_next, xs
     residual[idx] = res
@@ -358,63 +358,58 @@ def _run(step, consts, xs, live: np.ndarray, opts: SolverOptions,
     return out, residual, iterations
 
 
-def _start(k: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """k / sqrt(sum of all node degrees), the node-level iteration's start,
-    per system; systems with no links get 0."""
-    return k / np.sqrt(np.where(total > 0, total, 1))[:, None]
+def _next(k, xs, s, xs_next):
+    """Write k / s, 0 where s = 0, into xs_next, for the (nx, b, C) stacks
+    of targets, iterates and sums; return each system's residual, max |k -
+    x s| over all nx directions, with its terms written over s."""
+    np.divide(k, np.where(s > 0, s, np.inf), out=xs_next)
+    np.multiply(xs, s, out=s)
+    np.subtract(k, s, out=s)
+    np.abs(s, out=s)
+    return s.max(axis=(0, 2))
 
 
-def _residual(k, x, s, r):
-    """max |k - x s| of each system, with r as the row for its terms."""
-    np.multiply(x, s, out=r)
-    np.subtract(k, r, out=r)
-    np.abs(r, out=r)
-    return r.max(axis=1)
-
-
-def _step_undirected(k, w, x, work):
+def _step_undirected(k, w, xs, work):
     """One step of x_c <- k_c / sum_d w[c, d] x_d / (1 + x_c x_d) on a stack
-    of b systems: k and x are (b, C), w is (b, C, C). work holds the (b, C,
-    C) arrays d and t, the (b, C) rows s and r, and the row of the next x.
-    Returns each system's residual at x and writes the next x into work."""
-    (d, t), (s, r), (x_next,) = work
-    np.multiply(x[:, :, None], x[:, None], out=d)
+    of b systems: k and xs are (1, b, C), w is (b, C, C). work holds the (b,
+    C, C) arrays d and t and the (1, b, C) stacks s and next xs. Returns
+    each system's residual at xs and writes the next xs into work."""
+    (d, t), s, xs_next = work
+    np.einsum("bc,bd->bcd", xs[0], xs[0], out=d)
     np.add(1.0, d, out=d)
     np.divide(w, d, out=t)
-    np.matmul(t, x[:, :, None], out=s[:, :, None])
-    np.divide(k, np.where(s > 0, s, np.inf), out=x_next)
-    return _residual(k, x, s, r)
+    np.matmul(t, xs[0, :, :, None], out=s[0, :, :, None])
+    return _next(k, xs, s, xs_next)
 
 
-def _step_directed(ko, ki, w_out, w_in, x, y, work):
-    """The directed step: w_out[b, c, d] counts the free out-partners in
-    class d of a node of class c, w_in[b, c, d] the free in-partners in
-    class c of a node of class d. work holds d and t, the rows sx, sy and
-    r, and the rows of the next x and y."""
-    (d, t), (sx, sy, r), (x_next, y_next) = work
-    np.multiply(x[:, :, None], y[:, None], out=d)
+def _step_directed(k, w_out, w_in, xs, work):
+    """The directed step on the (2, b, C) stacks k = (k_out, k_in) and xs =
+    (x, y): w_out[b, c, d] counts the free out-partners in class d of a
+    node of class c, w_in[b, c, d] the free in-partners in class c of a
+    node of class d. work is laid out as for the undirected step."""
+    (d, t), s, xs_next = work
+    x, y = xs
+    np.einsum("bc,bd->bcd", x, y, out=d)
     np.add(1.0, d, out=d)
     np.divide(w_out, d, out=t)
-    np.matmul(t, y[:, :, None], out=sx[:, :, None])
+    np.matmul(t, y[:, :, None], out=s[0, :, :, None])
     np.divide(w_in, d, out=t)
-    np.matmul(x[:, None], t, out=sy[:, None])
-    np.divide(ko, np.where(sx > 0, sx, np.inf), out=x_next)
-    np.divide(ki, np.where(sy > 0, sy, np.inf), out=y_next)
-    return np.maximum(_residual(ko, x, sx, r), _residual(ki, y, sy, r))
+    np.matmul(x[:, None], t, out=s[1, :, None])
+    return _next(k, xs, s, xs_next)
 
 
 def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions,
                    work: _Workspace):
     """Iterate class systems of one class count together, in `work`.
 
-    Each system starts where the node-level iteration does, and so makes
-    the same iterates in exact arithmetic. Returns their class x, y and p
-    as (B, C) and (B, C, C) stacks, with their residuals and iterations. A
-    system converged iff its residual is <= tolerance; the p of one that
-    did not is meaningless.
+    Each system starts where the node-level iteration does, at k / sqrt(sum
+    of all node degrees), and so makes the same iterates in exact
+    arithmetic; one with no links is not iterated. Returns their class x, y
+    and p as (B, C) and (B, C, C) stacks, with their residuals and
+    iterations. A system converged iff its residual is <= tolerance; the p
+    of one that did not is meaningless.
     """
-    m = np.stack([s.m for s in systems])
-    k_out = np.stack([s.k_out for s in systems])
+    m, k_out, k_in = map(np.stack, list(zip(*systems))[:3])
     free = np.ones(m.shape + m.shape[1:], dtype=bool)
     ones = np.zeros_like(free)
     for b, s in enumerate(systems):
@@ -422,14 +417,13 @@ def _solve_systems(systems: list[_System], directed: bool, opts: SolverOptions,
             free[b], ones[b] = s.free, s.ones
     partners = _partners(m)
     total = (m * k_out).sum(axis=1)
-    ks = [k_out.astype(float)]
-    ws = [(free * partners).astype(float)]
-    if directed:
-        ks.append(np.stack([s.k_in for s in systems]).astype(float))
-        ws.append((free * partners.transpose(0, 2, 1)).astype(float))
+    k = np.stack((k_out, k_in)[:1 + directed]).astype(float)
+    ws = [(free * w).astype(float)
+          for w in (partners, partners.transpose(0, 2, 1))[:len(k)]]
+    start = k / np.sqrt(np.where(total > 0, total, 1))[:, None]
     xs, residual, iterations = _run(
-        _step_directed if directed else _step_undirected, (*ks, *ws),
-        [_start(k, total) for k in ks], total > 0, opts, work)
+        _step_directed if directed else _step_undirected, k, ws, start,
+        total > 0, opts, work)
     x, y = xs[0], xs[-1]  # one x when undirected
 
     xy = x[:, :, None] * y[:, None]

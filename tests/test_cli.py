@@ -680,6 +680,43 @@ def test_scipy_never_loads(tmp_path, argv, pins, modules):
     assert proc.stdout == "".join(f"{line}\n" for line in lines), proc.stderr
 
 
+BLAS_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import inforank.cli
+task = "/proc/self/task"
+print(json.dumps([len(os.listdir(task)) if os.path.isdir(task) else None,
+                  {k: v for k, v in os.environ.items() if before.get(k) != v}]))
+"""
+
+
+@pytest.mark.parametrize("blas_env, argv, threads, changed", [
+    ({}, [], 1, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, [], 2, {}),
+    ({"OMP_NUM_THREADS": "1"}, [], 1, {}),
+    ({}, ["numpy-first"], None, {}),
+], ids=["unset", "openblas-2", "omp-1", "numpy-first"])
+def test_cli_holds_blas_to_one_thread_unless_set(blas_env, argv, threads, changed):
+    # importing the CLI before numpy sets OPENBLAS_NUM_THREADS=1 when the
+    # caller set no BLAS thread count, so OpenBLAS starts no worker thread;
+    # a count the caller set, or numpy loaded first, leaves os.environ as
+    # it was. The child's environment is built here, not inherited, so no
+    # variable of the parent's can stand in for the one under test.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **blas_env}
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, diff = json.loads(proc.stdout)
+    assert diff == changed
+    if threads is not None:
+        if count is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a BLAS worker thread shows only on Linux with 2+ cores")
+        assert count == threads
+
+
 PACKAGE_PROBE = """
 import sys
 import inforank

@@ -632,8 +632,9 @@ def test_row_gather_is_expanded_rows(case, conditioned, data):
 @st.composite
 def class_stack(draw):
     """A stack of b class systems of C classes for either step: (directed,
-    consts, start xs). w has zero rows, some classes and whole systems have
-    x = 0 at the fixed point, and the degrees are those of that fixed point."""
+    the (nx, b, C) targets k, the (b, C, C) weights, the (nx, b, C) start
+    xs). w has zero rows, some classes and whole systems have x = 0 at the
+    fixed point, and the degrees are those of that fixed point."""
     directed = draw(st.booleans())
     b, c = draw(st.integers(1, 40)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -648,8 +649,8 @@ def class_stack(draw):
     k = [x * (w[0] / d * y[:, None]).sum(axis=2)]
     if directed:
         k.append(y * (w[1] / d * x[:, :, None]).sum(axis=1))
-    total = k[0].sum(axis=1)
-    return directed, (*k, *w), [maxent._start(kk, total) for kk in k]
+    k, total = np.stack(k), k[0].sum(axis=1)
+    return directed, k, list(w), k / np.sqrt(np.where(total > 0, total, 1))[:, None]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -658,23 +659,45 @@ def test_workspace_steps_match_oracle_steps(stack, spare, data):
     # each step writes into a workspace allocated for more systems than
     # are live, and halfway the stack shrinks to its first b systems, as it
     # does in maxent._run; every residual and next iterate equals the
-    # oracle's, which allocates every array afresh, bit for bit
-    directed, consts, xs = stack
+    # oracle's, which allocates every array afresh and builds the outer
+    # product by a broadcast multiply, bit for bit
+    directed, k, ws, xs = stack
     step, oracle = ((maxent._step_directed, step_directed) if directed
                     else (maxent._step_undirected, step_undirected))
-    nx, b, c = len(xs), *xs[0].shape
-    pairs, rows = np.empty((2, b + spare, c, c)), np.empty((nx + 1, b + spare, c))
+    nx, b, c = xs.shape
+    pairs, sums = np.empty((2, b + spare, c, c)), np.empty((nx, b + spare, c))
     cur, nxt = np.empty((2, nx, b + spare, c))
     cur[:, :b] = xs
     for it in range(40):
         if it == 20:
             b = data.draw(st.integers(1, b))
-            consts = [k[:b] for k in consts]
-            xs = [x[:b] for x in xs]
-        work = tuple(pairs[:, :b]), tuple(rows[:, :b]), tuple(nxt[:, :b])
-        residual = step(*consts, *cur[:, :b], work)
-        expect, xs = oracle(*consts, *xs)
+            k, ws, xs = k[:, :b], [w[:b] for w in ws], [x[:b] for x in xs]
+        work = tuple(pairs[:, :b]), sums[:, :b], nxt[:, :b]
+        residual = step(k, *ws, cur[:, :b], work)
+        expect, xs = oracle(*k, *ws, *xs)
         assert np.array_equal(residual, expect)
         for x, got in zip(xs, nxt[:, :b]):
             assert np.array_equal(got, x)
         cur, nxt = nxt, cur
+
+
+# non-negative floats: 0, subnormals, normals up to 1e150 and from there to
+# the largest, whose products overflow, and inf
+FACTORS = st.one_of(st.just(0.0), st.just(np.inf),
+                    st.floats(0.0, 2.2250738585072014e-308),
+                    st.floats(0.0, 1e150), st.floats(1e150, 1.7e308))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.lists(FACTORS, min_size=1, max_size=64))
+def test_einsum_outer_product_is_the_broadcast_product(b, c, seed, factors):
+    # the steps' outer product rounds once per entry, as the oracles' does,
+    # into a (b, C, C) view of a larger buffer as the workspace gives it
+    rng = np.random.default_rng(seed)
+    x, y = rng.choice(np.array(factors), size=(2, b, c))
+    d = np.empty((b + 1, c, c))[:b]
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        np.einsum("bc,bd->bcd", x, y, out=d)
+        expect = x[:, :, None] * y[:, None]
+    assert np.array_equal(d.view(np.int64), expect.view(np.int64))

@@ -7,8 +7,8 @@ Usage:
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
         [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
         [--hub 300,600] [--risk 60,120,240,300] [--sample 600,1200,2400]
-        [--stack-elements 8192,65536] [--imports R] [--seed 1]
-        > scale.json
+        [--compare 800,1600,3200] [--stack-elements 8192,65536]
+        [--blas default,1] [--imports R] [--seed 1] > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
 `src`). Each point is BA(n, 3) (`--ba`), directed scale-free(n, 2)
@@ -20,24 +20,33 @@ the hub graph), or directed scale-free(n, 2) run through
 `risk_error_experiment()` with 100 samples per node and its other
 defaults (`--risk`), or the CLI's `sample --generate ba:N,3 --samples
 100 --seed SEED --output-dir DIR` through `inforank.cli.main`
-(`--sample`), so that every tree runs the command
-through its own code. With none of the six options, the BA and
-scale-free defaults shown above run. The child reports the wall time of
-the `inforank()`, `risk_error_experiment()` or `main()` call, the minor
-page faults it took (`ru_minflt` after minus before), the process's peak
-RSS (`ru_maxrss`) and a sha256 of S0, S_cond, S0_contrib, I and the
-failed flags, of the risk experiment's mse, or of the names and bytes of
-the sample files, in name order. With
-`--stack-elements`, the child sets `maxent.STACK_ELEMENTS` to each value
-in turn before the call.
+(`--sample`), or `compare --generate ba:N,3 --seed SEED --output FILE`
+there (`--compare`), so that every tree runs the command through its own
+code. With none of the seven options, the BA and scale-free defaults
+shown above run. The child reports the wall time of the `inforank()`,
+`risk_error_experiment()` or `main()` call, the minor page faults it took
+(`ru_minflt` after minus before), the process's peak RSS (`ru_maxrss`),
+its OS thread count after its imports (None off Linux) and a sha256 of
+S0, S_cond, S0_contrib, I and the failed flags, of the risk experiment's
+mse, or of the names and bytes of the files `main` wrote, in name order.
+With `--stack-elements`, the child sets `maxent.STACK_ELEMENTS` to each
+value in turn before the call.
+
+`--blas` runs every point under each BLAS setting in turn: `default`
+unsets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, and a
+count N sets OPENBLAS_NUM_THREADS=N (default: `default` alone). The child
+imports numpy before inforank, so `default` is OpenBLAS's own count, one
+thread per core, on every tree and axis: the CLI's one-thread default
+applies only where it is imported first.
 
 Every round runs every point on each tree; the tree that runs first
 alternates from round to round. The JSON on stdout holds the machine, every
-point, and per (model, n, stack elements) the median of each side, the
-change/base ratio of the medians and whether every run of both trees gave
-the same hash. Per model and stack elements with two sizes or more, it also
-holds each side's fitted exponent: the least-squares slope of log(median
-wall_s) against log(n), so that the wall time grows as n^exponent.
+point, and per (model, n, stack elements, BLAS setting) the median of each
+side, the change/base ratio of the medians and whether every run of both
+trees gave the same hash. Per model, stack elements and BLAS setting with
+two sizes or more, it also holds each side's fitted exponent: the
+least-squares slope of log(median wall_s) against log(n), so that the wall
+time grows as n^exponent.
 
 `--imports R` adds the import axis: each CLI command (`rank`, `compare`,
 `accuracy`, `sample`, `risk`) runs with `--input` on one fixed edge list,
@@ -62,7 +71,7 @@ import tempfile
 from pathlib import Path
 
 CHILD = r"""
-import hashlib, json, pathlib, resource, sys, tempfile, time
+import hashlib, json, os, pathlib, resource, sys, tempfile, time
 src, model, n, seed, stack = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
@@ -73,6 +82,8 @@ from inforank.generators import (barabasi_albert, erdos_renyi,
 from inforank.graphs import make_graph
 if not maxent.__file__.startswith(src):
     sys.exit(f"inforank imported from {maxent.__file__}, not from {src}")
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
 if stack != "default":
     maxent.STACK_ELEMENTS = int(stack)
 if model == "star":
@@ -80,7 +91,7 @@ if model == "star":
 elif model == "hub":
     g = erdos_renyi(int(n), 3 / int(n), seed=int(seed))
     g = make_graph(g.n, g.edges | {(0, j) for j in range(1, g.n)})
-elif model == "sample":
+elif model in ("sample", "compare"):
     out = tempfile.TemporaryDirectory()
 else:
     make = barabasi_albert if model == "ba" else scale_free_directed
@@ -93,12 +104,16 @@ elif model == "sample":
     if main(["sample", "--generate", f"ba:{n},3", "--samples", "100",
              "--seed", seed, "--output-dir", out.name]):
         sys.exit("sample failed")
+elif model == "compare":
+    if main(["compare", "--generate", f"ba:{n},3", "--seed", seed,
+             "--output", f"{out.name}/compare.json"]):
+        sys.exit("compare failed")
 else:
     r = inforank(g)
 wall = time.perf_counter() - t0
 after = resource.getrusage(resource.RUSAGE_SELF)
 h = hashlib.sha256()
-if model == "sample":
+if model in ("sample", "compare"):
     for f in sorted(pathlib.Path(out.name).iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes())
     out.cleanup()
@@ -110,7 +125,7 @@ print(json.dumps({"wall_s": round(wall, 4),
                   "minflt": after.ru_minflt - before.ru_minflt,
                   "maxrss_mb": round(after.ru_maxrss / 1024, 1),
                   "stack_elements": maxent.STACK_ELEMENTS,
-                  "sha256": h.hexdigest()}))
+                  "threads": threads, "sha256": h.hexdigest()}))
 """
 
 
@@ -132,6 +147,8 @@ print(json.dumps({"import_s": round(t1 - t0, 5), "main_s": round(t2 - t1, 5),
                   "exit": code, "modules": sorted(
                       m for m in sys.modules if m.startswith("inforank."))}))
 """
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # each command of the import axis, with its options but --input and output
 IMPORT_COMMANDS = {"rank": ["rank"], "compare": ["compare"],
@@ -155,10 +172,19 @@ def machine() -> dict:
     return info
 
 
-def run_point(src: str, model: str, n: int, seed: int, stack: str) -> dict:
+def blas_env(blas: str) -> dict:
+    """This environment under a --blas setting (see the module docstring)."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if blas != "default":
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return env
+
+
+def run_point(src: str, model: str, n: int, seed: int, stack: str,
+              blas: str) -> dict:
     out = subprocess.run([sys.executable, "-c", CHILD, src, model, str(n),
                           str(seed), stack], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=blas_env(blas))
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -208,8 +234,25 @@ def exponent(ns: list[int], walls: list[float]) -> float:
             / sum((a - mx) ** 2 for a in x))
 
 
+def grouped(items: list[dict], fields: tuple) -> list[tuple[dict, list]]:
+    """items grouped by their values of `fields`, in first-seen order, each
+    group as ({field: value}, its items)."""
+    groups = {}
+    for item in items:
+        groups.setdefault(tuple(item[f] for f in fields), []).append(item)
+    return [(dict(zip(fields, key)), mine) for key, mine in groups.items()]
+
+
 def ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
+
+
+def blas_settings(text: str) -> list[str]:
+    values = [v for v in text.split(",") if v]
+    for v in values:
+        if v != "default" and not (v.isdigit() and int(v) >= 1):
+            raise argparse.ArgumentTypeError(f"not 'default' or a count: {v!r}")
+    return values
 
 
 def main() -> None:
@@ -223,59 +266,59 @@ def main() -> None:
     ap.add_argument("--hub", type=ints)
     ap.add_argument("--risk", type=ints)
     ap.add_argument("--sample", type=ints)
+    ap.add_argument("--compare", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
+    ap.add_argument("--blas", type=blas_settings, default=["default"])
     ap.add_argument("--imports", type=int, metavar="R")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     if all(v is None for v in (args.ba, args.sf, args.star, args.hub,
-                               args.risk, args.sample, args.imports)):
+                               args.risk, args.sample, args.compare,
+                               args.imports)):
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
     if args.base:
         trees["base"] = str(Path(args.base).resolve())
     stacks = [str(v) for v in args.stack_elements] if args.stack_elements else ["default"]
-    cases = [(model, n, stack) for stack in stacks
+    cases = [(model, n, stack, blas) for blas in args.blas for stack in stacks
              for model, sizes in (("ba", args.ba), ("sf", args.sf),
                                   ("star", args.star), ("hub", args.hub),
                                   ("risk", args.risk),
-                                  ("sample", args.sample))
+                                  ("sample", args.sample),
+                                  ("compare", args.compare))
              for n in sizes or ()]
     points = []
     for rnd in range(args.rounds):
         sides = sorted(trees, reverse=rnd % 2 == 1)
-        for model, n, stack in cases:
+        for model, n, stack, blas in cases:
             for side in sides:
-                p = run_point(trees[side], model, n, args.seed, stack)
-                p.update(side=side, model=model, n=n, round=rnd)
+                p = run_point(trees[side], model, n, args.seed, stack, blas)
+                p.update(side=side, model=model, n=n, blas=blas, round=rnd)
                 points.append(p)
                 print(f"round {rnd} {side:6} {model}({n}) "
-                      f"stack {p['stack_elements']}: {p['wall_s']:.3f} s, "
+                      f"stack {p['stack_elements']} blas {blas} "
+                      f"({p['threads']} threads): {p['wall_s']:.3f} s, "
                       f"{p['minflt']} faults, {p['maxrss_mb']} MiB",
                       file=sys.stderr)
 
     summary = []
-    for key in dict.fromkeys((p["model"], p["n"], p["stack_elements"])
-                             for p in points):
-        mine = [p for p in points
-                if (p["model"], p["n"], p["stack_elements"]) == key]
-        row = dict(zip(("model", "n", "stack_elements"), key),
-                   same_hash=len({p["sha256"] for p in mine}) == 1)
+    for key, mine in grouped(points, ("model", "n", "stack_elements", "blas")):
+        row = dict(key, same_hash=len({p["sha256"] for p in mine}) == 1)
         for side in trees:
             runs = [p for p in mine if p["side"] == side]
             row[side] = {m: round(statistics.median(p[m] for p in runs), 4)
                          for m in ("wall_s", "minflt", "maxrss_mb")}
+            row[side]["threads"] = sorted({p["threads"] for p in runs},
+                                          key=str)
         if "base" in trees:
             row["wall_ratio"] = round(row["change"]["wall_s"]
                                       / row["base"]["wall_s"], 3)
         summary.append(row)
     exponents = []
-    for model, stack in dict.fromkeys((r["model"], r["stack_elements"])
-                                      for r in summary):
-        rows = [r for r in summary
-                if (r["model"], r["stack_elements"]) == (model, stack)]
+    for key, rows in grouped(summary, ("model", "stack_elements", "blas")):
         if len(rows) >= 2:
-            exponents.append({"model": model, "stack_elements": stack, **{
+            exponents.append({**key, **{
                 side: round(exponent([r["n"] for r in rows],
                                      [r[side]["wall_s"] for r in rows]), 3)
                 for side in trees}})
