@@ -19,13 +19,13 @@ _PUBLIC = {
     "entropy": ("EntropyReport", "approx_meanfield", "approx_sparse",
                 "benchmark_entropy", "inforank", "inforank_subset"),
     "errors": ("GraphError", "InfoRankError", "InputError", "ParseError",
-               "SolverError", "UndefinedCorrelationError", "UndefinedIndexError"),
+               "SolverError", "UndefinedIndexError"),
     "graphs": ("DegreeSeq", "Graph", "degree_sequence", "load_edge_list",
                "make_graph"),
     "maxent": ("FORCED_LIM", "FORCED_OBS", "FREE", "ParamVector", "ProbMatrix",
                "SolverOptions", "solve_benchmark", "solve_dbcm", "solve_ubcm"),
-    "recon": ("AccuracyReport", "accuracy_report", "expected_accuracy", "pearson"),
-    "sampling": ("SampleSpec", "sample_ensemble", "sample_graph"),
+    "recon": ("AccuracyReport", "accuracy_report"),
+    "sampling": ("SampleSpec", "sample_ensemble"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_HOME)

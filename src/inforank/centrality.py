@@ -57,7 +57,7 @@ def closeness_centrality(g: Graph) -> RankVector:
     adj = [a.tolist() for a in np.split(head[order], bounds)]
     scores = np.zeros(g.n)
     for src in range(g.n):
-        dist = np.full(g.n, -1, dtype=np.int64)
+        dist = [-1] * g.n  # a list: no numpy scalar read per edge visit
         dist[src] = 0
         queue = deque([src])
         total = 0

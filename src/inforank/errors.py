@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes, so new error conditions should
-subclass one of the three roots below rather than raising bare ValueError.
+The CLI maps these onto its exit codes: ParseError and GraphError exit 3,
+SolverError and UndefinedIndexError exit 4, and InputError, like any other
+InfoRankError, exits 2. A new error condition subclasses the class whose
+exit code it should have, rather than raising a bare ValueError.
 """
 
 
@@ -47,7 +49,3 @@ class SolverError(InfoRankError):
 
 class UndefinedIndexError(InfoRankError):
     """Ranking index is undefined (fully deterministic benchmark ensemble)."""
-
-
-class UndefinedCorrelationError(InfoRankError):
-    """Pearson correlation undefined (zero variance input)."""

@@ -11,7 +11,6 @@ ensembles of entropy.conditioned_pass, so a caller that also ranks (the
 (maxent.ClassSolution) with no n x n array: the pair sum of 1 - p over the
 free class pairs, plus 2p - 1 gathered on the observed links among the free
 nodes, plus 1 for each pair that touches a conditioned node.
-`expected_accuracy` scores a ProbMatrix and stays as its oracle.
 
 `solved_pearson` is the one rule for a correlation over the solved nodes:
 a node that is NaN in either vector takes no part, and an undefined
@@ -25,26 +24,14 @@ import numpy as np
 
 from .centrality import RankVector
 from .entropy import conditioned_pass
-from .errors import InputError, UndefinedCorrelationError
+from .errors import InputError
 from .graphs import Graph
-from .maxent import ClassSolution, ProbMatrix, SolverOptions, solve_classes
-
-
-def expected_accuracy(pm: ProbMatrix, g: Graph) -> float:
-    """<A> of a probability matrix against the observed adjacency of g."""
-    if pm.n != g.n or pm.directed != g.directed:
-        raise InputError("probability matrix and graph must match in size and directedness")
-    if g.n < 2:
-        raise InputError("accuracy needs at least two nodes")
-    a = g.adjacency()
-    terms = a * pm.p + (1.0 - a) * (1.0 - pm.p)
-    np.fill_diagonal(terms, 0.0)
-    return float(terms.sum() / (g.n * (g.n - 1)))
+from .maxent import ClassSolution, SolverOptions, solve_classes
 
 
 def class_accuracy(sol: ClassSolution) -> float:
-    """expected_accuracy of sol.expand() against the graph sol was solved
-    for, summed over class pairs."""
+    """<A> of sol.expand() against the graph sol was solved for, summed
+    over class pairs."""
     n, f = sol.n, int(sol.m.sum())
     if n < 2:
         raise InputError("accuracy needs at least two nodes")
@@ -56,32 +43,24 @@ def class_accuracy(sol: ClassSolution) -> float:
     return float(total / (n * (n - 1)))
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation; raises if either input has zero variance."""
+def solved_pearson(x, y) -> float | None:
+    """Product-moment correlation of two equal-length vectors over the
+    entries where neither is NaN, so a node whose solve failed takes no
+    part; None where that is undefined: fewer than two entries left, or one
+    side constant on them."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise InputError("pearson needs two equal-length vectors of length >= 2")
+    ok = ~np.isnan(x + y)
+    x, y = x[ok], y[ok]
+    if len(x) < 2:
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for zero-variance input")
-    return float((dx * dy).sum() / (sx * sy))
-
-
-def solved_pearson(x, y) -> float | None:
-    """pearson over the entries where neither x nor y is NaN, so a node
-    whose solve failed takes no part; None where that is undefined: fewer
-    than two entries left, or one side constant on them."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ok = ~np.isnan(x + y)
-    try:
-        return pearson(x[ok], y[ok])
-    except (InputError, UndefinedCorrelationError):
         return None
+    return float((dx * dy).sum() / (sx * sy))
 
 
 @dataclass

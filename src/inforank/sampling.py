@@ -2,8 +2,8 @@
 
 Sample t of a run uses the derived seed (seed, t), so samples are mutually
 independent, individually reproducible and safe to generate in parallel.
-`_edges` is the one graph draw, behind `sample_graph`, `sample_ensemble`
-and `class_samples`, the `sample` command's draw. It streams the
+`_edges` is the one graph draw, behind `sample_ensemble` and
+`class_samples`, the `sample` command's draw. It streams the
 probability matrix in blocks of rows and draws its seeds in passes: a pass
 gathers each block once and compares it with each of its seeds' uniforms in
 turn, so `class_samples` builds no n x n array and gathers each block once
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, make_graph
+from .graphs import make_graph
 from .maxent import ClassSolution, ProbMatrix
 
 # Entries (rows x n) of one block of a draw; it bounds the block's memory.
@@ -114,30 +114,21 @@ def _edges(rows, n: int, directed: bool, seeds, edges: int):
             yield np.concatenate(tails), np.concatenate(heads)
 
 
-def _graphs(pm: ProbMatrix, seeds):
-    """Yield the graph of one draw per seed of the list `seeds`."""
+def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
+    """Yield spec.count independent graph draws, draw t from the derived
+    seed (spec.seed, t): each entry is an independent Bernoulli(p_ij), one
+    per unordered pair when undirected."""
+    seeds = [(spec.seed, t) for t in range(spec.count)]
     edges = int(pm.p.sum()) // (1 if pm.directed else 2)
     for tails, heads in _edges(pm.p.__getitem__, pm.n, pm.directed, seeds, edges):
         yield make_graph(pm.n, zip(tails.tolist(), heads.tolist()),
                          directed=pm.directed)
 
 
-def sample_graph(pm: ProbMatrix, seed) -> Graph:
-    """One graph draw: each entry is an independent Bernoulli(p_ij), one
-    per unordered pair when undirected."""
-    (g,) = _graphs(pm, [seed])
-    return g
-
-
-def sample_ensemble(pm: ProbMatrix, spec: SampleSpec):
-    """Yield spec.count independent draws with per-sample derived seeds."""
-    return _graphs(pm, [(spec.seed, t) for t in range(spec.count)])
-
-
 def class_samples(sol: ClassSolution, seeds):
     """Yield, per seed of the list `seeds`, the tails and heads, in
-    row-major order, of the edges of sample_graph(sol.expand(), seed),
-    drawn from the classes with no n x n array. The graph's edge count,
+    row-major order, of the edges of the draw from sol.expand() with that
+    seed, drawn from the classes with no n x n array. The graph's edge count,
     which the ensemble's expected count matches, sizes the passes. Like
     expand, it rejects an ensemble of no nodes."""
     if sol.n == 0:
@@ -235,8 +226,8 @@ def adjacency_samples(p: np.ndarray, words: np.ndarray,
     Slice b is filled in place with the (n, n) uniforms of `rng`, a PCG64
     generator set to words[b], which is the stream of default_rng(seed),
     and then compared with p in place, so the draw allocates no n x n
-    array. Each slice holds the directed sample_graph's draw from the same
-    seed.
+    array. Each slice holds the directed draw that `_edges` makes from the
+    same seed.
     """
     out = out[:len(words)]
     for a, row in zip(out, words.tolist()):

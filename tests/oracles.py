@@ -214,6 +214,15 @@ def erdos_renyi_loops(n, p, seed, directed):
     return edges
 
 
+def expected_accuracy(pm, g):
+    """<A> of a probability matrix against g's observed links, on the
+    dense n x n matrices: the oracle of recon.class_accuracy."""
+    a = dense_matrix(g.n, g.edges, g.directed)
+    terms = a * pm.p + (1.0 - a) * (1.0 - pm.p)
+    np.fill_diagonal(terms, 0.0)
+    return float(terms.sum() / (g.n * (g.n - 1)))
+
+
 def pearson_two_pass(x, y):
     """Computational-formula correlation: (sum xy - n mx my) / (n sx sy)."""
     x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from inforank.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 from inforank.entropy import inforank
 from inforank.generators import from_spec
 from inforank.graphs import degree_sequence
-from inforank.recon import pearson
+from inforank.recon import solved_pearson
 
 
 def run(tmp_path, *argv):
@@ -328,7 +328,7 @@ def test_csv_and_json_artifacts_agree(tmp_path, spec, seed):
                     other = np.array([row[f"{name}_rescaled"] for row in rows])
                     np.testing.assert_allclose(
                         payload["correlations"][f"{name}~inforank"],
-                        pearson(other[ok], got[ok]), rtol=0, atol=1e-11)
+                        solved_pearson(other[ok], got[ok]), rtol=0, atol=1e-11)
 
 
 def test_compare_with_under_two_solved_nodes(tmp_path):
@@ -372,7 +372,7 @@ def test_accuracy_with_under_two_solved_nodes(tmp_path):
 def test_sample_writes_serialized_graph_draws(tmp_path, capsys, monkeypatch,
                                               argv, budget):
     # the streamed class draws, in one row block or several, write the
-    # sorted edges of each sample_graph of the expanded ensemble
+    # sorted edges of each sample_ensemble draw of the expanded ensemble
     if budget is not None:
         monkeypatch.setattr(sampling, "BLOCK_ELEMENTS", budget)
     spec = argv[argv.index("--generate") + 1]
@@ -733,15 +733,13 @@ PUBLIC = {
     "entropy": ["EntropyReport", "approx_meanfield", "approx_sparse",
                 "benchmark_entropy", "inforank", "inforank_subset"],
     "errors": ["GraphError", "InfoRankError", "InputError", "ParseError",
-               "SolverError", "UndefinedCorrelationError",
-               "UndefinedIndexError"],
+               "SolverError", "UndefinedIndexError"],
     "graphs": ["DegreeSeq", "Graph", "degree_sequence", "load_edge_list",
                "make_graph"],
     "maxent": ["FORCED_LIM", "FORCED_OBS", "FREE", "ParamVector", "ProbMatrix",
                "SolverOptions", "solve_benchmark", "solve_dbcm", "solve_ubcm"],
-    "recon": ["AccuracyReport", "accuracy_report", "expected_accuracy",
-              "pearson"],
-    "sampling": ["SampleSpec", "sample_ensemble", "sample_graph"],
+    "recon": ["AccuracyReport", "accuracy_report"],
+    "sampling": ["SampleSpec", "sample_ensemble"],
 }
 
 
@@ -754,7 +752,7 @@ def test_package_loads_each_name_on_first_use():
                           timeout=120)
     assert proc.returncode == 0 and proc.stdout.split() == [], proc.stderr
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 46 and inforank.__all__ == names
+    assert len(names) == 42 and inforank.__all__ == names
     for module, public in PUBLIC.items():
         home = importlib.import_module(f"inforank.{module}")
         assert getattr(inforank, module) is home

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from inforank import (InputError, ProbMatrix, SampleSpec, degree_sequence,
-                      sample_ensemble, sample_graph, sampling, solve_dbcm,
-                      solve_ubcm)
+                      sample_ensemble, sampling, solve_dbcm, solve_ubcm)
 from inforank.clearing import RiskExperiment
 from inforank.generators import barabasi_albert, erdos_renyi, scale_free_directed
 from inforank.maxent import solve_classes
@@ -29,27 +28,26 @@ def _generator():
 
 
 def test_sample_all_zero_gives_empty_graph():
-    g = sample_graph(_pm(np.zeros((6, 6))), seed=0)
+    (g,) = sample_ensemble(_pm(np.zeros((6, 6))), SampleSpec(count=1, seed=0))
     assert g.m == 0
 
 
 def test_sample_all_one_gives_complete_graph():
     p = np.ones((5, 5))
     np.fill_diagonal(p, 0.0)
-    g = sample_graph(_pm(p), seed=0)
+    (g,) = sample_ensemble(_pm(p), SampleSpec(count=1, seed=0))
     assert g.m == 5 * 4 // 2
-    gd = sample_graph(_pm(p, directed=True), seed=0)
+    (gd,) = sample_ensemble(_pm(p, directed=True), SampleSpec(count=1, seed=0))
     assert gd.m == 5 * 4
 
 
 def test_sample_determinism():
     g = erdos_renyi(20, 0.3, seed=1)
     _, pm = solve_ubcm(degree_sequence(g))
-    s1 = sample_graph(pm, seed=(7, 3))
-    s2 = sample_graph(pm, seed=(7, 3))
-    assert s1.edges == s2.edges
-    s3 = sample_graph(pm, seed=(7, 4))
-    assert s3.edges != s1.edges
+    s1 = [s.edges for s in sample_ensemble(pm, SampleSpec(count=2, seed=7))]
+    s2 = [s.edges for s in sample_ensemble(pm, SampleSpec(count=2, seed=7))]
+    assert s1 == s2
+    assert s1[0] != s1[1]
 
 
 def test_sample_spec_validation():
@@ -72,8 +70,7 @@ def test_adjacency_sample_matches_graph_sample():
     _, pm = solve_dbcm(degree_sequence(g))
     (a,) = adjacency_samples(pm.p, seed_words(4, 0, 1), _generator(),
                              np.empty((1, 15, 15)))
-    s = sample_graph(pm, seed=(4, 0, 0))
-    assert np.array_equal(a, s.adjacency())
+    assert np.array_equal(a, dense_draw(pm.p, True, (4, 0, 0)))
 
 
 def test_mean_degree_binomial_bound():
@@ -128,20 +125,22 @@ def _block_cases(graphs=small_graph()):
 def test_streamed_draw_matches_dense_oracle(case, spare):
     # blocks of one row, of a few rows, of a count that does not divide n
     # and of all n rows: every one streams the dense draw's hits, and so
-    # does the risk scorer's draw, which is directed only
+    # do sample_ensemble's draw and the risk scorer's, which is directed
+    # only
     (g, node), conditioned, seed, rows = case
     sol = solve_classes(g, [node] if conditioned else None)
     pm = sol.expand()
     hit = dense_draw(pm.p, g.directed, (seed, node, 0))
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", rows * g.n + spare % g.n):
         ((tails, heads),) = class_samples(sol, [(seed, node, 0)])
-        graph = sample_graph(pm, (seed, node, 0))
+        (graph,) = sample_ensemble(pm, SampleSpec(count=1, seed=seed))
         if g.directed:
             (adjacency,) = adjacency_samples(pm.p, seed_words(seed, node, 1),
                                              _generator(), np.empty((1, g.n, g.n)))
             assert np.array_equal(adjacency, hit)
     i, j = np.nonzero(hit)
     assert np.array_equal(tails, i) and np.array_equal(heads, j)
+    i, j = np.nonzero(dense_draw(pm.p, g.directed, (seed, 0)))
     assert sorted(graph.edges) == list(zip(i.tolist(), j.tolist()))
 
 
@@ -208,11 +207,11 @@ def _pass_cases():
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(_pass_cases())
-def test_class_samples_match_sample_graph_seed_for_seed(case):
+def test_class_samples_match_sample_ensemble_seed_for_seed(case):
     # directed and undirected, plain and conditioned on one node, in blocks
     # of one row, of n - 1 or n + 1 entries, of a few rows shared by a pass
     # of several seeds, and of the default size: each draw yields the
-    # sorted edges of sample_graph's draw from the expanded ensemble
+    # sorted edges of sample_ensemble's draw from the expanded ensemble
     ((g, node), conditioned), budget, count, more, seed = case
     sol = solve_classes(g, [node] if conditioned else None)
     pm = sol.expand()
@@ -222,9 +221,10 @@ def test_class_samples_match_sample_graph_seed_for_seed(case):
             {"one": 1, "pass": per_pass, "more": per_pass + more}[count])]
         draws = list(class_samples(sol, seeds))
     assert len(draws) == len(seeds)
-    for (tails, heads), s in zip(draws, seeds):
+    graphs = sample_ensemble(pm, SampleSpec(count=len(seeds), seed=seed))
+    for (tails, heads), graph in zip(draws, graphs, strict=True):
         drawn = list(zip(tails.tolist(), heads.tolist()))
-        assert drawn == sorted(sample_graph(pm, s).edges)
+        assert drawn == sorted(graph.edges)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -283,13 +283,13 @@ def test_seed_states_reject_what_default_rng_rejects(seed):
 @pytest.mark.parametrize("directed", [False, True])
 def test_draw_never_hits_the_diagonal(directed, budget):
     # each draw clears the diagonal itself, even where p_ii was set to 1
-    # after the matrix was checked: sample_graph's in both directions, and
-    # the risk scorer's, which is directed only
+    # after the matrix was checked: sample_ensemble's in both directions,
+    # and the risk scorer's, which is directed only
     pm = _pm(np.ones((9, 9)), directed)
     pm.p[...] = 1.0
     with mock.patch.object(sampling, "BLOCK_ELEMENTS", budget):
         (a,) = adjacency_samples(pm.p, seed_words(1, 0, 1), _generator(),
                                  np.empty((1, 9, 9)))
-        g = sample_graph(pm, seed=1)
+        (g,) = sample_ensemble(pm, SampleSpec(count=1, seed=1))
     assert np.array_equal(a, 1.0 - np.eye(9))
     assert g.m == (72 if directed else 36)

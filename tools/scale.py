@@ -7,7 +7,7 @@ Usage:
     python3 tools/scale.py --change SRC [--base SRC] [--rounds R]
         [--ba 200,400,800,1600] [--sf 200,400,800] [--star 500,1000,2000]
         [--hub 300,600] [--risk 60,120,240,300] [--sample 600,1200,2400]
-        [--compare 800,1600,3200] [--stack-elements 8192,65536]
+        [--compare 800,1600,3200] [--ring 1600] [--stack-elements 8192,65536]
         [--blas default,1] [--imports R] [--seed 1] > scale.json
 
 SRC is the directory that holds the `inforank` package (a checkout's
@@ -21,8 +21,10 @@ the hub graph), or directed scale-free(n, 2) run through
 defaults (`--risk`), or the CLI's `sample --generate ba:N,3 --samples
 100 --seed SEED --output-dir DIR` through `inforank.cli.main`
 (`--sample`), or `compare --generate ba:N,3 --seed SEED --output FILE`
-there (`--compare`), so that every tree runs the command through its own
-code. With none of the seven options, the BA and scale-free defaults
+there (`--compare`), or `compare --generate ring:N,2 --measure closeness
+--output FILE` there (`--ring`: a cycle, so each source's breadth-first
+search takes n/2 levels), so that every tree runs the command through its
+own code. With none of the eight options, the BA and scale-free defaults
 shown above run. The child reports the wall time of the `inforank()`,
 `risk_error_experiment()` or `main()` call, the minor page faults it took
 (`ru_minflt` after minus before), the process's peak RSS (`ru_maxrss`),
@@ -91,7 +93,7 @@ if model == "star":
 elif model == "hub":
     g = erdos_renyi(int(n), 3 / int(n), seed=int(seed))
     g = make_graph(g.n, g.edges | {(0, j) for j in range(1, g.n)})
-elif model in ("sample", "compare"):
+elif model in ("sample", "compare", "ring"):
     out = tempfile.TemporaryDirectory()
 else:
     make = barabasi_albert if model == "ba" else scale_free_directed
@@ -108,12 +110,16 @@ elif model == "compare":
     if main(["compare", "--generate", f"ba:{n},3", "--seed", seed,
              "--output", f"{out.name}/compare.json"]):
         sys.exit("compare failed")
+elif model == "ring":
+    if main(["compare", "--generate", f"ring:{n},2", "--measure", "closeness",
+             "--output", f"{out.name}/compare.json"]):
+        sys.exit("compare failed")
 else:
     r = inforank(g)
 wall = time.perf_counter() - t0
 after = resource.getrusage(resource.RUSAGE_SELF)
 h = hashlib.sha256()
-if model in ("sample", "compare"):
+if model in ("sample", "compare", "ring"):
     for f in sorted(pathlib.Path(out.name).iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes())
     out.cleanup()
@@ -267,6 +273,7 @@ def main() -> None:
     ap.add_argument("--risk", type=ints)
     ap.add_argument("--sample", type=ints)
     ap.add_argument("--compare", type=ints)
+    ap.add_argument("--ring", type=ints)
     ap.add_argument("--stack-elements", type=ints, default=None)
     ap.add_argument("--blas", type=blas_settings, default=["default"])
     ap.add_argument("--imports", type=int, metavar="R")
@@ -274,7 +281,7 @@ def main() -> None:
     args = ap.parse_args()
     if all(v is None for v in (args.ba, args.sf, args.star, args.hub,
                                args.risk, args.sample, args.compare,
-                               args.imports)):
+                               args.ring, args.imports)):
         args.ba, args.sf = [200, 400, 800, 1600], [200, 400, 800]
 
     trees = {"change": str(Path(args.change).resolve())}
@@ -286,7 +293,8 @@ def main() -> None:
                                   ("star", args.star), ("hub", args.hub),
                                   ("risk", args.risk),
                                   ("sample", args.sample),
-                                  ("compare", args.compare))
+                                  ("compare", args.compare),
+                                  ("ring", args.ring))
              for n in sizes or ()]
     points = []
     for rnd in range(args.rounds):
