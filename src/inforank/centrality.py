@@ -99,14 +99,12 @@ def pagerank(g: Graph, alpha: float = 0.85) -> RankVector:
     teleport = (1.0 - alpha) / n
     max_iter = 100_000
     for _ in range(max_iter):
-        p_new = teleport + alpha * (m.T @ p)
-        if np.abs(p_new - p).sum() < 1e-12:
-            p = p_new
+        p, last = teleport + alpha * (m.T @ p), p
+        if np.abs(p - last).sum() < 1e-12:
             break
-        p = p_new
     else:
         raise SolverError("pagerank power iteration did not converge",
-                          residual=float(np.abs(p_new - p).sum()),
+                          residual=float(np.abs(p - last).sum()),
                           iterations=max_iter)
     p = p / p.sum()
     return _rank_vector("pagerank", p)

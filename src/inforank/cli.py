@@ -147,10 +147,13 @@ def _utf8(data: bytes, name: str, error=ParseError) -> str:
 
 
 def _load_config_file(path: str) -> dict:
-    """The cast values of a key=value config file; an undecodable byte, an
-    unknown key or a bad value raises InputError."""
+    """The cast values of a key=value config file; an unreadable file, an
+    undecodable byte, an unknown key or a bad value raises InputError."""
     cfg = {}
-    text = _utf8(Path(path).read_bytes(), "config", InputError)
+    try:
+        text = _utf8(Path(path).read_bytes(), "config", InputError)
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -100,8 +100,7 @@ def scale_free_directed(n: int, m: int = 2, seed: int = 0) -> Graph:
     core = m + 1
     for i in range(core):
         for j in range(core):
-            if i != j:
-                add(i, j)
+            add(i, j)  # skips i == j
     for v in range(core, n):
         for t in _preferential(rng, k_in[:v] + 1.0, m):
             add(v, t)  # it leaves k_out[:v], the sources' weights, as it was

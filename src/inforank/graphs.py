@@ -102,9 +102,7 @@ class DegreeSeq:
 
     def total(self) -> np.ndarray:
         """Total degree per node (k, or k_out + k_in when directed)."""
-        if self.directed:
-            return self.k_out + self.k_in
-        return self.k.copy()
+        return self.k_out + self.k_in if self.directed else self.k.copy()
 
 
 def make_graph(n: int, edges, directed: bool = False, labels=None, weights=None) -> Graph:
@@ -146,7 +144,6 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     labels: list[str] = []
     edges: set[tuple[int, int]] = set()
     weights: dict[tuple[int, int], float] = {}
-    any_weight = False
 
     def node_id(tok: str) -> int:
         if tok not in index:
@@ -178,7 +175,6 @@ def load_edge_list(source, directed: bool = False) -> Graph:
             if not math.isfinite(w):
                 raise ParseError(f"non-finite weight {fields[2]!r}", lineno)
             weights[key] = weights.get(key, 0.0) + w
-            any_weight = True
 
     if not labels:
         raise GraphError("empty input: no edges found")
@@ -188,7 +184,7 @@ def load_edge_list(source, directed: bool = False) -> Graph:
         directed=directed,
         edges=frozenset(edges),
         labels=tuple(labels),
-        weights=weights if any_weight else None,
+        weights=weights or None,
     )
 
 

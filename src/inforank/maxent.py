@@ -100,31 +100,39 @@ class ProbMatrix:
 # boundary pinning
 # ---------------------------------------------------------------------------
 #
-# The finite fixed point exists only when the degrees lie in the relative
-# interior of the polytope of expected degrees. On its boundary some pairs
-# take the same value, 0 or 1, at every point of the polytope, and the
-# parameters run away; those pairs are pinned exactly before iterating. The
-# directed polytope is the set of flows in the network
+# The directed polytope (see above) is the set of flows in the network
 #   source -> out_i (capacity k_out_i), out_i -> in_j (1, i != j),
 #   in_j -> sink (capacity k_in_j)
-# that saturate the source and the sink. A pair is fixed iff a minimum cut
-# separates its arc (where a residual graph fixes the arc, Regin, AAAI 1994,
-# the source and all that one end reaches is one). These cuts have a closed
-# form (Brualdi, Linear Algebra Appl. 33:159-231, 1980, with the forbidden
-# diagonal of Fulkerson-Chen-Anstee). With a set A of a rows (k_out > 0) on
-# the source side, column j goes to the sink side iff k_in_j >= a - [j in
-# A], either way on equality, and the cut is minimum iff
+# that saturate the source and the sink. A pair is fixed, at 0 or 1 on the
+# whole polytope, iff a minimum cut separates its arc (where a residual graph
+# fixes the arc, Regin, AAAI 1994, the source and all that one end reaches
+# is one). These cuts have a closed form (Brualdi, Linear Algebra Appl.
+# 33:159-231, 1980, with the forbidden diagonal of Fulkerson-Chen-Anstee).
+# With a set A of a rows (k_out > 0) on the source side, column j goes to
+# the sink side iff k_in_j >= a - [j in A], either way on equality, and the
+# cut is minimum iff
 #   sum_{i in A} w_i = sum_j min(k_in_j, a),   w = k_out + [k_in >= a].
-# Feasibility bounds the left side by the right, and descending (k_out,
-# k_in) order sorts w: such an A holds every row whose w is above theta, the
-# a-th largest, none below, and `need` of the tied rows, leaving `room` out.
-# Two tied rows are in A together iff need >= 2, out together iff room >= 2.
-# Between consecutive values p < p' of k_in and of the cumulative row
-# counts, both sides are linear in a on [p + 1, p' - 1], so the ends are
-# minimum cut sizes if any inside are; inside, no k_in is a or a - 1 and only
-# room changes, falling with a. So the sizes p - 1, p, p + 1 and 1 find
-# every fixed pair. An undirected k fixes the pairs of k_out = k_in = k, as
-# symmetrising a fractional solution keeps every positive entry.
+# Feasibility bounds the left side by the right, and descending (k_out, k_in)
+# order sorts w: such an A holds every row whose w is above theta, the a-th
+# largest, none below, and `need` of the tied rows (two iff need >= 2). Over
+# the minimum cuts through a rows, A has the union U = {w >= theta} and, if a
+# tied row may stay out, the intersection {w > theta}: ends, the rows of the
+# classes >= c for a row class c (theta = w[c]). Minimum cuts are closed under
+# union and intersection (Picard-Queyranne, Math. Prog. Study 13, 1980) and
+# stay minimum as a column with k_in_j = a - [j in A] changes side. A pair
+# (i, j), i != j, is fixed at 1 iff out_i is in L, the union of the cuts with
+# in_j on the sink side. Of the cuts through a = |A(L)| rows, all may put in_j
+# there if k_in_j >= a, and those holding j if k_in_j = a - 1; their union lies
+# in L, so A(L) = U, unless j ties with need = 1 and a tied row may stay out.
+# Then i is above theta, and the intersection, through k_in_j rows, may put
+# in_j on the sink side. (i, j) is fixed at 0 iff out_i is not in T, the
+# intersection of the cuts with in_j on the source side, through a = |A(T)|
+# rows. If k_in_j < a, every cut through a rows may put in_j there, so A(T) = U
+# and i is below theta. Else k_in_j = a, j is not in A(T), and moving in_j to
+# the sink fixes its a pairs from A(T) at 1, so (i, j) stays free at 0. So the
+# ends suffice, with 0 pinned only where i is below theta and k_in_j < a. An
+# undirected k fixes the pairs of k_out = k_in = k, as symmetrising a
+# fractional solution keeps every positive entry.
 
 def _tight_cuts(k_out: np.ndarray, k_in: np.ndarray) -> np.ndarray:
     """Whether some cut of each row's flow network is tight, i.e. may fix a
@@ -181,25 +189,20 @@ def _pin_boundary(k_out: np.ndarray, k_in: np.ndarray, m: np.ndarray):
     free, ones) per class: the degrees left after the pairs fixed at 1, the
     pairs left to the iteration and those fixed at 1. The others are
     FORCED_LIM, but one fixed at 0 with a saturated end stays free (x = 0)."""
-    rows, ends = k_out > 0, np.cumsum(m[::-1])[::-1]  # c's last place, descending
-    a = np.concatenate([k_in, ends[rows]]) + np.array([[-1], [0], [1]])
-    a = np.unique(np.clip(np.append(a, 1), 1, m @ rows))[:, None]
+    rows, c = k_out > 0, np.flatnonzero(k_out)
+    a = np.cumsum(m[::-1])[::-1][c, None]  # the ends: rows of classes >= c
     w = k_out + (k_in >= a)
-    theta = np.take_along_axis(w, (ends >= a).sum(axis=1, keepdims=True) - 1, 1)
+    theta = np.take_along_axis(w, c[:, None], 1)
     up, tie = rows & (w > theta), rows & (w == theta)
     need = a - up @ m[:, None]
     cut = ((up * w) @ m)[:, None] + need * theta == np.minimum(k_in, a) @ m[:, None]
-    a, w, theta, up, tie, need = (v[cut[:, 0]] for v in (a, w, theta, up, tie, need))
-    room = tie @ m[:, None] - need
-    inside, out_tie = up | tie, tie & (room > 0)
-    out = ~rows | (w < theta) | out_tie
+    a, tie, need, inside = (v[cut[:, 0]] for v in (a, tie, need, up | tie))
     # hits(p, q)[c, d]: how many cut sizes have p[., c] and q[., d]; the
-    # second hits take back those where two tied rows find need (room) < 2
+    # second hits take back those where two tied rows find need < 2
     hits = lambda p, q: p.T.astype(float) @ q  # exact: counts below 2^53
     one = (hits(inside, (k_in >= a) | inside & (k_in == a - 1))
            > hits(tie, tie & (k_in == a - 1) & (need < 2)))
-    zero = (hits(out, (k_in < a) | out & (k_in == a))
-            > hits(out_tie, out_tie & (k_in == a) & (room < 2)))
+    zero = hits(~inside, k_in < a) > 0
     partners = _partners(m)
     arcs = np.outer(rows, k_in > 0) & (partners > 0)
     fixed, ones = arcs & (one | zero), arcs & one

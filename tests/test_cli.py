@@ -580,6 +580,8 @@ def test_commands_build_no_prob_matrix(tmp_path, monkeypatch, argv):
     (["rank", "--input", "NOT_UTF8"], EXIT_PARSE),
     (["sample", "--input", "NOT_UTF8"], EXIT_PARSE),
     (["rank", "--input", "EDGES", "--config", "NOT_UTF8_CONFIG"], EXIT_CONFIG),
+    (["rank", "--input", "EDGES", "--config", "MISSING"], EXIT_CONFIG),
+    (["rank", "--input", "EDGES", "--config", "DIRECTORY"], EXIT_CONFIG),
 ])
 def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     weights = tmp_path / "weights.txt"
@@ -592,10 +594,22 @@ def test_bad_input_fails_before_any_solve(tmp_path, monkeypatch, argv, code):
     not_utf8_config.write_bytes(b"tolerance = 1e-6\n# r\xe9glages\n")
     counts = count_solves(monkeypatch)
     files = {"WEIGHTS": str(weights), "EDGES": str(edges),
-             "NOT_UTF8": str(not_utf8), "NOT_UTF8_CONFIG": str(not_utf8_config)}
+             "NOT_UTF8": str(not_utf8), "NOT_UTF8_CONFIG": str(not_utf8_config),
+             "MISSING": str(tmp_path / "missing.cfg"), "DIRECTORY": str(tmp_path)}
     argv = [files.get(arg, arg) for arg in argv]
     assert run(tmp_path, *argv)[0] == code
     assert counts == {"benchmark": 0, "classes": 0, "systems": 0, "nodes": []}
+
+
+@pytest.mark.parametrize("name, reason", [("missing.cfg", "No such file or directory"),
+                                          (".", "Is a directory")],
+                         ids=["missing", "directory"])
+def test_unreadable_config_names_the_file(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    code = main(["rank", "--generate", "er:5,0.5", "--config", str(path),
+                 "--output", str(tmp_path / "out.json")])
+    assert (code, capsys.readouterr().err) == (
+        EXIT_CONFIG, f"error: cannot read config file {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("where", ["file", "stdin", "config"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,6 +351,36 @@ def test_classifier_matches_oracles_on_conditioned_systems(monkeypatch, g):
         assert np.array_equal(k_out, rest.sum(axis=1))
         assert np.array_equal(k_in, rest.sum(axis=0))
     for k_out, k_in in chunks:
+        assert_classified_as_oracles(k_out, k_in)
+
+
+def _tight_sequences(n, directed):
+    """Every feasible degree sequence of n nodes with a tight cut, one per
+    order, as (B, n) rows of out- and in-degrees: the multisets of (k_out,
+    k_in) pairs, or of k = k_out = k_in with an even sum, that
+    oracles.tight_cut accepts."""
+    values = (list(itertools.product(range(n), repeat=2)) if directed
+              else [(k, k) for k in range(n)])
+    seqs = np.array(list(itertools.combinations_with_replacement(values, n)))
+    k_out, k_in = seqs[..., 0], seqs[..., 1]
+    keep = []
+    for ko, ki in zip(k_out, k_in):
+        try:
+            keep.append(ko.sum() == ki.sum() and (directed or ko.sum() % 2 == 0)
+                        and tight_cut(ko, ki))
+        except InputError:
+            keep.append(False)
+    return k_out[keep], k_in[keep]
+
+
+@pytest.mark.parametrize("directed, largest", [(True, 4), (False, 8)],
+                         ids=["directed", "undirected"])
+def test_classifier_pins_match_max_flow_on_every_small_sequence(directed,
+                                                               largest):
+    # the pins read from the row-class cuts alone against the node-level
+    # max flow, on every tight sequence of up to `largest` nodes
+    for n in range(1, largest + 1):
+        k_out, k_in = _tight_sequences(n, directed)
         assert_classified_as_oracles(k_out, k_in)
 
 
